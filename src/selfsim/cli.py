@@ -28,17 +28,16 @@ from .field import Grid2D, ScalarField, VectorField
 from .gas import GasLaw, GasVariant
 
 _KNOWN_SECTIONS = {"gas", "grid", "boundary", "solver", "quasi", "output",
-                   "seed", "strict"}
+                   "strict"}
 _KNOWN_KEYS = {
     "gas": {"a", "gamma", "rho_floor", "variant"},
     "grid": {"x0", "x1", "y0", "y1", "nx", "ny"},
     "boundary": {"kind", "K", "path", "table"},
     "solver": {"relax_theta", "tol_fixed_point", "max_iters", "lin_tol",
-               "lin_max_iters", "eps0", "ratio", "eps_min", "c2_floor",
-               "cap_M"},
+               "eps0", "ratio", "eps_min", "c2_floor", "cap_M"},
     "quasi": {"delta_targets", "outer_tol", "outer_max_iters", "newton",
               "zeta_b", "anchor", "sonic_margin"},
-    "output": {"phi_path", "report_path", "dir", "csv", "fields"},
+    "output": {"phi_path", "report_path", "dir", "csv"},
 }
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import field as fld
+from . import field as fld, potential
 from .errors import NonSolenoidalInput, SolverError
 from .field import Grid2D, ScalarField, VectorField
 from .gas import GasLaw, enthalpy
@@ -22,12 +22,12 @@ from .gas import GasLaw, enthalpy
 
 def _diff1_matrix(n: int, h: float) -> sp.csr_matrix:
     """1-D first-derivative operator matching field.diff1."""
-    D = sp.lil_matrix((n, n))
-    D[0, 0:3] = [-3.0, 4.0, -1.0]
-    for i in range(1, n - 1):
-        D[i, i - 1] = -1.0
-        D[i, i + 1] = 1.0
-    D[n - 1, n - 3:n] = [1.0, -4.0, 3.0]
+    one_sided = sp.csr_matrix(([-3.0, 4.0, -1.0, 1.0, -4.0, 3.0],
+                               ([0, 0, 0, 1, 1, 1],
+                                [0, 1, 2, n - 3, n - 2, n - 1])),
+                              shape=(2, n))
+    centered = sp.diags([-1.0, 1.0], [0, 2], shape=(n - 2, n))
+    D = sp.vstack([one_sided[0], centered, one_sided[1]])
     return (D / (2.0 * h)).tocsr()
 
 
@@ -60,7 +60,6 @@ def _boundary_normals(grid: Grid2D):
 class Decomposition:
     psi: ScalarField
     W: VectorField
-    residual: float
     div_W_norm: float
 
 
@@ -126,7 +125,7 @@ def decompose(U: VectorField, lin_tol: float = 1e-11) -> Decomposition:
     W = VectorField(grid, U.u - gpsi.u, U.v - gpsi.v)
     divW = fld.divergence(W)
     div_norm = float(np.max(np.abs(divW.interior())))
-    return Decomposition(psi=psi, W=W, residual=0.0, div_W_norm=div_norm)
+    return Decomposition(psi=psi, W=W, div_W_norm=div_norm)
 
 
 def stream_function(W: VectorField, div_tol: float = 1e-8,
@@ -153,28 +152,18 @@ def stream_function(W: VectorField, div_tol: float = 1e-8,
 def _solve_poisson_dirichlet(grid: Grid2D, rhs: np.ndarray,
                              boundary: np.ndarray) -> np.ndarray:
     """Compact 5-point Laplacian with Dirichlet frame data."""
-    ny, nx = grid.shape
-    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
-    idx = np.arange(nx * ny).reshape(ny, nx)
-    rows, cols, vals = [], [], []
-    b = np.empty(nx * ny)
-    for j in range(ny):
-        for i in range(nx):
-            k = idx[j, i]
-            if 0 < j < ny - 1 and 0 < i < nx - 1:
-                rows += [k] * 5
-                cols += [k, idx[j, i + 1], idx[j, i - 1],
-                         idx[j + 1, i], idx[j - 1, i]]
-                vals += [-2.0 / hx2 - 2.0 / hy2, 1.0 / hx2, 1.0 / hx2,
-                         1.0 / hy2, 1.0 / hy2]
-                b[k] = rhs[j, i]
-            else:
-                rows.append(k)
-                cols.append(k)
-                vals.append(1.0)
-                b[k] = boundary[j, i]
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny))
-    return spla.spsolve(A, b)
+    return potential.solve_linear_dirichlet(
+        _laplacian(grid), ScalarField(grid, rhs),
+        ScalarField(grid, boundary)).values
+
+
+def _laplacian(grid: Grid2D) -> potential.FrozenSystem:
+    """diff2_x + diff2_y as a Dirichlet stencil operator (margin 1)."""
+    one, zero = np.ones(grid.shape), np.zeros(grid.shape)
+    return potential.FrozenSystem(
+        grid,
+        potential.stencil_coefficients(grid, one, zero, one, zero, zero, 0.0),
+        lambda_min=1.0)
 
 
 def bernoulli_GH(U: VectorField, W: VectorField,

@@ -4,6 +4,10 @@ Implements the closure c^2(phi), the quasilinear operator Q and its
 epsilon-regularization, frozen-coefficient 9-point linear solves with
 Dirichlet frame data, relaxed Picard iteration on the frozen map, and
 geometric epsilon-continuation down to the unregularized problem.
+
+FrozenSystem (coefficients from stencil_coefficients) solved by
+solve_linear_dirichlet is the single Dirichlet operator path: the Newton
+step of quasipotential and the Poisson solve of hodge use it too.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ class PicardParams:
     tol_fixed_point: float = 1e-10
     max_iters: int = 200
     lin_tol: float = 1e-11
-    lin_max_iters: int | None = None  # kept for config compatibility; the
-    # default linear solver is a direct sparse factorization
 
     def __post_init__(self):
         if not (0.0 < self.relax_theta <= 1.0):
@@ -174,14 +176,39 @@ def residual_Q(law: GasLaw, phi: ScalarField, eps: float = 0.0,
     return ScalarField(grid, out)
 
 
+def stencil_coefficients(grid: Grid2D, a11, cross, a22, b1, b2, c0) -> tuple:
+    """9-point stencil of a11 f11 + cross f12 + a22 f22 + b1 f1 + b2 f2 + c0 f.
+
+    Centered second and first differences, the 4-point cross difference.
+    Returns the arrays (cc, ce, cw, cn, cs, cne, cnw, cse, csw).
+    """
+    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
+    cd = cross / (4.0 * grid.hx * grid.hy)
+    return (-2.0 * a11 / hx2 - 2.0 * a22 / hy2 + c0,
+            a11 / hx2 + b1 / (2.0 * grid.hx),
+            a11 / hx2 - b1 / (2.0 * grid.hx),
+            a22 / hy2 + b2 / (2.0 * grid.hy),
+            a22 / hy2 - b2 / (2.0 * grid.hy),
+            cd, -cd, -cd, cd)
+
+
+# (row, column) offset of each coefficient array of a stencil
+_OFFSETS = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0),
+            (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
 @dataclass
 class FrozenSystem:
-    """Linearized (frozen-coefficient) operator L_eps at a given iterate w."""
+    """9-point stencil operator with Dirichlet (identity) frame rows.
+
+    lambda_min is the operator's ellipticity margin over the interior;
+    solve_linear_dirichlet refuses to solve when it is not positive.  The
+    c2 fields describe the iterate a Picard operator was frozen at.
+    """
 
     grid: Grid2D
-    eps: float
-    coef: tuple = dc_field(repr=False, default=None)
-    lambda_min: float = float("nan")
+    coef: tuple = dc_field(repr=False)
+    lambda_min: float
     c2_min: float = float("nan")
     c2_max: float = float("nan")
     clamped: int = 0
@@ -193,8 +220,26 @@ class FrozenSystem:
         return _kernels.apply_stencil(self.coef, values)
 
     def matrix(self) -> sp.csc_matrix:
+        """CSC matrix; a coefficient array zero on the whole interior stores
+        no entries, so a 5-point operator keeps its 5-point pattern."""
         if self._matrix is None:
-            self._matrix = _stencil_to_matrix(self.grid, self.coef)
+            ny, nx = self.grid.shape
+            idx = np.arange(nx * ny).reshape(ny, nx)
+            inner = idx[1:-1, 1:-1].ravel()
+            on_frame = np.ones((ny, nx), bool)
+            on_frame[1:-1, 1:-1] = False
+            frame = idx[on_frame]
+            rows, cols, data = [frame], [frame], [np.ones(frame.size)]
+            for cf, (dj, di) in zip(self.coef, _OFFSETS):
+                vals = cf[1:-1, 1:-1].ravel()
+                if vals.any():
+                    rows.append(inner)
+                    cols.append(inner + dj * nx + di)
+                    data.append(vals)
+            self._matrix = sp.csc_matrix(
+                (np.concatenate(data),
+                 (np.concatenate(rows), np.concatenate(cols))),
+                shape=(nx * ny, nx * ny))
         return self._matrix
 
     def factor(self):
@@ -203,45 +248,14 @@ class FrozenSystem:
         return self._factor
 
 
-def _stencil_to_matrix(grid: Grid2D, coef) -> sp.csc_matrix:
-    ny, nx = grid.shape
-    N = nx * ny
-    idx = np.arange(N).reshape(ny, nx)
-    cc, ce, cw, cn, cs, cne, cnw, cse, csw = coef
-    ji = np.s_[1:-1, 1:-1]
-    rows_i = idx[ji].ravel()
-    data = []
-    rows = []
-    cols = []
-    offsets = [
-        (cc, idx[1:-1, 1:-1]), (ce, idx[1:-1, 2:]), (cw, idx[1:-1, :-2]),
-        (cn, idx[2:, 1:-1]), (cs, idx[:-2, 1:-1]),
-        (cne, idx[2:, 2:]), (cnw, idx[2:, :-2]),
-        (cse, idx[:-2, 2:]), (csw, idx[:-2, :-2]),
-    ]
-    for cf, colidx in offsets:
-        rows.append(rows_i)
-        cols.append(colidx.ravel())
-        data.append(cf[ji].ravel())
-    frame = np.ones((ny, nx), bool)
-    frame[ji] = False
-    fidx = idx[frame]
-    rows.append(fidx)
-    cols.append(fidx)
-    data.append(np.ones(fidx.size))
-    A = sp.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N))
-    return A
-
-
 def assemble_frozen(law: GasLaw, w: ScalarField, eps: float,
                     c2_floor: float = 1e-8, cap_M: float = 1e6
                     ) -> FrozenSystem:
     """Coefficients of L_eps frozen at w, as a 9-point stencil system.
 
     Principal part (c^2(w) - w1^2 + eps, -2 w1 w2, c^2(w) - w2^2 + eps),
-    drift -gamma grad w, zero-order -2 (gamma - 1).
+    drift -gamma grad w, zero-order -2 (gamma - 1); ellipticity margin
+    min(c^2(w) - |grad w|^2 + eps) over the interior.
     """
     if not np.all(np.isfinite(w.values)):
         raise CapExceeded("iterate contains non-finite values")
@@ -252,29 +266,13 @@ def assemble_frozen(law: GasLaw, w: ScalarField, eps: float,
     gw = fld.gradient(w)
     c2, clamped = c2_of_phi(law, w, gw, c2_floor=c2_floor)
     g = law.gamma
-    a11 = c2.values - gw.u ** 2 + eps
-    a22 = c2.values - gw.v ** 2 + eps
-    cross = -2.0 * gw.u * gw.v
-    b1 = -g * gw.u
-    b2 = -g * gw.v
-    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
-    cc = -2.0 * a11 / hx2 - 2.0 * a22 / hy2 - 2.0 * (g - 1.0)
-    ce = a11 / hx2 + b1 / (2.0 * grid.hx)
-    cw = a11 / hx2 - b1 / (2.0 * grid.hx)
-    cn = a22 / hy2 + b2 / (2.0 * grid.hy)
-    cs = a22 / hy2 - b2 / (2.0 * grid.hy)
-    cd = cross / (4.0 * grid.hx * grid.hy)
-    cne = cd
-    csw = cd
-    cnw = -cd
-    cse = -cd
-    lam = a11 + a22 - c2.values  # = c^2 - |grad w|^2 + 2 eps - eps
-    lambda_min = float(np.min((c2.values - gw.magnitude_sq() + eps)[1:-1, 1:-1]))
-    del lam
+    coef = stencil_coefficients(
+        grid, c2.values - gw.u ** 2 + eps, -2.0 * gw.u * gw.v,
+        c2.values - gw.v ** 2 + eps, -g * gw.u, -g * gw.v, -2.0 * (g - 1.0))
     return FrozenSystem(
-        grid=grid, eps=eps,
-        coef=(cc, ce, cw, cn, cs, cne, cnw, cse, csw),
-        lambda_min=lambda_min,
+        grid=grid, coef=coef,
+        lambda_min=float(np.min(
+            (c2.values - gw.magnitude_sq() + eps)[1:-1, 1:-1])),
         c2_min=float(np.min(c2.values)),
         c2_max=float(np.max(c2.values)),
         clamped=clamped,
@@ -292,7 +290,7 @@ def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
     """
     if system.lambda_min <= 0:
         raise IndefiniteSystem(
-            f"min(c^2 - |grad w|^2 + eps) = {system.lambda_min:.3e} <= 0")
+            f"ellipticity margin {system.lambda_min:.3e} <= 0")
     grid = system.grid
     b = np.zeros(grid.shape)
     if rhs is not None:
@@ -460,8 +458,8 @@ def _finalize_report(problem: PotentialProblem, phi: ScalarField,
     c2, clamped = c2_of_phi(problem.law, phi, gp, c2_floor=problem.c2_floor)
     rr = regime.classify(VectorField(problem.grid, gp.u, gp.v), c2)
     report.final_residual = float(np.max(np.abs(residual_Q(
-        problem.law, phi, eps=report.final_eps if report.final_eps == 0.0
-        else report.final_eps, c2_floor=problem.c2_floor).interior())))
+        problem.law, phi, eps=report.final_eps,
+        c2_floor=problem.c2_floor).interior())))
     report.c2_min = float(np.min(c2.values))
     report.c2_max = float(np.max(c2.values))
     report.clamped = clamped

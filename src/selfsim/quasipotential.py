@@ -23,15 +23,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import field as fld, potential, vorticity
-from .errors import (ConfigError, NonConvergence, NonIntegrableF1,
+from .errors import (CapExceeded, ConfigError, IndefiniteSystem,
+                     LinearStagnation, NonConvergence, NonIntegrableF1,
                      SonicEncroachment)
 from .field import ScalarField, VectorField
 from .gas import GasLaw
 from .hodge import _solve_poisson_dirichlet, integrability_residual, reconstruct_F
-from .potential import (PicardParams, PotentialProblem, SolveReport,
-                        _stencil_to_matrix)
-
-import scipy.sparse.linalg as spla
+from .potential import (FrozenSystem, PicardParams, PotentialProblem,
+                        SolveReport, stencil_coefficients)
 
 
 @dataclass
@@ -246,9 +245,12 @@ def gateaux_check(psi0: ScalarField, v: ScalarField, law: GasLaw,
     return {"taus": taus, "defects": defects, "slope": slope}
 
 
-def _newton_step(problem: PotentialProblem, psi: ScalarField,
-                 rhs: ScalarField, law: GasLaw) -> ScalarField:
-    """One Newton correction: solve L[v] = -(R(psi) - rhs), v = 0 on frame."""
+def _newton_step(psi: ScalarField, rhs: ScalarField, law: GasLaw
+                 ) -> ScalarField:
+    """One Newton correction: solve L[v] = -(R(psi) - rhs), v = 0 on frame.
+
+    The ellipticity margin of L is min(c0^2 - |grad psi|^2) over the interior.
+    """
     grid = psi.grid
     g = law.gamma
     gp = fld.gradient(psi)
@@ -257,26 +259,18 @@ def _newton_step(problem: PotentialProblem, psi: ScalarField,
     c0 = -(g - 1.0) * (psi.values + 0.5 * gp.magnitude_sq()) \
         if g != 1.0 else np.full(grid.shape, law.a ** 2)
     closure = (g - 1.0) * (2.0 + lp) if g != 1.0 else np.zeros(grid.shape)
-    a11 = c0 - gp.u ** 2
-    a22 = c0 - gp.v ** 2
-    cross = -2.0 * gp.u * gp.v
     d1 = (-2.0 * (psi11.values * gp.u + psi12.values * gp.v)
           - (closure + 2.0) * gp.u)
     d2 = (-2.0 * (psi12.values * gp.u + psi22.values * gp.v)
           - (closure + 2.0) * gp.v)
-    hx, hy = grid.hx, grid.hy
-    cc = -2.0 * a11 / hx ** 2 - 2.0 * a22 / hy ** 2 - closure
-    ce = a11 / hx ** 2 + d1 / (2.0 * hx)
-    cw = a11 / hx ** 2 - d1 / (2.0 * hx)
-    cn = a22 / hy ** 2 + d2 / (2.0 * hy)
-    cs = a22 / hy ** 2 - d2 / (2.0 * hy)
-    cd = cross / (4.0 * hx * hy)
-    A = _stencil_to_matrix(grid, (cc, ce, cw, cn, cs, cd, -cd, -cd, cd))
-    res = residual_map(law, psi, rhs=rhs).values
-    b = np.zeros(grid.shape)
-    b[1:-1, 1:-1] = -res[1:-1, 1:-1]
-    v = spla.spsolve(A, b.ravel())
-    return ScalarField(grid, psi.values + v.reshape(grid.shape))
+    system = FrozenSystem(
+        grid, stencil_coefficients(grid, c0 - gp.u ** 2, -2.0 * gp.u * gp.v,
+                                   c0 - gp.v ** 2, d1, d2, -closure),
+        lambda_min=float(np.min((c0 - gp.magnitude_sq())[1:-1, 1:-1])))
+    res = residual_map(law, psi, rhs=rhs)
+    v = potential.solve_linear_dirichlet(system, ScalarField(grid, -res.values),
+                                         ScalarField.zeros(grid))
+    return ScalarField(grid, psi.values + v.values)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +283,10 @@ def _zeta_tilde(grid, omega_t: ScalarField, zeta_b: ScalarField
     return ScalarField(grid, vals)
 
 
+# failures of a linear solve inside a sweep; they fail the stage
+_LINEAR_ERRORS = (IndefiniteSystem, LinearStagnation, CapExceeded)
+
+
 def solve_quasi(config: QuasiConfig, base: PotentialProblem,
                 params: PicardParams | None = None
                 ) -> tuple[QuasiState, SolveReport]:
@@ -298,7 +296,8 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
     zeta-recovery -> (F1, Q1, N1, c^2) -> psi solve, until the joint sup-norm
     change of (psi, zeta~) drops below outer_tol.  Stages warm-start from the
     previous delta; the last converged stage is returned on failure with
-    status PartialContinuation.
+    status PartialContinuation.  A linear-solve failure in the first stage
+    is raised as NonConvergence.
     """
     params = params or PicardParams()
     grid = base.grid
@@ -317,9 +316,13 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
         try:
             psi_d, zt_d, stage = _solve_stage(
                 config, base, params, delta, psi, zt, zeta_b, omega_b)
-        except (NonConvergence, SonicEncroachment, NonIntegrableF1) as exc:
+        except (NonConvergence, SonicEncroachment, NonIntegrableF1,
+                *_LINEAR_ERRORS) as exc:
             report.errors.append(f"delta={delta:g}: {exc}")
             if state is None:
+                if isinstance(exc, _LINEAR_ERRORS):
+                    raise NonConvergence(f"first delta stage failed: {exc}",
+                                         report=report) from exc
                 raise
             report.status = "PartialContinuation"
             break
@@ -372,7 +375,7 @@ def _solve_stage(config: QuasiConfig, base: PotentialProblem,
         lp = _lap_c(psi)
         rhs = ScalarField(grid, delta * ((2.0 + lp) * q1.values + n1.values))
         if config.newton:
-            psi_new = _newton_step(base, psi, rhs, law)
+            psi_new = _newton_step(psi, rhs, law)
         else:
             psi_new, _prep = potential.picard_solve(base, 0.0, params,
                                                     w0=psi, rhs=rhs)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import selfsim as ss
-from selfsim import cli, field as fld
+from selfsim import cli, field as fld, quasipotential
+from selfsim.errors import LinearStagnation
 
 from conftest import quiescent_field
 
@@ -150,6 +151,17 @@ def test_exit_code_unknown_key_strict(tmp_path):
                      "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"seed": 7},
+    {"solver": {"lin_max_iters": 10}},
+    {"output": {"fields": ["phi"]}},
+])
+def test_unread_keys_are_unknown(tmp_path, overrides):
+    path = small_config(tmp_path, **overrides)
+    assert cli.main(["--strict", "solve-potential",
+                     "--config", str(path)]) == 2
+
+
 def test_unknown_key_warns_without_strict(tmp_path, capsys):
     path = small_config(tmp_path, extra_section={"x": 1})
     assert cli.main(["solve-potential", "--config", str(path)]) == 0
@@ -172,3 +184,40 @@ def test_exit_code_bad_grid(tmp_path):
         grid={"x0": 0.5, "x1": -0.5, "y0": -0.5, "y1": 0.5,
               "nx": 9, "ny": 9})
     assert cli.main(["solve-potential", "--config", str(path)]) == 2
+
+
+def _quasi_config(tmp_path, delta_targets):
+    return small_config(
+        tmp_path,
+        grid={"x0": 0.1, "x1": 0.6, "y0": 0.1, "y1": 0.6, "nx": 17, "ny": 17},
+        quasi={"delta_targets": delta_targets, "anchor": [8, 8]})
+
+
+def _fail_stages_above(monkeypatch, delta_ok):
+    """Make every quasi stage with delta > delta_ok fail in a linear solve."""
+    solve_stage = quasipotential._solve_stage
+
+    def stage(config, base, params, delta, *rest):
+        if delta > delta_ok:
+            raise LinearStagnation("injected")
+        return solve_stage(config, base, params, delta, *rest)
+
+    monkeypatch.setattr(quasipotential, "_solve_stage", stage)
+
+
+def test_solve_quasi_first_stage_linear_failure_exits_1(tmp_path, monkeypatch):
+    _fail_stages_above(monkeypatch, -1.0)
+    path = _quasi_config(tmp_path, [0.0])
+    assert cli.main(["solve-quasi", "--config", str(path)]) == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_solve_quasi_later_stage_linear_failure_is_partial(tmp_path,
+                                                           monkeypatch):
+    _fail_stages_above(monkeypatch, 0.0)
+    path = _quasi_config(tmp_path, [0.0, 1e-3])
+    assert cli.main(["solve-quasi", "--config", str(path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["status"] == "PartialContinuation"
+    assert [s["delta"] for s in report["stages"]] == [0.0]
+    assert report["errors"] == ["delta=0.001: injected"]

@@ -5,7 +5,7 @@ import pytest
 
 import selfsim as ss
 from selfsim import field as fld, hodge
-from selfsim.errors import NonSolenoidalInput, SolverError
+from selfsim.errors import LinearStagnation, NonSolenoidalInput, SolverError
 
 
 @pytest.fixture
@@ -127,3 +127,27 @@ def test_bernoulli_fields_bundle(grid):
     bundle = hodge.bernoulli_fields(U, U, anchor=(16, 16))
     assert bundle.integrability_residual == pytest.approx(2.0, abs=1e-12)
     assert bundle.F.values[16, 16] == pytest.approx(0.0)
+
+
+def test_gradient_operators_match_field_gradient(grid):
+    rng = np.random.default_rng(11)
+    f = ss.ScalarField(grid, rng.normal(size=grid.shape))
+    Gx, Gy = hodge.gradient_operators(grid)
+    g = fld.gradient(f)
+    assert np.max(np.abs(Gx @ f.values.ravel() - g.u.ravel())) <= 1e-12
+    assert np.max(np.abs(Gy @ f.values.ravel() - g.v.ravel())) <= 1e-12
+
+
+def test_laplacian_matrix_is_5_point(grid):
+    A = hodge._laplacian(grid).matrix()
+    per_row = np.diff(A.tocsr().indptr).reshape(grid.shape)
+    assert np.all(per_row[1:-1, 1:-1] == 5)
+    per_row[1:-1, 1:-1] = 1
+    assert np.all(per_row == 1)
+
+
+def test_poisson_dirichlet_rejects_non_finite_rhs(grid):
+    rhs = np.zeros(grid.shape)
+    rhs[5, 7] = np.nan
+    with pytest.raises(LinearStagnation):
+        hodge._solve_poisson_dirichlet(grid, rhs, np.zeros(grid.shape))

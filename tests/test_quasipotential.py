@@ -6,7 +6,7 @@ import pytest
 
 import selfsim as ss
 from selfsim import field as fld, potential, quasipotential as qp
-from selfsim.errors import ConfigError, NonIntegrableF1
+from selfsim.errors import ConfigError, LinearStagnation, NonIntegrableF1
 
 from conftest import quiescent_field
 
@@ -155,3 +155,10 @@ def test_full_rotational_residual_potential_limit(law):
     lim = np.max(np.abs(qp.residual_map(law, phi).values[1:-1, 1:-1]))
     assert np.max(np.abs(r1.values)) <= lim + 1e-10
     assert np.all(r2.values == 0.0)
+
+
+def test_newton_step_rejects_non_finite_rhs(law, grid):
+    rhs = ss.ScalarField.zeros(grid)
+    rhs.values[4, 9] = np.inf
+    with pytest.raises(LinearStagnation):
+        qp._newton_step(quiescent_field(grid), rhs, law)
