@@ -96,8 +96,14 @@ def apply_stencil(coef, f):
 #
 # Integrates d(xi)/dr = sgn * b(xi) with RK4 and bilinear interpolation of the
 # drift b = (gx, gy), accumulating the trapezoid quadrature of (1 + div b)
-# along the path.  Terminates on domain exit (sub-step bisected onto the
-# boundary), stagnation of |b|, or path length max_len.
+# along the path.  A path ends on stagnation of |b|, at path length max_len,
+# or when a step leaves the frame: that sub-step is bisected 48 times onto
+# the boundary and the hit point is snapped onto the closest side.
+# The numpy path marches all live nodes together, one full step at a time; a
+# node whose step would leave the frame records its start point and leaves
+# the march.  After the march one batched bisection runs over all crossed
+# nodes.  A bisection depends only on the node's own start point, so each
+# node sees the same arithmetic as when bisected at the step it crossed.
 
 
 @njit(cache=True)
@@ -213,97 +219,90 @@ def _trace_all_numba(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     return acc, hitx, hity, status
 
 
-def _bilinear_np(field, x, y, x0, y0, hx, hy, nx, ny):
+def _sample_np(fields, x, y, x0, y0, hx, hy, nx, ny):
+    """Bilinear samples (k, m) of stacked fields (k, ny, nx) at points.
+
+    One cell index, one set of weights and one gather serve all k fields.
+    """
     tx = (x - x0) / hx
     ty = (y - y0) / hy
-    i = np.clip(np.floor(tx).astype(np.int64), 0, nx - 2)
-    j = np.clip(np.floor(ty).astype(np.int64), 0, ny - 2)
+    i = np.minimum(np.maximum(np.floor(tx).astype(np.int64), 0), nx - 2)
+    j = np.minimum(np.maximum(np.floor(ty).astype(np.int64), 0), ny - 2)
     ax = tx - i
     ay = ty - j
-    f00 = field[j, i]
-    f01 = field[j, i + 1]
-    f10 = field[j + 1, i]
-    f11 = field[j + 1, i + 1]
-    return (1.0 - ay) * ((1.0 - ax) * f00 + ax * f01) + ay * (
-        (1.0 - ax) * f10 + ax * f11)
+    p = j * nx + i
+    f = np.take(fields.reshape(len(fields), -1),
+                np.stack([p, p + 1, p + nx, p + nx + 1]), axis=1)
+    return (1.0 - ay) * ((1.0 - ax) * f[:, 0] + ax * f[:, 1]) + ay * (
+        (1.0 - ax) * f[:, 2] + ax * f[:, 3])
 
 
-def _rk4_step_np(gx, gy, x, y, dt, sgn, x0, y0, hx, hy, nx, ny):
-    def b(px, py):
-        return (sgn * _bilinear_np(gx, px, py, x0, y0, hx, hy, nx, ny),
-                sgn * _bilinear_np(gy, px, py, x0, y0, hx, hy, nx, ny))
-
-    k1x, k1y = b(x, y)
-    k2x, k2y = b(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
-    k3x, k3y = b(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
-    k4x, k4y = b(x + dt * k3x, y + dt * k3y)
-    xn = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    yn = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return xn, yn
+def _rk4_np(gxy, p, k1, dt, sgn, geom):
+    """RK4 step of length dt from points p (2, m); k1 = sgn * b(p) is given."""
+    k2 = sgn * _sample_np(gxy, *(p + 0.5 * dt * k1), *geom)
+    k3 = sgn * _sample_np(gxy, *(p + 0.5 * dt * k2), *geom)
+    k4 = sgn * _sample_np(gxy, *(p + dt * k3), *geom)
+    return p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _trace_all_numpy(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
                      x0, x1, y0, y1, hx, hy, nx, ny):
+    geom = (x0, y0, hx, hy, nx, ny)
+    fields = np.stack([gx, gy, gdiv])
+    gxy = fields[:2]
+
+    def inside(q):
+        return (x0 <= q[0]) & (q[0] <= x1) & (y0 <= q[1]) & (q[1] <= y1)
+
     n = xs.size
-    x = xs.copy()
-    y = ys.copy()
     acc = np.zeros(n)
+    hit = np.stack([xs, ys])
     status = np.full(n, TRACE_MAXLEN, np.int8)
-    active = np.ones(n, bool)
-    nsteps = int(np.ceil(max_len / step))
-    for _ in range(nsteps):
-        if not active.any():
+    # the march keeps only live nodes: ids, points p, sums a, and the samples
+    # s = (bx, by, div b) at p, which the next step reuses
+    ids, p, a = np.arange(n), hit.copy(), acc.copy()
+    s = _sample_np(fields, *p, *geom)
+    crossed = []  # per step: ids, start points, sums, k1, g0
+    for _ in range(int(np.ceil(max_len / step))):
+        if not ids.size:
             break
-        ia = np.nonzero(active)[0]
-        xa, ya = x[ia], y[ia]
-        bx = _bilinear_np(gx, xa, ya, x0, y0, hx, hy, nx, ny)
-        by = _bilinear_np(gy, xa, ya, x0, y0, hx, hy, nx, ny)
-        stag = np.hypot(bx, by) < stag_tol
-        if stag.any():
-            idx = ia[stag]
-            status[idx] = TRACE_STAGNATION
-            active[idx] = False
-            ia = ia[~stag]
-            if ia.size == 0:
-                continue
-            xa, ya = x[ia], y[ia]
-        g0 = 1.0 + _bilinear_np(gdiv, xa, ya, x0, y0, hx, hy, nx, ny)
-        xn, yn = _rk4_step_np(gx, gy, xa, ya, step, sgn, x0, y0, hx, hy, nx, ny)
-        inside = (x0 <= xn) & (xn <= x1) & (y0 <= yn) & (yn <= y1)
-        # nodes that stay inside: full step
-        ii = ia[inside]
-        if ii.size:
-            g1 = 1.0 + _bilinear_np(gdiv, xn[inside], yn[inside],
-                                    x0, y0, hx, hy, nx, ny)
-            acc[ii] += 0.5 * step * (g0[inside] + g1)
-            x[ii] = xn[inside]
-            y[ii] = yn[inside]
-        # nodes that cross: bisect the sub-step onto the boundary
-        io = ia[~inside]
-        if io.size:
-            px, py = x[io], y[io]
-            lo = np.zeros(io.size)
-            hi = np.full(io.size, step)
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                xm, ym = _rk4_step_np(gx, gy, px, py, mid, sgn,
-                                      x0, y0, hx, hy, nx, ny)
-                ok = (x0 <= xm) & (xm <= x1) & (y0 <= ym) & (ym <= y1)
-                lo = np.where(ok, mid, lo)
-                hi = np.where(ok, hi, mid)
-            xb, yb = _rk4_step_np(gx, gy, px, py, lo, sgn,
-                                  x0, y0, hx, hy, nx, ny)
-            g1 = 1.0 + _bilinear_np(gdiv, xb, yb, x0, y0, hx, hy, nx, ny)
-            acc[io] += 0.5 * lo * (g0[~inside] + g1)
-            d = np.stack([xb - x0, x1 - xb, yb - y0, y1 - yb])
-            side = np.argmin(d, axis=0)
-            xb = np.where(side == 0, x0, np.where(side == 1, x1, xb))
-            yb = np.where(side == 2, y0, np.where(side == 3, y1, yb))
-            x[io] = xb
-            y[io] = yb
-            status[io] = TRACE_EXITED
-            active[io] = False
-    return acc, x, y, status
+        stag = np.hypot(s[0], s[1]) < stag_tol
+        k1 = sgn * s[:2]
+        g0 = 1.0 + s[2]
+        pn = _rk4_np(gxy, p, k1, step, sgn, geom)
+        ok = inside(pn)
+        keep = ok & ~stag
+        if not keep.all():
+            hit[:, ids[stag]] = p[:, stag]
+            acc[ids[stag]] = a[stag]
+            status[ids[stag]] = TRACE_STAGNATION
+            out = ~ok & ~stag
+            crossed.append((ids[out], p[:, out], a[out], k1[:, out], g0[out]))
+            ids, pn, a, g0 = ids[keep], pn[:, keep], a[keep], g0[keep]
+        s = _sample_np(fields, *pn, *geom)
+        a = a + 0.5 * step * (g0 + (1.0 + s[2]))
+        p = pn
+    hit[:, ids] = p
+    acc[ids] = a
+    if crossed:
+        # one batched bisection of the crossing sub-step onto the boundary
+        ids, p, a, k1, g0 = (np.concatenate(c, axis=-1) for c in zip(*crossed))
+        lo = np.zeros(ids.size)
+        hi = np.full(ids.size, step)
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            ok = inside(_rk4_np(gxy, p, k1, mid, sgn, geom))
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        xb, yb = _rk4_np(gxy, p, k1, lo, sgn, geom)
+        g1 = 1.0 + _sample_np(fields[2:], xb, yb, *geom)[0]
+        acc[ids] = a + 0.5 * lo * (g0 + g1)
+        # snap the closest bound onto the boundary
+        side = np.argmin(np.stack([xb - x0, x1 - xb, yb - y0, y1 - yb]), axis=0)
+        hit[0, ids] = np.where(side == 0, x0, np.where(side == 1, x1, xb))
+        hit[1, ids] = np.where(side == 2, y0, np.where(side == 3, y1, yb))
+        status[ids] = TRACE_EXITED
+    return acc, hit[0], hit[1], status
 
 
 def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,

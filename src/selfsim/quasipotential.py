@@ -296,8 +296,8 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
     zeta-recovery -> (F1, Q1, N1, c^2) -> psi solve, until the joint sup-norm
     change of (psi, zeta~) drops below outer_tol.  Stages warm-start from the
     previous delta; the last converged stage is returned on failure with
-    status PartialContinuation.  A linear-solve failure in the first stage
-    is raised as NonConvergence.
+    status PartialContinuation.  A linear-solve failure or a NonIntegrableF1
+    in the first stage is raised as NonConvergence.
     """
     params = params or PicardParams()
     grid = base.grid
@@ -320,7 +320,7 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
                 *_LINEAR_ERRORS) as exc:
             report.errors.append(f"delta={delta:g}: {exc}")
             if state is None:
-                if isinstance(exc, _LINEAR_ERRORS):
+                if isinstance(exc, (NonIntegrableF1, *_LINEAR_ERRORS)):
                     raise NonConvergence(f"first delta stage failed: {exc}",
                                          report=report) from exc
                 raise

@@ -62,13 +62,17 @@ def inflow_boundary(b: VectorField, tol_inflow: float = 1e-12) -> InflowSet:
                      count=int(np.count_nonzero(mask)))
 
 
-def _trace_args(b: VectorField, step: float, max_len: float, stag_tol: float,
-                xs, ys, sgn: float):
+def _tracer(b: VectorField, step: float, max_len: float, stag_tol: float,
+            sgn: float):
+    """``_kernels.trace_all`` bound to the drift b; div b is computed once."""
     g = b.grid
     gdiv = fld.divergence(b).values
-    return (b.u, b.v, gdiv, np.atleast_1d(xs), np.atleast_1d(ys), sgn,
-            step, max_len, stag_tol, g.x0, g.x1, g.y0, g.y1,
-            g.hx, g.hy, g.nx, g.ny)
+
+    def trace(xs, ys):
+        return _kernels.trace_all(
+            b.u, b.v, gdiv, np.atleast_1d(xs), np.atleast_1d(ys), sgn, step,
+            max_len, stag_tol, g.x0, g.x1, g.y0, g.y1, g.hx, g.hy, g.nx, g.ny)
+    return trace
 
 
 def trace_characteristic(b: VectorField, start, step: float | None = None,
@@ -90,10 +94,10 @@ def trace_characteristic(b: VectorField, start, step: float | None = None,
     acc = 0.0
     status = "maxlen"
     r = 0.0
+    # single sub-step: max_len slightly below step forces one iteration
+    trace = _tracer(b, step, step * 0.999, stag_tol, sgn)
     while r < max_len:
-        a1, h1x, h1y, st = _kernels.trace_all(
-            *_trace_args(b, step, step * 0.999, stag_tol, x, y, sgn))
-        # single sub-step: max_len slightly below step forces one iteration
+        a1, h1x, h1y, st = trace(x, y)
         if st[0] == _kernels.TRACE_STAGNATION:
             status = "stagnation"
             break
@@ -113,37 +117,31 @@ def _interp_frame(values: np.ndarray, grid: Grid2D, hx_, hy_):
     """Linear interpolation of frame data at boundary hit points.
 
     Hit points are snapped exactly onto one of the four sides by the tracer;
-    interpolation runs along that side between adjacent frame nodes.
+    interpolation runs along that side between adjacent frame nodes.  A
+    point on two sides takes the first of left, right, bottom, top; a point
+    on none gets NaN.
     """
-    out = np.empty(hx_.shape)
-    for k in range(hx_.size):
-        x, y = hx_.flat[k], hy_.flat[k]
-        if x == grid.x0:
-            out.flat[k] = _interp_1d(values[:, 0], grid.y0, grid.hy, grid.ny, y)
-        elif x == grid.x1:
-            out.flat[k] = _interp_1d(values[:, -1], grid.y0, grid.hy, grid.ny, y)
-        elif y == grid.y0:
-            out.flat[k] = _interp_1d(values[0, :], grid.x0, grid.hx, grid.nx, x)
-        elif y == grid.y1:
-            out.flat[k] = _interp_1d(values[-1, :], grid.x0, grid.hx, grid.nx, x)
-        else:  # pragma: no cover - tracer snaps exits onto the frame
-            out.flat[k] = np.nan
+    out = np.full(hx_.shape, np.nan)
+    todo = np.ones(hx_.shape, bool)
+    for on, line, t, t0, h, n in (
+            (hx_ == grid.x0, values[:, 0], hy_, grid.y0, grid.hy, grid.ny),
+            (hx_ == grid.x1, values[:, -1], hy_, grid.y0, grid.hy, grid.ny),
+            (hy_ == grid.y0, values[0, :], hx_, grid.x0, grid.hx, grid.nx),
+            (hy_ == grid.y1, values[-1, :], hx_, grid.x0, grid.hx, grid.nx)):
+        on &= todo
+        todo &= ~on
+        s = (t[on] - t0) / h
+        i = np.minimum(np.maximum(np.floor(s).astype(np.int64), 0), n - 2)
+        a = s - i
+        out[on] = (1.0 - a) * line[i] + a * line[i + 1]
     return out
-
-
-def _interp_1d(line: np.ndarray, t0: float, h: float, n: int, t: float):
-    s = (t - t0) / h
-    i = int(np.floor(s))
-    i = min(max(i, 0), n - 2)
-    a = s - i
-    return (1.0 - a) * line[i] + a * line[i + 1]
 
 
 def _hit_is_inflow(b: VectorField, hx_, hy_, tol_inflow: float):
     """b.nu < -tol at snapped boundary hit points (side normal, not corner)."""
     g = b.grid
-    bu = _kernels._bilinear_np(b.u, hx_, hy_, g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
-    bv = _kernels._bilinear_np(b.v, hx_, hy_, g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
+    bu, bv = _kernels._sample_np(np.stack([b.u, b.v]), hx_, hy_,
+                                 g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
     speed = np.full(hx_.shape, np.inf)
     speed = np.where(hx_ == g.x0, np.minimum(speed, -bu), speed)
     speed = np.where(hx_ == g.x1, np.minimum(speed, bu), speed)
@@ -177,8 +175,7 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     trace_mask = ~inflow.mask  # inflow frame nodes keep their data verbatim
     xs = X[trace_mask]
     ys = Y[trace_mask]
-    acc, hx_, hy_, status = _kernels.trace_all(
-        *_trace_args(b, step, max_len, stag_tol, xs, ys, -1.0))
+    acc, hx_, hy_, status = _tracer(b, step, max_len, stag_tol, -1.0)(xs, ys)
     exited = status == _kernels.TRACE_EXITED
     landed = exited & _hit_is_inflow(b, hx_, hy_, tol_inflow)
     vals = np.zeros(xs.shape)

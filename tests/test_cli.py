@@ -8,7 +8,7 @@ import pytest
 
 import selfsim as ss
 from selfsim import cli, field as fld, quasipotential
-from selfsim.errors import LinearStagnation
+from selfsim.errors import LinearStagnation, NonIntegrableF1
 
 from conftest import quiescent_field
 
@@ -193,13 +193,13 @@ def _quasi_config(tmp_path, delta_targets):
         quasi={"delta_targets": delta_targets, "anchor": [8, 8]})
 
 
-def _fail_stages_above(monkeypatch, delta_ok):
-    """Make every quasi stage with delta > delta_ok fail in a linear solve."""
+def _fail_stages_above(monkeypatch, delta_ok, error=LinearStagnation):
+    """Make every quasi stage with delta > delta_ok raise ``error``."""
     solve_stage = quasipotential._solve_stage
 
     def stage(config, base, params, delta, *rest):
         if delta > delta_ok:
-            raise LinearStagnation("injected")
+            raise error("injected")
         return solve_stage(config, base, params, delta, *rest)
 
     monkeypatch.setattr(quasipotential, "_solve_stage", stage)
@@ -209,6 +209,15 @@ def test_solve_quasi_first_stage_linear_failure_exits_1(tmp_path, monkeypatch):
     _fail_stages_above(monkeypatch, -1.0)
     path = _quasi_config(tmp_path, [0.0])
     assert cli.main(["solve-quasi", "--config", str(path)]) == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_solve_quasi_first_stage_nonintegrable_exits_1(tmp_path, monkeypatch,
+                                                      capsys):
+    _fail_stages_above(monkeypatch, -1.0, NonIntegrableF1)
+    path = _quasi_config(tmp_path, [0.0])
+    assert cli.main(["solve-quasi", "--config", str(path)]) == 1
+    assert "first delta stage failed: injected" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
