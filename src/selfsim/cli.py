@@ -15,15 +15,14 @@ import math
 import os
 import sys
 import tempfile
-import time
 
 import numpy as np
 
 from . import field as fld
 from . import gas, hodge, potential, quasipotential, regime, vorticity
-from .errors import (ConfigError, DomainError, FormatError, InternalError,
-                     NonConvergence, RangeError, SelfsimError,
-                     SonicEncroachment)
+from .errors import (ConfigError, DimensionMismatch, DomainError,
+                     FormatError, InternalError, NonConvergence, RangeError,
+                     SelfsimError, SonicEncroachment)
 from .field import Grid2D, ScalarField, VectorField
 from .gas import GasLaw, GasVariant
 
@@ -41,40 +40,13 @@ _KNOWN_KEYS = {
 }
 
 
-def _configure_threads():
-    n = os.environ.get("SELFSIM_THREADS", "1")
-    try:
-        n = max(1, int(n))
-    except ValueError:
-        raise ConfigError(f"SELFSIM_THREADS must be an integer, got {n!r}")
-    try:  # cap numba's pool when the fast backend is active
-        import numba
-
-        numba.set_num_threads(n)
-    except (ImportError, ValueError):
-        pass
-    return n
-
-
-def atomic_write_text(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_field(field, path: str):
+def _atomic_write(path: str, write):
+    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     os.close(fd)
     try:
-        fld.write_field(field, tmp)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -82,27 +54,31 @@ def atomic_write_field(field, path: str):
         raise
 
 
+def atomic_write_text(path: str, text: str):
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(text)
+    _atomic_write(path, write)
+
+
+def atomic_write_field(field, path: str):
+    _atomic_write(path, lambda tmp: fld.write_field(field, tmp))
+
+
 def _write_csv(field, path: str):
-    g = field.grid
-    X, Y = g.meshgrid()
-    rows = []
+    X, Y = field.grid.meshgrid()
     if isinstance(field, ScalarField):
-        header = ["xi1", "xi2", "value"]
-        for j in range(g.ny):
-            for i in range(g.nx):
-                rows.append([X[j, i], Y[j, i], field.values[j, i]])
+        header, cols = ["xi1", "xi2", "value"], [field.values]
     else:
-        header = ["xi1", "xi2", "u", "v"]
-        for j in range(g.ny):
-            for i in range(g.nx):
-                rows.append([X[j, i], Y[j, i], field.u[j, i], field.v[j, i]])
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
-    with os.fdopen(fd, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    os.replace(tmp, path)
+        header, cols = ["xi1", "xi2", "u", "v"], [field.u, field.v]
+    rows = np.column_stack([c.ravel() for c in (X, Y, *cols)]).tolist()
+
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+    _atomic_write(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +211,7 @@ def _out_path(cfg: dict, key: str, default: str) -> str:
 
 
 def _report_payload(report_dict: dict) -> str:
-    payload = {"report": report_dict,
-               "meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"report": report_dict}, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +332,10 @@ def cmd_decompose(args) -> int:
 def _inflow_field(spec_path: str, grid: Grid2D) -> ScalarField:
     """Boundary vorticity data: JSON object side -> constant or CSV path."""
     with open(spec_path) as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed JSON in {spec_path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigError("inflow spec must map sides to values")
     vals = np.zeros(grid.shape)
@@ -372,7 +349,11 @@ def _inflow_field(spec_path: str, grid: Grid2D) -> ScalarField:
         if isinstance(v, (int, float)):
             vals[sl] = float(v)
         elif isinstance(v, str):
-            data = np.loadtxt(v, delimiter=",").ravel()
+            try:
+                data = np.loadtxt(v, delimiter=",").ravel()
+            except ValueError as exc:
+                raise ConfigError(f"side {side}: non-numeric CSV {v}: "
+                                  f"{exc}") from exc
             if data.size != n:
                 raise ConfigError(f"side {side} expects {n} values, "
                                   f"got {data.size}")
@@ -550,13 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _configure_threads()
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, DomainError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, OSError) as exc:
+    except (FormatError, DimensionMismatch, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except (NonConvergence, SonicEncroachment) as exc:

@@ -97,13 +97,13 @@ def trace_characteristic(b: VectorField, start, step: float | None = None,
     # single sub-step: max_len slightly below step forces one iteration
     trace = _tracer(b, step, step * 0.999, stag_tol, sgn)
     while r < max_len:
-        a1, h1x, h1y, st = trace(x, y)
+        a1, h1x, h1y, st, dr = trace(x, y)
         if st[0] == _kernels.TRACE_STAGNATION:
             status = "stagnation"
             break
         x, y = float(h1x[0]), float(h1y[0])
         acc += float(a1[0])
-        r += step
+        r += float(dr[0])
         pts.append((x, y))
         rs.append(r)
         if st[0] == _kernels.TRACE_EXITED:
@@ -140,8 +140,8 @@ def _interp_frame(values: np.ndarray, grid: Grid2D, hx_, hy_):
 def _hit_is_inflow(b: VectorField, hx_, hy_, tol_inflow: float):
     """b.nu < -tol at snapped boundary hit points (side normal, not corner)."""
     g = b.grid
-    bu, bv = _kernels._sample_np(np.stack([b.u, b.v]), hx_, hy_,
-                                 g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
+    bu, bv = _kernels._sample(np.stack([b.u, b.v]), hx_, hy_,
+                              g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
     speed = np.full(hx_.shape, np.inf)
     speed = np.where(hx_ == g.x0, np.minimum(speed, -bu), speed)
     speed = np.where(hx_ == g.x1, np.minimum(speed, bu), speed)
@@ -175,7 +175,8 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     trace_mask = ~inflow.mask  # inflow frame nodes keep their data verbatim
     xs = X[trace_mask]
     ys = Y[trace_mask]
-    acc, hx_, hy_, status = _tracer(b, step, max_len, stag_tol, -1.0)(xs, ys)
+    trace = _tracer(b, step, max_len, stag_tol, -1.0)
+    acc, hx_, hy_, status, _ = trace(xs, ys)
     exited = status == _kernels.TRACE_EXITED
     landed = exited & _hit_is_inflow(b, hx_, hy_, tol_inflow)
     vals = np.zeros(xs.shape)

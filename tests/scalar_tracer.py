@@ -1,0 +1,123 @@
+"""Scalar reference of ``selfsim._kernels.trace_all``: one node at a time.
+
+Plain Python loops over the same RK4, bilinear-interpolation and 48-step
+exit-bisection arithmetic as the batched numpy tracer, which must match it
+bit for bit (tests/test_kernels.py).
+"""
+
+import numpy as np
+
+from selfsim._kernels import TRACE_EXITED, TRACE_MAXLEN, TRACE_STAGNATION
+
+
+def _bilinear(field, x, y, x0, y0, hx, hy, nx, ny):
+    tx = (x - x0) / hx
+    ty = (y - y0) / hy
+    i = int(np.floor(tx))
+    j = int(np.floor(ty))
+    if i < 0:
+        i = 0
+    if i > nx - 2:
+        i = nx - 2
+    if j < 0:
+        j = 0
+    if j > ny - 2:
+        j = ny - 2
+    ax = tx - i
+    ay = ty - j
+    f00 = field[j, i]
+    f01 = field[j, i + 1]
+    f10 = field[j + 1, i]
+    f11 = field[j + 1, i + 1]
+    return (1.0 - ay) * ((1.0 - ax) * f00 + ax * f01) + ay * (
+        (1.0 - ax) * f10 + ax * f11)
+
+
+def _rk4_step(gx, gy, x, y, dt, sgn, x0, y0, hx, hy, nx, ny):
+    k1x = sgn * _bilinear(gx, x, y, x0, y0, hx, hy, nx, ny)
+    k1y = sgn * _bilinear(gy, x, y, x0, y0, hx, hy, nx, ny)
+    k2x = sgn * _bilinear(gx, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y,
+                          x0, y0, hx, hy, nx, ny)
+    k2y = sgn * _bilinear(gy, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y,
+                          x0, y0, hx, hy, nx, ny)
+    k3x = sgn * _bilinear(gx, x + 0.5 * dt * k2x, y + 0.5 * dt * k2y,
+                          x0, y0, hx, hy, nx, ny)
+    k3y = sgn * _bilinear(gy, x + 0.5 * dt * k2x, y + 0.5 * dt * k2y,
+                          x0, y0, hx, hy, nx, ny)
+    k4x = sgn * _bilinear(gx, x + dt * k3x, y + dt * k3y,
+                          x0, y0, hx, hy, nx, ny)
+    k4y = sgn * _bilinear(gy, x + dt * k3x, y + dt * k3y,
+                          x0, y0, hx, hy, nx, ny)
+    xn = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    yn = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    return xn, yn
+
+
+def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
+              x0, x1, y0, y1, hx, hy, nx, ny):
+    n = xs.size
+    acc = np.zeros(n)
+    hitx = np.empty(n)
+    hity = np.empty(n)
+    status = np.empty(n, np.int8)
+    length = np.empty(n)
+    for k in range(n):
+        x = xs[k]
+        y = ys[k]
+        r = 0.0
+        a = 0.0
+        st = TRACE_MAXLEN
+        while r < max_len:
+            bx = _bilinear(gx, x, y, x0, y0, hx, hy, nx, ny)
+            by = _bilinear(gy, x, y, x0, y0, hx, hy, nx, ny)
+            if np.sqrt(bx * bx + by * by) < stag_tol:
+                st = TRACE_STAGNATION
+                break
+            g0 = 1.0 + _bilinear(gdiv, x, y, x0, y0, hx, hy, nx, ny)
+            xn, yn = _rk4_step(gx, gy, x, y, step, sgn, x0, y0, hx, hy, nx, ny)
+            if x0 <= xn <= x1 and y0 <= yn <= y1:
+                g1 = 1.0 + _bilinear(gdiv, xn, yn, x0, y0, hx, hy, nx, ny)
+                a += 0.5 * step * (g0 + g1)
+                x = xn
+                y = yn
+                r += step
+            else:
+                lo = 0.0
+                hi = step
+                for _ in range(48):
+                    mid = 0.5 * (lo + hi)
+                    xm, ym = _rk4_step(gx, gy, x, y, mid, sgn,
+                                       x0, y0, hx, hy, nx, ny)
+                    if x0 <= xm <= x1 and y0 <= ym <= y1:
+                        lo = mid
+                    else:
+                        hi = mid
+                xn, yn = _rk4_step(gx, gy, x, y, lo, sgn,
+                                   x0, y0, hx, hy, nx, ny)
+                g1 = 1.0 + _bilinear(gdiv, xn, yn, x0, y0, hx, hy, nx, ny)
+                a += 0.5 * lo * (g0 + g1)
+                r += lo
+                # snap the closest bound onto the boundary
+                dl = xn - x0
+                dr = x1 - xn
+                db = yn - y0
+                dt2 = y1 - yn
+                m = min(min(dl, dr), min(db, dt2))
+                if m == dl:
+                    xn = x0
+                elif m == dr:
+                    xn = x1
+                elif m == db:
+                    yn = y0
+                else:
+                    yn = y1
+                x = xn
+                y = yn
+                st = TRACE_EXITED
+                break
+        acc[k] = a
+        hitx[k] = x
+        hity[k] = y
+        status[k] = st
+        length[k] = r
+    return acc, hitx, hity, status, length

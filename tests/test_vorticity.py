@@ -41,6 +41,17 @@ def test_trace_characteristic_uniform_drift():
     assert tr.accumulated == pytest.approx(0.95, rel=1e-6)
 
 
+def test_trace_characteristic_records_path_length():
+    # the exit sub-step adds its bisected length to r, not a full step
+    grid = ss.Grid2D(0.0, 1.0, 0.0, 1.0, 11, 11)
+    b = ss.VectorField(grid, np.ones(grid.shape), np.zeros(grid.shape))
+    tr = vorticity.trace_characteristic(b, (0.07, 0.5), step=0.05)
+    assert tr.status == "exited"
+    assert tr.r[-1] == pytest.approx(0.93)
+    assert tr.r[-1] == pytest.approx(tr.accumulated)
+    assert tr.points[-1] == pytest.approx((1.0, 0.5))
+
+
 def test_trace_characteristic_stagnation():
     grid = ss.Grid2D(-1, 1, -1, 1, 11, 11)
     b = ss.VectorField.zeros(grid)
