@@ -1,13 +1,15 @@
 """Nonlinear degenerate elliptic potential-flow solver.
 
-Implements the closure c^2(phi), the quasilinear operator Q and its
-epsilon-regularization, frozen-coefficient 9-point linear solves with
-Dirichlet frame data, relaxed Picard iteration on the frozen map, and
-geometric epsilon-continuation down to the unregularized problem.
-
-FrozenSystem (coefficients from stencil_coefficients) solved by
-solve_linear_dirichlet is the single Dirichlet operator path: the Newton
-step of quasipotential and the Poisson solve of hodge use it too.
+One definition, for every gamma, of the self-similar potential-flow operator
+    Q[phi] = c^2 Lap phi - (D^2 phi) grad phi . grad phi - |grad phi|^2 + 2 c^2
+(self_similar_operator), its closure c^2 = -(gamma - 1)(phi + |grad phi|^2/2),
+a^2 for the isothermal gamma = 1 (c2_of_phi), the coefficients of its
+linearization (linearization) and its regularization Q + eps Lap
+(residual_Q).  Frozen-coefficient 9-point solves with Dirichlet frame data,
+relaxed Picard iteration and geometric epsilon-continuation solve Q = 0.
+FrozenSystem solved by solve_linear_dirichlet is the single Dirichlet
+operator path: the Newton step of quasipotential and the Poisson solve of
+hodge use it too.
 """
 
 from __future__ import annotations
@@ -136,6 +138,7 @@ def c2_of_phi(law: GasLaw, phi: ScalarField,
     """Sound-speed closure c^2(phi) with floor clamping.
 
     gamma != 1: c^2 = -(gamma - 1)(phi + |grad phi|^2 / 2); gamma = 1: a^2.
+    Pass c2_floor=-np.inf for the unclamped closure.
     Returns (c2 field, number of clamped nodes).
     """
     g = law.gamma
@@ -149,31 +152,57 @@ def c2_of_phi(law: GasLaw, phi: ScalarField,
     return ScalarField(phi.grid, np.maximum(raw, c2_floor)), clamped
 
 
+def self_similar_operator(c2: np.ndarray, grad_phi: VectorField,
+                          hess_phi: tuple) -> np.ndarray:
+    """c^2 Lap phi - (D^2 phi) grad phi . grad phi - |grad phi|^2 + 2 c^2.
+
+    Nodewise, for the given c^2 values, fld.gradient(phi) and
+    fld.hessian(phi); Lap is the compact diff2_x + diff2_y.
+    """
+    u, v = grad_phi.u, grad_phi.v
+    f11, f12, f22 = (f.values for f in hess_phi)
+    return (c2 * (f11 + f22)
+            - (f11 * u * u + f12 * (u * v + v * u) + f22 * v * v)
+            - grad_phi.magnitude_sq() + 2.0 * c2)
+
+
 def residual_Q(law: GasLaw, phi: ScalarField, eps: float = 0.0,
                rhs: ScalarField | None = None,
                c2_floor: float = 1e-8) -> ScalarField:
-    """Interior residual of Q_eps(phi) (minus an optional forcing field).
+    """Interior residual of Q_eps(phi) = Q[phi] + eps Lap phi (minus an
+    optional forcing field), with c^2 = c2_of_phi(phi).
 
-    Q phi = (c^2 - phi1^2) phi11 - 2 phi1 phi2 phi12 + (c^2 - phi2^2) phi22
-            - gamma |grad phi|^2 - 2 (gamma - 1) phi, plus eps * Delta phi.
     The frame ring of the returned field is zero.
     """
     grid = phi.grid
     gp = fld.gradient(phi)
-    f11, f12, f22 = fld.hessian(phi)
     c2, _ = c2_of_phi(law, phi, gp, c2_floor=c2_floor)
-    g = law.gamma
-    r = ((c2.values - gp.u ** 2) * f11.values
-         - 2.0 * gp.u * gp.v * f12.values
-         + (c2.values - gp.v ** 2) * f22.values
-         - g * gp.magnitude_sq()
-         - 2.0 * (g - 1.0) * phi.values
-         + eps * (f11.values + f22.values))
+    hess = fld.hessian(phi)
+    r = (self_similar_operator(c2.values, gp, hess)
+         + eps * (hess[0].values + hess[2].values))
     if rhs is not None:
         r = r - rhs.values
     out = np.zeros(grid.shape)
     out[1:-1, 1:-1] = r[1:-1, 1:-1]
     return ScalarField(grid, out)
+
+
+def linearization(law: GasLaw, psi0: ScalarField) -> tuple:
+    """Coefficients (a11, a12, a22, b1, b2, c) of the Gateaux derivative of
+    Q (unclamped closure c0^2) at psi0, L[v] = a11 v11 + a12 v12 + a22 v22
+    + b1 v1 + b2 v2 + c v:  a11 = c0^2 - psi1^2, a12 = -2 psi1 psi2, a22 =
+    c0^2 - psi2^2, (b1, b2) = -2 (D^2 psi0) grad psi0 - (k + 2) grad psi0,
+    c = -k, with k = (gamma - 1)(2 + Lap psi0) the closure's share.
+    """
+    gp = fld.gradient(psi0)
+    p11, p12, p22 = fld.hessian(psi0)
+    c0 = c2_of_phi(law, psi0, gp, c2_floor=-np.inf)[0].values
+    k = (law.gamma - 1.0) * (2.0 + (p11.values + p22.values))
+    b1 = (-2.0 * (p11.values * gp.u + p12.values * gp.v)
+          - (k + 2.0) * gp.u)
+    b2 = (-2.0 * (p12.values * gp.u + p22.values * gp.v)
+          - (k + 2.0) * gp.v)
+    return (c0 - gp.u ** 2, -2.0 * gp.u * gp.v, c0 - gp.v ** 2, b1, b2, -k)
 
 
 def stencil_coefficients(grid: Grid2D, a11, cross, a22, b1, b2, c0) -> tuple:
@@ -255,7 +284,8 @@ def assemble_frozen(law: GasLaw, w: ScalarField, eps: float,
 
     Principal part (c^2(w) - w1^2 + eps, -2 w1 w2, c^2(w) - w2^2 + eps),
     drift -gamma grad w, zero-order -2 (gamma - 1); ellipticity margin
-    min(c^2(w) - |grad w|^2 + eps) over the interior.
+    min(c^2(w) - |grad w|^2 + eps) over the interior.  Applied to w this is
+    Q_eps[w], less the constant 2 a^2 for the isothermal law.
     """
     if not np.all(np.isfinite(w.values)):
         raise CapExceeded("iterate contains non-finite values")
@@ -335,10 +365,16 @@ def picard_solve(problem: PotentialProblem, eps: float,
 
     w_{k+1} = (1 - theta) w_k + theta T(w_k) with T(w) the solution of the
     Dirichlet problem for L_eps frozen at w.  On 5 consecutive growing steps
-    the relaxation factor is halved once before giving up.
+    the relaxation factor is halved once before giving up.  The fixed point
+    is a zero of residual_Q(eps, rhs).
     """
     params = params or PicardParams()
     grid = problem.grid
+    lin_rhs = rhs
+    if problem.law.gamma == 1.0:  # Q = L_frozen + 2 a^2 (see assemble_frozen)
+        source = np.full(grid.shape, 2.0 * problem.law.a ** 2)
+        lin_rhs = ScalarField(grid,
+                              (0.0 if rhs is None else rhs.values) - source)
     w = (w0.values if w0 is not None else problem.phi_b.values).copy()
     w = _with_frame(w, problem.phi_b)
     theta = params.relax_theta
@@ -354,7 +390,7 @@ def picard_solve(problem: PotentialProblem, eps: float,
         system = assemble_frozen(problem.law, ScalarField(grid, w), eps,
                                  c2_floor=problem.c2_floor,
                                  cap_M=problem.cap_M)
-        t = solve_linear_dirichlet(system, rhs, problem.phi_b,
+        t = solve_linear_dirichlet(system, lin_rhs, problem.phi_b,
                                    lin_tol=params.lin_tol)
         wn = (1.0 - theta) * w + theta * t.values
         wn = _with_frame(wn, problem.phi_b)
@@ -410,19 +446,21 @@ def epsilon_continuation(problem: PotentialProblem,
                          schedule: EpsilonSchedule | None = None,
                          params: PicardParams | None = None
                          ) -> tuple[ScalarField, SolveReport]:
-    """Geometric continuation eps0 -> eps_min, then an optional eps = 0 pass.
+    """Geometric continuation eps0 -> eps_min, then a final eps = 0 stage.
 
-    Each stage warm-starts from the previous solution.  On a failed stage the
-    last successful solution is returned with status PartialContinuation.
+    Each stage warm-starts from the previous solution.  On a failed stage
+    (the eps = 0 stage included) the last successful solution is returned
+    with status PartialContinuation and the error recorded; a failed first
+    stage raises NonConvergence.
     """
     schedule = schedule or EpsilonSchedule()
     params = params or PicardParams()
     report = SolveReport()
     phi = None
     w0 = problem.phi_b
-    for eps in schedule.stages():
+    for eps in schedule.stages() + [0.0]:
         try:
-            phi, prep = picard_solve(problem, eps, params, w0=w0)
+            phi_e, prep = picard_solve(problem, eps, params, w0=w0)
         except (NonConvergence, IndefiniteSystem, LinearStagnation,
                 CapExceeded) as exc:
             report.errors.append(f"eps={eps:g}: {exc}")
@@ -432,22 +470,11 @@ def epsilon_continuation(problem: PotentialProblem,
                     best=getattr(exc, "best", None), report=report) from exc
             report.status = "PartialContinuation"
             break
+        phi = w0 = phi_e
         report.stages.append({"eps": eps, "iterations": prep.iterations,
                               "delta": prep.deltas[-1],
                               "residual": prep.final_residual})
         report.final_eps = eps
-        w0 = phi
-    if report.status == "Converged":
-        try:
-            phi0, prep0 = picard_solve(problem, 0.0, params, w0=phi)
-            phi = phi0
-            report.stages.append({"eps": 0.0, "iterations": prep0.iterations,
-                                  "delta": prep0.deltas[-1],
-                                  "residual": prep0.final_residual})
-            report.final_eps = 0.0
-        except (NonConvergence, IndefiniteSystem, LinearStagnation,
-                CapExceeded) as exc:
-            report.errors.append(f"eps=0 pass skipped: {exc}")
     _finalize_report(problem, phi, report)
     return phi, report
 

@@ -6,11 +6,13 @@ Truncating the rotational system at first order in delta couples
     Q(psi) = delta * ((2 + Lap psi) Q1 + N1),       (psi equation)
     Lap(zeta~) = omega~,  div(omega~ grad psi) + omega~ = 0,   (vorticity pair)
 
-with the closures grad(F1) = Lap(zeta) perp_grad(psi) + perp_grad(zeta),
-Q1 = (gamma - 1)(F1 + grad psi . perp_grad zeta) and c^2 = c0^2 - delta Q1.
-The solver runs block Gauss-Seidel sweeps (transport -> zeta -> closures ->
-psi) per delta target, warm-starting each stage, with an optional Newton
-correction on the psi equation through the linearized operator L.
+with Q the potential-flow operator of the potential module and its closure
+c0^2 = -(gamma - 1)(psi + |grad psi|^2 / 2) (a^2 for gamma = 1), grad(F1) =
+Lap(zeta) perp_grad(psi) + perp_grad(zeta), Q1 = (gamma - 1)(F1 + grad psi .
+perp_grad zeta) and c^2 = c0^2 - delta Q1.  The solver runs block
+Gauss-Seidel sweeps (transport -> zeta -> closures -> psi) per delta target,
+warm-starting each stage, with an optional Newton correction on the psi
+equation through the linearized operator L (potential.linearization).
 
 Diagnostics reconstruct the untruncated rotational residuals (r1, r2); at a
 converged first-order state r1 = O(delta^2).
@@ -161,9 +163,8 @@ def compute_Q1(law: GasLaw, psi: ScalarField, zeta: ScalarField,
 
 def c2_quasi(law: GasLaw, psi: ScalarField, zeta: ScalarField, delta: float,
              F1: ScalarField, c2_floor: float = 1e-8):
-    """Perturbed closure c^2 = c0^2(psi) - delta Q1, floored with count."""
-    if law.gamma == 1.0:
-        return ScalarField(psi.grid, np.full(psi.grid.shape, law.a ** 2)), 0
+    """Perturbed closure c^2 = c0^2(psi) - delta Q1, floored with count
+    (c^2 = a^2 for the isothermal law, where Q1 = 0)."""
     c0, _ = potential.c2_of_phi(law, psi, c2_floor=-np.inf)
     q1 = compute_Q1(law, psi, zeta, F1)
     raw = c0.values - delta * q1.values
@@ -175,27 +176,10 @@ def c2_quasi(law: GasLaw, psi: ScalarField, zeta: ScalarField, delta: float,
 # linearized operator and Gateaux check
 
 
-def residual_map(law: GasLaw, psi: ScalarField,
-                 rhs: ScalarField | None = None) -> ScalarField:
-    """Unregularized residual c0^2 Lap psi - (D^2 psi) grad psi . grad psi
-    - |grad psi|^2 + 2 c0^2 (minus an optional forcing), unclamped closure."""
-    gp = fld.gradient(psi)
-    g = law.gamma
-    if g == 1.0:
-        c0 = np.full(psi.grid.shape, law.a ** 2)
-    else:
-        c0 = -(g - 1.0) * (psi.values + 0.5 * gp.magnitude_sq())
-    vals = (c0 * _lap_c(psi)
-            - _hess_form(psi, gp.u, gp.v, gp.u, gp.v)
-            - gp.magnitude_sq() + 2.0 * c0)
-    if rhs is not None:
-        vals = vals - rhs.values
-    return ScalarField(psi.grid, vals)
-
-
 def linearized_L(psi0: ScalarField, v: ScalarField, law: GasLaw
                  ) -> ScalarField:
-    """Gateaux derivative of residual_map at psi0 in direction v:
+    """Gateaux derivative of Q at psi0 in direction v, pointwise from the
+    coefficients of potential.linearization:
 
     L[v] = c0^2 Lap v - (D^2 v) grad psi0 . grad psi0
            - 2 (D^2 psi0) grad psi0 . grad v
@@ -205,23 +189,12 @@ def linearized_L(psi0: ScalarField, v: ScalarField, law: GasLaw
     At a quiescent base state (Lap psi0 = -2) the zero-order and closure
     drift terms vanish and L[xi1] = 0 identically.
     """
-    g = law.gamma
-    gp = fld.gradient(psi0)
+    a11, a12, a22, b1, b2, c = potential.linearization(law, psi0)
+    v11, v12, v22 = fld.hessian(v)
     gv = fld.gradient(v)
-    lp0 = _lap_c(psi0)
-    if g == 1.0:
-        c0 = np.full(psi0.grid.shape, law.a ** 2)
-        closure = 0.0 * lp0
-    else:
-        c0 = -(g - 1.0) * (psi0.values + 0.5 * gp.magnitude_sq())
-        closure = (g - 1.0) * (2.0 + lp0)
-    adv = gp.u * gv.u + gp.v * gv.v
-    vals = (c0 * _lap_c(v)
-            - _hess_form(v, gp.u, gp.v, gp.u, gp.v)
-            - 2.0 * _hess_form(psi0, gp.u, gp.v, gv.u, gv.v)
-            - (closure + 2.0) * adv
-            - closure * v.values)
-    return ScalarField(psi0.grid, vals)
+    return ScalarField(psi0.grid,
+                       a11 * v11.values + a12 * v12.values + a22 * v22.values
+                       + b1 * gv.u + b2 * gv.v + c * v.values)
 
 
 def gateaux_check(psi0: ScalarField, v: ScalarField, law: GasLaw,
@@ -232,12 +205,13 @@ def gateaux_check(psi0: ScalarField, v: ScalarField, law: GasLaw,
     if any(t <= 0 for t in taus) or taus != sorted(taus, reverse=True):
         raise ConfigError("taus must be positive and decreasing")
     grid = psi0.grid
-    base = residual_map(law, psi0).values
+    base = potential.residual_Q(law, psi0, c2_floor=-np.inf).values
     lv = linearized_L(psi0, v, law).values
     defects = []
     for tau in taus:
         pert = ScalarField(grid, psi0.values + tau * v.values)
-        quot = (residual_map(law, pert).values - base) / tau
+        quot = (potential.residual_Q(law, pert, c2_floor=-np.inf).values
+                - base) / tau
         defects.append(float(np.max(np.abs((quot - lv)[1:-1, 1:-1]))))
     slope = float("nan")
     if len(taus) >= 2 and min(defects) > 0:
@@ -249,25 +223,16 @@ def _newton_step(psi: ScalarField, rhs: ScalarField, law: GasLaw
                  ) -> ScalarField:
     """One Newton correction: solve L[v] = -(R(psi) - rhs), v = 0 on frame.
 
-    The ellipticity margin of L is min(c0^2 - |grad psi|^2) over the interior.
+    The ellipticity margin of L is the smaller eigenvalue of its principal
+    part, min(c0^2 - |grad psi|^2) over the interior.
     """
     grid = psi.grid
-    g = law.gamma
-    gp = fld.gradient(psi)
-    lp = _lap_c(psi)
-    psi11, psi12, psi22 = fld.hessian(psi)
-    c0 = -(g - 1.0) * (psi.values + 0.5 * gp.magnitude_sq()) \
-        if g != 1.0 else np.full(grid.shape, law.a ** 2)
-    closure = (g - 1.0) * (2.0 + lp) if g != 1.0 else np.zeros(grid.shape)
-    d1 = (-2.0 * (psi11.values * gp.u + psi12.values * gp.v)
-          - (closure + 2.0) * gp.u)
-    d2 = (-2.0 * (psi12.values * gp.u + psi22.values * gp.v)
-          - (closure + 2.0) * gp.v)
+    a11, a12, a22, b1, b2, c = potential.linearization(law, psi)
+    margin = 0.5 * (a11 + a22 - np.hypot(a11 - a22, a12))
     system = FrozenSystem(
-        grid, stencil_coefficients(grid, c0 - gp.u ** 2, -2.0 * gp.u * gp.v,
-                                   c0 - gp.v ** 2, d1, d2, -closure),
-        lambda_min=float(np.min((c0 - gp.magnitude_sq())[1:-1, 1:-1])))
-    res = residual_map(law, psi, rhs=rhs)
+        grid, stencil_coefficients(grid, a11, a12, a22, b1, b2, c),
+        lambda_min=float(np.min(margin[1:-1, 1:-1])))
+    res = potential.residual_Q(law, psi, rhs=rhs, c2_floor=-np.inf)
     v = potential.solve_linear_dirichlet(system, ScalarField(grid, -res.values),
                                          ScalarField.zeros(grid))
     return ScalarField(grid, psi.values + v.values)
@@ -405,7 +370,8 @@ def full_rotational_residual(psi: ScalarField, zeta: ScalarField, law: GasLaw,
 
     r1 uses the reconstructed Bernoulli closure: grad F =
     -Lap(zeta)(perp_grad psi + grad zeta) - perp_grad zeta, F anchored to 0
-    at the anchor node, c^2 = (gamma - 1)(F - psi - |U|^2 / 2); then
+    at the anchor node, c^2 = (gamma - 1)(F - psi - |U|^2 / 2) (a^2 for the
+    isothermal law); then
     r1 = [c^2 Lap psi - (D^2 psi) grad psi . grad psi - |grad psi|^2 + 2 c^2]
          - N1 - N2 - N3.
     r2 = Lap(zeta)(Lap(psi) + 1) + U . grad(Lap zeta).  Frame rings zeroed.
@@ -423,21 +389,16 @@ def full_rotational_residual(psi: ScalarField, zeta: ScalarField, law: GasLaw,
             f"curl defect {defect:.3e} exceeds {curl_tol:.3e}")
     F = reconstruct_F(G, H, C=0.0, anchor=anchor)
     gp = fld.gradient(psi)
-    Uu = gp.u + pz.u
-    Uv = gp.v + pz.v
-    if law.gamma == 1.0:
-        c2 = np.full(grid.shape, law.a ** 2)
-    else:
-        c2 = (law.gamma - 1.0) * (F.values - psi.values
-                                  - 0.5 * (Uu ** 2 + Uv ** 2))
-    r1 = (c2 * _lap_c(psi)
-          - _hess_form(psi, gp.u, gp.v, gp.u, gp.v)
-          - gp.magnitude_sq() + 2.0 * c2
+    U = VectorField(grid, gp.u + pz.u, gp.v + pz.v)
+    # the closure of c2_of_phi with the potential psi - F and velocity U
+    c2, _ = potential.c2_of_phi(law, ScalarField(grid, psi.values - F.values),
+                                U, c2_floor=-np.inf)
+    r1 = (potential.self_similar_operator(c2.values, gp, fld.hessian(psi))
           - compute_N1(psi, zeta).values
           - compute_N2(psi, zeta).values
           - compute_N3(zeta).values)
     glz = fld.gradient(ScalarField(grid, lz))
-    r2 = lz * (_lap_c(psi) + 1.0) + Uu * glz.u + Uv * glz.v
+    r2 = lz * (_lap_c(psi) + 1.0) + U.u * glz.u + U.v * glz.v
     out1 = np.zeros(grid.shape)
     out2 = np.zeros(grid.shape)
     out1[1:-1, 1:-1] = r1[1:-1, 1:-1]

@@ -82,7 +82,8 @@ def trace_characteristic(b: VectorField, start, step: float | None = None,
     """Record one characteristic polyline from ``start`` (diagnostic helper).
 
     Re-traces step by step so intermediate points are kept; the heavy batch
-    path in transport_omega only keeps endpoints.
+    path in transport_omega only keeps endpoints.  Runs the march-step
+    count of ``_kernels.trace_all``, ceil(max_len / step).
     """
     g = b.grid
     step = step or 0.5 * min(g.hx, g.hy)
@@ -96,7 +97,7 @@ def trace_characteristic(b: VectorField, start, step: float | None = None,
     r = 0.0
     # single sub-step: max_len slightly below step forces one iteration
     trace = _tracer(b, step, step * 0.999, stag_tol, sgn)
-    while r < max_len:
+    for _ in range(int(np.ceil(max_len / step))):
         a1, h1x, h1y, st, dr = trace(x, y)
         if st[0] == _kernels.TRACE_STAGNATION:
             status = "stagnation"

@@ -67,7 +67,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
         r = 0.0
         a = 0.0
         st = TRACE_MAXLEN
-        while r < max_len:
+        for steps in range(int(np.ceil(max_len / step))):
             bx = _bilinear(gx, x, y, x0, y0, hx, hy, nx, ny)
             by = _bilinear(gy, x, y, x0, y0, hx, hy, nx, ny)
             if np.sqrt(bx * bx + by * by) < stag_tol:
@@ -80,7 +80,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
                 a += 0.5 * step * (g0 + g1)
                 x = xn
                 y = yn
-                r += step
+                r = (steps + 1) * step
             else:
                 lo = 0.0
                 hi = step
@@ -96,7 +96,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
                                    x0, y0, hx, hy, nx, ny)
                 g1 = 1.0 + _bilinear(gdiv, xn, yn, x0, y0, hx, hy, nx, ny)
                 a += 0.5 * lo * (g0 + g1)
-                r += lo
+                r = steps * step + lo
                 # snap the closest bound onto the boundary
                 dl = xn - x0
                 dr = x1 - xn

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import selfsim as ss
-from selfsim import cli, field as fld, quasipotential
+from selfsim import cli, field as fld, potential, quasipotential
 from selfsim.errors import LinearStagnation, NonIntegrableF1
 
 from conftest import quiescent_field
@@ -76,6 +76,24 @@ def test_csv_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cli._write_csv(quiescent_field(grid), str(tmp_path / "phi.csv"))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_potential_failed_eps0_stage_is_partial(tmp_path, monkeypatch):
+    picard_solve = potential.picard_solve
+
+    def picard(problem, eps, *args, **kwargs):
+        if eps == 0.0:
+            raise LinearStagnation("injected")
+        return picard_solve(problem, eps, *args, **kwargs)
+
+    monkeypatch.setattr(potential, "picard_solve", picard)
+    path = small_config(tmp_path)
+    assert cli.main(["solve-potential", "--config", str(path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["status"] == "PartialContinuation"
+    assert report["final_eps"] == 1e-4
+    assert report["stages"][-1]["eps"] == 1e-4
+    assert report["errors"] == ["eps=0: injected"]
 
 
 def _all_files(d):

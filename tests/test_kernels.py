@@ -19,14 +19,21 @@ def _trace_both(b, max_len):
     return _kernels.trace_all(*args), scalar_tracer.trace_all(*args)
 
 
-@pytest.mark.parametrize("case", ["radial", "spiral"])
+@pytest.mark.parametrize("case", ["radial", "spiral", "rotation"])
 def test_numpy_tracer_matches_scalar_kernel(case):
     # the scalar reference, run as plain Python, on every node of a 9^2 grid
+    # (11^2 for the rotation, whose step 0.1 is not a power of two, so that
+    # summed steps round below max_len after ceil(max_len / step) steps)
     if case == "radial":
         grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -x,
                                          lambda x, y: -y)
         max_len, counts = 20.0 * grid.diam, [81, 0, 0]
+    elif case == "rotation":
+        grid = ss.Grid2D(-1, 1, -1, 1, 11, 11)
+        b = ss.VectorField.from_function(grid, lambda x, y: -y,
+                                         lambda x, y: x)
+        max_len, counts = 1.0, [36, 1, 84]
     else:
         grid = ss.Grid2D(-1, 1, -1, 1, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -y + 0.15 * x,

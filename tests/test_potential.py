@@ -44,10 +44,16 @@ def test_c2_clamping(law, grid):
     assert np.all(c2.values == 1e-8)
 
 
-def test_residual_zero_at_quiescent(law, grid):
-    phi = quiescent_field(grid)
-    r = potential.residual_Q(law, phi)
-    assert np.max(np.abs(r.values)) < 1e-12
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+def test_residual_zero_at_quiescent(gamma, grid):
+    # phi* = -|xi|^2/2 - 1 solves Q for every closure with c^2 > 0 on the
+    # grid; for the isothermal law Q carries the constant 2 c^2 = 2 a^2
+    law = ss.GasLaw(a=2.0 if gamma == 1.0 else 1.0, gamma=gamma)
+    for g in (grid, ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 33, 33)):
+        phi = quiescent_field(g)
+        for c2_floor in (1e-8, -np.inf):
+            r = potential.residual_Q(law, phi, c2_floor=c2_floor)
+            assert np.max(np.abs(r.values)) < 1e-12
     # frame ring of the residual field is zeroed by convention
     r2 = potential.residual_Q(law, ss.ScalarField.from_function(
         grid, lambda x, y: np.sin(x + y)))
@@ -152,3 +158,16 @@ def test_epsilon_continuation_small(law, grid):
     assert rep.audit == "Pass"
     d = rep.to_dict()
     assert d["status"] == "Converged" and isinstance(d["stages"], list)
+
+
+def test_epsilon_continuation_isothermal_quiescent(grid):
+    law = ss.GasLaw(a=2.0, gamma=1.0)
+    prob = potential.PotentialProblem(law=law, grid=grid,
+                                      phi_b=quiescent_field(grid))
+    phi, rep = potential.epsilon_continuation(
+        prob, schedule=potential.EpsilonSchedule(eps0=0.1, ratio=0.25,
+                                                 eps_min=1e-4))
+    assert rep.status == "Converged"
+    assert rep.final_eps == 0.0
+    exact = quiescent_field(grid)
+    assert np.max(np.abs(phi.values - exact.values)) < 1e-9

@@ -86,22 +86,6 @@ def test_Q1_and_c2_quasi(law, grid):
     assert clamped == 0
 
 
-def test_residual_map_matches_operator_form(law, grid):
-    """The affine form c^2 Lap - Hessian quadratic - |grad|^2 + 2 c^2 equals
-    the expanded operator discretely, given one consistent Laplacian."""
-    phi = smooth(grid, 6)
-    phi = ss.ScalarField(grid, quiescent_field(grid).values
-                         + 0.05 * phi.values)
-    r_affine = qp.residual_map(law, phi).values
-    r_expanded = potential.residual_Q(law, phi, c2_floor=-np.inf).values
-    assert np.max(np.abs((r_affine - r_expanded)[1:-1, 1:-1])) < 1e-9
-
-
-def test_residual_map_zero_at_quiescent(law, grid):
-    psi = quiescent_field(grid)
-    assert np.max(np.abs(qp.residual_map(law, psi).values)) < 1e-12
-
-
 def test_linearized_annihilates_translation(law, grid):
     psi0 = quiescent_field(grid)
     v = ss.ScalarField.from_function(grid, lambda x, y: x)
@@ -152,7 +136,8 @@ def test_full_rotational_residual_potential_limit(law):
     r1, r2 = qp.full_rotational_residual(phi, zeta0, law, anchor=(8, 8))
     # with zeta = 0 the reconstructed closure collapses to c0^2 and r1 is the
     # plain potential residual; the vorticity residual vanishes identically
-    lim = np.max(np.abs(qp.residual_map(law, phi).values[1:-1, 1:-1]))
+    lim = np.max(np.abs(potential.residual_Q(law, phi,
+                                             c2_floor=-np.inf).values))
     assert np.max(np.abs(r1.values)) <= lim + 1e-10
     assert np.all(r2.values == 0.0)
 
@@ -162,3 +147,25 @@ def test_newton_step_rejects_non_finite_rhs(law, grid):
     rhs.values[4, 9] = np.inf
     with pytest.raises(LinearStagnation):
         qp._newton_step(quiescent_field(grid), rhs, law)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_newton_stencil_is_linearized_L(gamma, grid, monkeypatch):
+    # the Newton system is the operator whose Gateaux derivative
+    # gateaux_check verifies
+    law = ss.GasLaw(a=2.0 if gamma == 1.0 else 1.0, gamma=gamma)
+    psi = ss.ScalarField(grid, quiescent_field(grid).values
+                         + 0.02 * smooth(grid, 7).values)
+    systems = []
+    solve = potential.solve_linear_dirichlet
+
+    def spy(system, *args, **kwargs):
+        systems.append(system)
+        return solve(system, *args, **kwargs)
+
+    monkeypatch.setattr(potential, "solve_linear_dirichlet", spy)
+    qp._newton_step(psi, ss.ScalarField.zeros(grid), law)
+    v = smooth(grid, 8)
+    want = qp.linearized_L(psi, v, law).values[1:-1, 1:-1]
+    got = systems[0].apply(v.values)[1:-1, 1:-1]
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

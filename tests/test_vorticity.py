@@ -67,6 +67,17 @@ def test_trace_characteristic_maxlen():
     assert tr.status == "maxlen"
 
 
+def test_trace_characteristic_stops_at_max_len():
+    # ten steps of 0.1 sum to 0.9999999999999999 < 1.0; the polyline keeps
+    # the step count of trace_all, ceil(max_len / step), not an eleventh step
+    grid = ss.Grid2D(-1, 1, -1, 1, 21, 21)
+    b = ss.VectorField.from_function(grid, lambda x, y: -y, lambda x, y: x)
+    tr = vorticity.trace_characteristic(b, (0.5, 0.0), step=0.1, max_len=1.0)
+    assert tr.status == "maxlen"
+    assert len(tr.r) == 11
+    assert tr.r[-1] == pytest.approx(1.0)
+
+
 def test_transport_zero_data_is_exact():
     grid = radial_grid(17)
     omega, rep = vorticity.transport_omega(radial_drift(grid),
