@@ -86,6 +86,14 @@ def test_Q1_and_c2_quasi(law, grid):
     assert clamped == 0
 
 
+def test_residual_map_zero_at_quiescent(law, grid):
+    # the residual map of the Newton step is residual_Q with the unclamped
+    # closure
+    psi = quiescent_field(grid)
+    r = potential.residual_Q(law, psi, c2_floor=-np.inf)
+    assert np.max(np.abs(r.values)) < 1e-12
+
+
 def test_linearized_annihilates_translation(law, grid):
     psi0 = quiescent_field(grid)
     v = ss.ScalarField.from_function(grid, lambda x, y: x)
