@@ -177,3 +177,35 @@ def test_epsilon_continuation_isothermal_quiescent(grid):
     assert rep.final_eps == 0.0
     exact = quiescent_field(grid)
     assert np.max(np.abs(phi.values - exact.values)) < 1e-9
+
+
+GAMMAS = (-1.0, -0.5, 0.5, 1.0, 1.4, 2.0, 3.0)
+
+
+def _gamma_problem(gamma, grid, amplitude):
+    """Quiescent data with c^2 = 1 (K = -1/(gamma - 1); a = 1, K = -1 for
+    the isothermal law) plus amplitude * sin(pi (xi1 + 2 xi2) + 0.3)."""
+    law = ss.GasLaw(a=1.0, gamma=gamma, rho_floor=0.1 if gamma < 1 else 0.0)
+    K = -1.0 if gamma == 1.0 else -1.0 / (gamma - 1.0)
+    exact = quiescent_field(grid, K)
+    X, Y = grid.meshgrid()
+    phi_b = ss.ScalarField(grid, exact.values + amplitude * np.sin(
+        np.pi * (X + 2.0 * Y) + 0.3))
+    return potential.PotentialProblem(law=law, grid=grid, phi_b=phi_b), exact
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_epsilon_continuation_quiescent_every_gamma(gamma, grid):
+    prob, exact = _gamma_problem(gamma, grid, 0.0)
+    phi, rep = potential.epsilon_continuation(prob)
+    assert rep.status == "Converged"
+    assert np.max(np.abs(phi.values - exact.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_epsilon_continuation_perturbed_every_gamma(gamma, grid):
+    prob, _ = _gamma_problem(gamma, grid, 0.02)
+    _, rep = potential.epsilon_continuation(prob)
+    assert rep.status == "Converged"
+    assert rep.final_eps == 0.0
+    assert rep.audit == "Pass"
