@@ -3,9 +3,10 @@
 Numerical library for 2-D self-similar isentropic flow of generalized
 polytropic gases: thermodynamic closures, finite-difference field calculus,
 mixed-type regime classification with an ellipticity audit, Hodge-Helmholtz
-decomposition and Bernoulli reconstruction, an epsilon-regularized Picard
-solver for the degenerate elliptic potential-flow equation, characteristic
-vorticity transport, and a delta-continuation quasi-potential solver.
+decomposition and Bernoulli reconstruction, an epsilon-regularized damped
+Newton solver for the degenerate elliptic potential-flow equation,
+characteristic vorticity transport, and a delta-continuation quasi-potential
+solver.
 """
 
 from .errors import (CapExceeded, ConfigError, DimensionMismatch, DomainError,

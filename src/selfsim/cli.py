@@ -32,10 +32,10 @@ _KNOWN_KEYS = {
     "gas": {"a", "gamma", "rho_floor", "variant"},
     "grid": {"x0", "x1", "y0", "y1", "nx", "ny"},
     "boundary": {"kind", "K", "path", "table"},
-    "solver": {"relax_theta", "tol_fixed_point", "max_iters", "lin_tol",
-               "eps0", "ratio", "eps_min", "c2_floor", "cap_M"},
-    "quasi": {"delta_targets", "outer_tol", "outer_max_iters", "newton",
-              "zeta_b", "anchor", "sonic_margin"},
+    "solver": {"tol_fixed_point", "max_iters", "lin_tol", "eps0", "ratio",
+               "eps_min", "c2_floor", "cap_M"},
+    "quasi": {"delta_targets", "outer_tol", "outer_max_iters", "zeta_b",
+              "anchor", "sonic_margin"},
     "output": {"phi_path", "report_path", "dir", "csv"},
 }
 
@@ -168,7 +168,6 @@ def boundary_from_config(cfg: dict, grid: Grid2D) -> ScalarField:
 def solver_from_config(cfg: dict):
     s = cfg.get("solver", {})
     params = potential.PicardParams(
-        relax_theta=float(s.get("relax_theta", 0.7)),
         tol_fixed_point=float(s.get("tol_fixed_point", 1e-10)),
         max_iters=int(s.get("max_iters", 200)),
         lin_tol=float(s.get("lin_tol", 1e-11)),
@@ -196,7 +195,6 @@ def quasi_from_config(cfg: dict, grid: Grid2D) -> quasipotential.QuasiConfig:
         delta_targets=[float(d) for d in q.get("delta_targets", [0.0])],
         outer_tol=float(q.get("outer_tol", 1e-8)),
         outer_max_iters=int(q.get("outer_max_iters", 50)),
-        newton=bool(q.get("newton", False)),
         zeta_b=zeta_b,
         anchor=tuple(q.get("anchor", (0, 0))),
         sonic_margin=float(q.get("sonic_margin", 0.01)),
@@ -257,12 +255,13 @@ def cmd_solve_quasi(args) -> int:
     law = gas_from_config(cfg)
     grid = grid_from_config(cfg)
     phi_b = boundary_from_config(cfg, grid)
-    params, _schedule, extras = solver_from_config(cfg)
+    params, schedule, extras = solver_from_config(cfg)
     problem = potential.PotentialProblem(law=law, grid=grid, phi_b=phi_b,
                                          **extras)
     qcfg = quasi_from_config(cfg, grid)
     try:
-        state, report = quasipotential.solve_quasi(qcfg, problem, params)
+        state, report = quasipotential.solve_quasi(qcfg, problem, params,
+                                                   schedule)
     except (NonConvergence, SonicEncroachment) as exc:
         print(f"solve-quasi: {exc}", file=sys.stderr)
         return 1

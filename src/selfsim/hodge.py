@@ -8,6 +8,7 @@ linear-solver residual (not just to truncation order).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -157,8 +158,13 @@ def _solve_poisson_dirichlet(grid: Grid2D, rhs: np.ndarray,
         ScalarField(grid, boundary)).values
 
 
+@functools.lru_cache(maxsize=1)
 def _laplacian(grid: Grid2D) -> potential.FrozenSystem:
-    """diff2_x + diff2_y as a Dirichlet stencil operator (margin 1)."""
+    """diff2_x + diff2_y as a Dirichlet stencil operator (margin 1).
+
+    Cached per grid, so its LU is factored once for every Poisson solve on
+    that grid.
+    """
     one, zero = np.ones(grid.shape), np.zeros(grid.shape)
     return potential.FrozenSystem(
         grid,

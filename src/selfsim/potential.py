@@ -5,11 +5,11 @@ One definition, for every gamma, of the self-similar potential-flow operator
 (self_similar_operator), its closure c^2 = -(gamma - 1)(phi + |grad phi|^2/2),
 a^2 for the isothermal gamma = 1 (c2_of_phi), the coefficients of its
 linearization (linearization) and its regularization Q + eps Lap
-(residual_Q).  Frozen-coefficient 9-point solves with Dirichlet frame data,
-relaxed Picard iteration and geometric epsilon-continuation solve Q = 0.
-FrozenSystem solved by solve_linear_dirichlet is the single Dirichlet
-operator path: the Newton step of quasipotential and the Poisson solve of
-hodge use it too.
+(residual_Q).  Damped Newton on Q_eps = rhs, with the Jacobian as a 9-point
+stencil system with Dirichlet frame data, and geometric epsilon-continuation
+solve Q = 0; the psi equation of quasipotential is the same Newton solve at
+eps = 0 with a forcing.  FrozenSystem solved by solve_linear_dirichlet is the
+single Dirichlet operator path: the Poisson solve of hodge uses it too.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .gas import GasLaw
 
 @dataclass
 class PotentialProblem:
-    """Dirichlet data on the frame plus interior Picard initialization.
+    """Dirichlet data on the frame plus interior Newton initialization.
 
     phi_b is a full-grid field: its frame trace is the boundary condition and
     its interior values embody the boundary-data extension used to start the
@@ -51,14 +51,13 @@ class PotentialProblem:
 
 @dataclass
 class PicardParams:
-    relax_theta: float = 0.7
+    """Parameters of the damped Newton stage solve (picard_solve)."""
+
     tol_fixed_point: float = 1e-10
     max_iters: int = 200
     lin_tol: float = 1e-11
 
     def __post_init__(self):
-        if not (0.0 < self.relax_theta <= 1.0):
-            raise ConfigError("relax_theta must lie in (0, 1]")
         if min(self.tol_fixed_point, self.lin_tol) <= 0 or self.max_iters <= 0:
             raise ConfigError("tolerances and max_iters must be positive")
 
@@ -87,16 +86,17 @@ class EpsilonSchedule:
 
 @dataclass
 class PicardReport:
+    """One damped Newton stage: iterations (= Jacobian factorizations), the
+    sup norm of each accepted step and the final-iterate diagnostics."""
+
     iterations: int = 0
     converged: bool = False
     deltas: list = dc_field(default_factory=list)
-    lin_residuals: list = dc_field(default_factory=list)
     final_residual: float = float("nan")
     c2_min: float = float("nan")
     c2_max: float = float("nan")
     clamped: int = 0
     lambda_min: float = float("nan")
-    theta_used: float = float("nan")
 
 
 @dataclass
@@ -232,7 +232,7 @@ class FrozenSystem:
 
     lambda_min is the operator's ellipticity margin over the interior;
     solve_linear_dirichlet refuses to solve when it is not positive.  The
-    c2 fields describe the iterate a Picard operator was frozen at.
+    c2 fields describe the iterate a Jacobian was assembled at.
     """
 
     grid: Grid2D
@@ -280,29 +280,26 @@ class FrozenSystem:
 def assemble_frozen(law: GasLaw, w: ScalarField, eps: float,
                     c2_floor: float = 1e-8, cap_M: float = 1e6
                     ) -> FrozenSystem:
-    """Coefficients of L_eps frozen at w, as a 9-point stencil system.
+    """Jacobian of Q_eps at w for damped Newton, as a 9-point stencil system.
 
-    Principal part (c^2(w) - w1^2 + eps, -2 w1 w2, c^2(w) - w2^2 + eps),
-    drift -gamma grad w, zero-order -2 (gamma - 1); ellipticity margin
-    min(c^2(w) - |grad w|^2 + eps) over the interior.  Applied to w this is
-    Q_eps[w], less the constant 2 a^2 for the isothermal law.
+    The coefficients of linearization(law, w) with eps added to a11 and a22;
+    the ellipticity margin is the smaller eigenvalue of the principal part,
+    min(c0^2(w) - |grad w|^2 + eps) over the interior.  The c2 fields and
+    the clamped count are those of the clamped closure at w.
     """
     if not np.all(np.isfinite(w.values)):
         raise CapExceeded("iterate contains non-finite values")
     wmax = float(np.max(np.abs(w.values)))
     if wmax > cap_M:
         raise CapExceeded(f"|w|_inf = {wmax:.3e} exceeds cap_M = {cap_M:.3e}")
-    grid = w.grid
-    gw = fld.gradient(w)
-    c2, clamped = c2_of_phi(law, w, gw, c2_floor=c2_floor)
-    g = law.gamma
-    coef = stencil_coefficients(
-        grid, c2.values - gw.u ** 2 + eps, -2.0 * gw.u * gw.v,
-        c2.values - gw.v ** 2 + eps, -g * gw.u, -g * gw.v, -2.0 * (g - 1.0))
+    a11, a12, a22, b1, b2, c = linearization(law, w)
+    a11, a22 = a11 + eps, a22 + eps
+    margin = 0.5 * (a11 + a22 - np.hypot(a11 - a22, a12))
+    c2, clamped = c2_of_phi(law, w, c2_floor=c2_floor)
     return FrozenSystem(
-        grid=grid, coef=coef,
-        lambda_min=float(np.min(
-            (c2.values - gw.magnitude_sq() + eps)[1:-1, 1:-1])),
+        grid=w.grid,
+        coef=stencil_coefficients(w.grid, a11, a12, a22, b1, b2, c),
+        lambda_min=float(np.min(margin[1:-1, 1:-1])),
         c2_min=float(np.min(c2.values)),
         c2_max=float(np.max(c2.values)),
         clamped=clamped,
@@ -347,13 +344,8 @@ def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
     return ScalarField(grid, x)
 
 
-def _with_frame(values: np.ndarray, phi_b: ScalarField) -> np.ndarray:
-    out = values.copy()
-    out[0, :] = phi_b.values[0, :]
-    out[-1, :] = phi_b.values[-1, :]
-    out[:, 0] = phi_b.values[:, 0]
-    out[:, -1] = phi_b.values[:, -1]
-    return out
+# step halvings a damped Newton step may take before the stage fails
+_MAX_HALVINGS = 10
 
 
 def picard_solve(problem: PotentialProblem, eps: float,
@@ -361,79 +353,74 @@ def picard_solve(problem: PotentialProblem, eps: float,
                  w0: ScalarField | None = None,
                  rhs: ScalarField | None = None
                  ) -> tuple[ScalarField, PicardReport]:
-    """Relaxed Picard iteration on the frozen-coefficient map.
+    """Damped Newton solve of Q_eps[phi] = rhs with phi = phi_b on the frame.
 
-    w_{k+1} = (1 - theta) w_k + theta T(w_k) with T(w) the solution of the
-    Dirichlet problem for L_eps frozen at w.  On 5 consecutive growing steps
-    the relaxation factor is halved once before giving up.  The fixed point
-    is a zero of residual_Q(eps, rhs).
+    Each iteration solves J v = -R(w) with J = assemble_frozen(w), R =
+    residual_Q(eps, rhs) with the unclamped closure and v = 0 on the frame,
+    then takes w + lam v with lam halved (at most _MAX_HALVINGS times) until
+    |R|_inf decreases or |lam v|_inf <= tol_fixed_point.  The stage has
+    converged on a step |lam v|_inf <= tol_fixed_point; report.iterations
+    counts the Jacobian factorizations.  The final iterate must have no node
+    clamped at c2_floor.
     """
     params = params or PicardParams()
     grid = problem.grid
-    lin_rhs = rhs
-    if problem.law.gamma == 1.0:  # Q = L_frozen + 2 a^2 (see assemble_frozen)
-        source = np.full(grid.shape, 2.0 * problem.law.a ** 2)
-        lin_rhs = ScalarField(grid,
-                              (0.0 if rhs is None else rhs.values) - source)
+    law = problem.law
+    zero = ScalarField.zeros(grid)
+
+    def residual(values):
+        return residual_Q(law, ScalarField(grid, values), eps=eps, rhs=rhs,
+                          c2_floor=-np.inf).values
+
     w = (w0.values if w0 is not None else problem.phi_b.values).copy()
-    w = _with_frame(w, problem.phi_b)
-    theta = params.relax_theta
-    report = PicardReport(theta_used=theta)
-    best = w
-    best_delta = np.inf
-    growing = 0
-    halved = False
-    prev_delta = np.inf
-    k = 0
-    while k < params.max_iters:
-        k += 1
-        system = assemble_frozen(problem.law, ScalarField(grid, w), eps,
+    w[[0, -1], :] = problem.phi_b.values[[0, -1], :]
+    w[:, [0, -1]] = problem.phi_b.values[:, [0, -1]]
+    r = residual(w)
+    r_norm = float(np.max(np.abs(r)))
+    report = PicardReport()
+    while report.iterations < params.max_iters:
+        report.iterations += 1
+        system = assemble_frozen(law, ScalarField(grid, w), eps,
                                  c2_floor=problem.c2_floor,
                                  cap_M=problem.cap_M)
-        t = solve_linear_dirichlet(system, lin_rhs, problem.phi_b,
-                                   lin_tol=params.lin_tol)
-        wn = (1.0 - theta) * w + theta * t.values
-        wn = _with_frame(wn, problem.phi_b)
-        delta = float(np.max(np.abs(wn - w)))
-        report.deltas.append(delta)
-        w = wn
-        if delta < best_delta:
-            best_delta = delta
-            best = w
-        if delta > prev_delta:
-            growing += 1
-            if growing >= 5:
-                if halved:
-                    report.iterations = k
-                    raise NonConvergence(
-                        "Picard iteration diverging after relaxation halving",
-                        best=ScalarField(grid, best), report=report)
-                theta *= 0.5
-                report.theta_used = theta
-                halved = True
-                growing = 0
+        v = solve_linear_dirichlet(system, ScalarField(grid, -r), zero,
+                                   lin_tol=params.lin_tol).values
+        lam = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            step = float(np.max(np.abs(lam * v)))
+            trial = w + lam * v
+            if step <= params.tol_fixed_point:
+                break
+            r_trial = residual(trial)
+            r_trial_norm = float(np.max(np.abs(r_trial)))
+            if r_trial_norm < r_norm:
+                r, r_norm = r_trial, r_trial_norm
+                break
+            lam *= 0.5
         else:
-            growing = 0
-        prev_delta = delta
-        if delta <= params.tol_fixed_point:
+            raise NonConvergence(
+                f"damped Newton step does not reduce |Q_eps|_inf = "
+                f"{r_norm:.3e} after {_MAX_HALVINGS} halvings",
+                best=ScalarField(grid, w), report=report)
+        w = trial
+        report.deltas.append(step)
+        if step <= params.tol_fixed_point:
             report.converged = True
             break
-    report.iterations = k
     phi = ScalarField(grid, w)
-    final_sys = assemble_frozen(problem.law, phi, eps,
-                                c2_floor=problem.c2_floor,
+    final_sys = assemble_frozen(law, phi, eps, c2_floor=problem.c2_floor,
                                 cap_M=problem.cap_M)
     report.lambda_min = final_sys.lambda_min
     report.c2_min = final_sys.c2_min
     report.c2_max = final_sys.c2_max
     report.clamped = final_sys.clamped
     report.final_residual = float(np.max(np.abs(
-        residual_Q(problem.law, phi, eps=eps, rhs=rhs,
+        residual_Q(law, phi, eps=eps, rhs=rhs,
                    c2_floor=problem.c2_floor).interior())))
     if not report.converged:
         raise NonConvergence(
-            f"no fixed point after {params.max_iters} iterations "
-            f"(last delta {report.deltas[-1]:.3e})",
+            f"no converged Newton step after {params.max_iters} iterations "
+            f"(last step {report.deltas[-1]:.3e})",
             best=phi, report=report)
     if report.clamped > 0:
         raise NonConvergence(
@@ -480,12 +467,13 @@ def epsilon_continuation(problem: PotentialProblem,
 
 
 def _finalize_report(problem: PotentialProblem, phi: ScalarField,
-                     report: SolveReport) -> None:
+                     report: SolveReport,
+                     rhs: ScalarField | None = None) -> None:
     gp = fld.gradient(phi)
     c2, clamped = c2_of_phi(problem.law, phi, gp, c2_floor=problem.c2_floor)
     rr = regime.classify(VectorField(problem.grid, gp.u, gp.v), c2)
     report.final_residual = float(np.max(np.abs(residual_Q(
-        problem.law, phi, eps=report.final_eps,
+        problem.law, phi, eps=report.final_eps, rhs=rhs,
         c2_floor=problem.c2_floor).interior())))
     report.c2_min = float(np.min(c2.values))
     report.c2_max = float(np.max(c2.values))

@@ -11,8 +11,9 @@ c0^2 = -(gamma - 1)(psi + |grad psi|^2 / 2) (a^2 for gamma = 1), grad(F1) =
 Lap(zeta) perp_grad(psi) + perp_grad(zeta), Q1 = (gamma - 1)(F1 + grad psi .
 perp_grad zeta) and c^2 = c0^2 - delta Q1.  The solver runs block
 Gauss-Seidel sweeps (transport -> zeta -> closures -> psi) per delta target,
-warm-starting each stage, with an optional Newton correction on the psi
-equation through the linearized operator L (potential.linearization).
+warm-starting each stage; the psi solve of each sweep is the damped Newton
+solve of potential.picard_solve at eps = 0 with the forcing above, whose
+Jacobian is the linearized operator L (potential.linearization).
 
 Diagnostics reconstruct the untruncated rotational residuals (r1, r2); at a
 converged first-order state r1 = O(delta^2).
@@ -31,8 +32,8 @@ from .errors import (CapExceeded, ConfigError, IndefiniteSystem,
 from .field import ScalarField, VectorField
 from .gas import GasLaw
 from .hodge import _solve_poisson_dirichlet, integrability_residual, reconstruct_F
-from .potential import (FrozenSystem, PicardParams, PotentialProblem,
-                        SolveReport, stencil_coefficients)
+from .potential import (EpsilonSchedule, PicardParams, PotentialProblem,
+                        SolveReport)
 
 
 @dataclass
@@ -56,7 +57,6 @@ class QuasiConfig:
     delta_targets: list = dc_field(default_factory=lambda: [0.0])
     outer_tol: float = 1e-8
     outer_max_iters: int = 50
-    newton: bool = False
     zeta_b: ScalarField | None = None  # full-grid; frame trace is Dirichlet data
     anchor: tuple = (0, 0)
     sonic_margin: float = 0.01
@@ -219,25 +219,6 @@ def gateaux_check(psi0: ScalarField, v: ScalarField, law: GasLaw,
     return {"taus": taus, "defects": defects, "slope": slope}
 
 
-def _newton_step(psi: ScalarField, rhs: ScalarField, law: GasLaw
-                 ) -> ScalarField:
-    """One Newton correction: solve L[v] = -(R(psi) - rhs), v = 0 on frame.
-
-    The ellipticity margin of L is the smaller eigenvalue of its principal
-    part, min(c0^2 - |grad psi|^2) over the interior.
-    """
-    grid = psi.grid
-    a11, a12, a22, b1, b2, c = potential.linearization(law, psi)
-    margin = 0.5 * (a11 + a22 - np.hypot(a11 - a22, a12))
-    system = FrozenSystem(
-        grid, stencil_coefficients(grid, a11, a12, a22, b1, b2, c),
-        lambda_min=float(np.min(margin[1:-1, 1:-1])))
-    res = potential.residual_Q(law, psi, rhs=rhs, c2_floor=-np.inf)
-    v = potential.solve_linear_dirichlet(system, ScalarField(grid, -res.values),
-                                         ScalarField.zeros(grid))
-    return ScalarField(grid, psi.values + v.values)
-
-
 # ---------------------------------------------------------------------------
 # coupled solver
 
@@ -253,7 +234,8 @@ _LINEAR_ERRORS = (IndefiniteSystem, LinearStagnation, CapExceeded)
 
 
 def solve_quasi(config: QuasiConfig, base: PotentialProblem,
-                params: PicardParams | None = None
+                params: PicardParams | None = None,
+                schedule: EpsilonSchedule | None = None
                 ) -> tuple[QuasiState, SolveReport]:
     """Delta-continuation solve of the first-order quasi-potential system.
 
@@ -262,7 +244,10 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
     change of (psi, zeta~) drops below outer_tol.  Stages warm-start from the
     previous delta; the last converged stage is returned on failure with
     status PartialContinuation.  A linear-solve failure or a NonIntegrableF1
-    in the first stage is raised as NonConvergence.
+    in the first stage is raised as NonConvergence.  The base potential is
+    the epsilon_continuation of base under schedule.  The report's
+    final_residual is that of the psi equation, forcing included, at the
+    returned state.
     """
     params = params or PicardParams()
     grid = base.grid
@@ -272,7 +257,7 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
         raise ConfigError("zeta_b must live on the problem grid")
     omega_b = fld.laplacian(zeta_b)  # inflow data for the transported vorticity
     report = SolveReport()
-    psi, prep = potential.epsilon_continuation(base, params=params)
+    psi, prep = potential.epsilon_continuation(base, schedule, params)
     if prep.status != "Converged":
         report.errors.extend(prep.errors)
     zt = zeta_b.copy()
@@ -294,8 +279,19 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
         psi, zt = psi_d, zt_d
         report.stages.append(stage)
         state = _make_state(config, law, delta, psi, zt)
-    potential._finalize_report(base, state.psi, report)
+    report.final_eps = 0.0
+    potential._finalize_report(
+        base, state.psi, report,
+        rhs=_psi_forcing(state.delta, state.psi, state.Q1, state.N1))
     return state, report
+
+
+def _psi_forcing(delta: float, psi: ScalarField, q1: ScalarField,
+                 n1: ScalarField) -> ScalarField:
+    """delta ((2 + Lap psi) Q1 + N1), the right-hand side of the psi
+    equation."""
+    return ScalarField(psi.grid,
+                       delta * ((2.0 + _lap_c(psi)) * q1.values + n1.values))
 
 
 def _make_state(config: QuasiConfig, law: GasLaw, delta: float,
@@ -337,13 +333,8 @@ def _solve_stage(config: QuasiConfig, base: PotentialProblem,
         if L2max >= 1.0 - config.sonic_margin:
             raise SonicEncroachment(
                 f"max pseudo-Mach^2 {L2max:.4f} >= {1 - config.sonic_margin}")
-        lp = _lap_c(psi)
-        rhs = ScalarField(grid, delta * ((2.0 + lp) * q1.values + n1.values))
-        if config.newton:
-            psi_new = _newton_step(psi, rhs, law)
-        else:
-            psi_new, _prep = potential.picard_solve(base, 0.0, params,
-                                                    w0=psi, rhs=rhs)
+        psi_new, _prep = potential.picard_solve(
+            base, 0.0, params, w0=psi, rhs=_psi_forcing(delta, psi, q1, n1))
         change = max(float(np.max(np.abs(psi_new.values - psi.values))),
                      float(np.max(np.abs(zt_new.values - zt.values))))
         psi, zt = psi_new, zt_new

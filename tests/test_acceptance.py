@@ -66,7 +66,7 @@ def quasi_runs(law):
     out = {}
     for delta in (0.0, 1e-3, 1e-2):
         cfg = qp.QuasiConfig(delta_targets=[delta], zeta_b=zeta_b,
-                             anchor=anchor, outer_tol=1e-9, newton=True)
+                             anchor=anchor, outer_tol=1e-9)
         state, rep = qp.solve_quasi(cfg, base)
         r1, _r2 = qp.full_rotational_residual(state.psi, state.zeta, law,
                                               anchor=anchor)

@@ -222,6 +222,8 @@ def test_exit_code_unknown_key_strict(tmp_path):
     {"seed": 7},
     {"solver": {"lin_max_iters": 10}},
     {"output": {"fields": ["phi"]}},
+    {"solver": {"relax_theta": 0.7}},
+    {"quasi": {"newton": True}},
 ])
 def test_unread_keys_are_unknown(tmp_path, overrides):
     path = small_config(tmp_path, **overrides)
@@ -327,3 +329,43 @@ def test_solve_quasi_later_stage_linear_failure_is_partial(tmp_path,
     assert report["status"] == "PartialContinuation"
     assert [s["delta"] for s in report["stages"]] == [0.0]
     assert report["errors"] == ["delta=0.001: injected"]
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_solve_quasi_report_is_json_with_psi_residual(tmp_path):
+    grid = ss.Grid2D(0.1, 0.6, 0.1, 0.6, 17, 17)
+    fld.write_field(ss.ScalarField.from_function(
+        grid, lambda x, y: 0.5 * np.sin(np.pi * x) * np.cos(np.pi * y)
+        + 0.25 * x * y), tmp_path / "zeta_b.f2d")
+    path = small_config(
+        tmp_path,
+        grid={"x0": 0.1, "x1": 0.6, "y0": 0.1, "y1": 0.6, "nx": 17, "ny": 17},
+        quasi={"delta_targets": [1e-3, 1e-2], "outer_tol": 1e-9,
+               "zeta_b": str(tmp_path / "zeta_b.f2d"), "anchor": [8, 8]})
+    assert cli.main(["solve-quasi", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(),
+                        parse_constant=_raise_on_constant)["report"]
+    assert report["final_eps"] == 0.0
+    # the psi equation with its O(delta) forcing, not the bare Q(psi)
+    assert report["final_residual"] <= 1e-8
+
+
+def test_solve_quasi_uses_configured_schedule(tmp_path, monkeypatch):
+    schedules = []
+    continuation = potential.epsilon_continuation
+
+    def spy(problem, schedule=None, params=None):
+        schedules.append(schedule)
+        return continuation(problem, schedule, params)
+
+    monkeypatch.setattr(potential, "epsilon_continuation", spy)
+    path = small_config(
+        tmp_path,
+        grid={"x0": 0.1, "x1": 0.6, "y0": 0.1, "y1": 0.6, "nx": 17, "ny": 17},
+        solver={"eps0": 0.05, "ratio": 0.25, "eps_min": 1e-4},
+        quasi={"delta_targets": [0.0], "anchor": [8, 8]})
+    assert cli.main(["solve-quasi", "--config", str(path)]) == 0
+    assert [s.eps0 for s in schedules] == [0.05]

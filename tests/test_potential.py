@@ -1,8 +1,9 @@
-"""Potential-flow solver unit tests: closure, residual, frozen systems,
-Picard iteration and epsilon-continuation."""
+"""Potential-flow solver unit tests: closure, residual, Jacobian systems,
+damped Newton stages and epsilon-continuation."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import selfsim as ss
 from selfsim import field as fld, potential
@@ -76,8 +77,6 @@ def test_epsilon_schedule():
 
 
 def test_params_validation():
-    with pytest.raises(ConfigError):
-        potential.PicardParams(relax_theta=0.0)
     with pytest.raises(ConfigError):
         potential.PicardParams(tol_fixed_point=-1.0)
     with pytest.raises(ConfigError):
@@ -209,3 +208,27 @@ def test_epsilon_continuation_perturbed_every_gamma(gamma, grid):
     assert rep.status == "Converged"
     assert rep.final_eps == 0.0
     assert rep.audit == "Pass"
+
+
+def test_continuation_factorization_count(monkeypatch):
+    # the solve-potential benchmark input shape: 33^2, gamma = 2,
+    # phi_b = -|xi|^2/2 - 1 + 0.02 sin(pi (xi1 + 2 xi2)); one LU per Newton
+    # step, counted without host timing noise
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    X, Y = grid.meshgrid()
+    phi_b = ss.ScalarField(grid, quiescent_field(grid).values
+                           + 0.02 * np.sin(np.pi * (X + 2.0 * Y)))
+    prob = potential.PotentialProblem(law=ss.GasLaw(a=1.0, gamma=2.0),
+                                      grid=grid, phi_b=phi_b)
+    factors = []
+    splu = spla.splu
+
+    def spy(*args, **kwargs):
+        factors.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    _, rep = potential.epsilon_continuation(prob)
+    assert rep.status == "Converged"
+    assert len(factors) == sum(s["iterations"] for s in rep.stages)
+    assert len(factors) <= 60
