@@ -11,9 +11,9 @@ solver.
 
 from .errors import (CapExceeded, ConfigError, DimensionMismatch, DomainError,
                      FormatError, IndefiniteSystem, InternalError,
-                     LinearStagnation, NonConvergence, NonIntegrableF1,
-                     NonSolenoidalInput, RangeError, SelfsimError,
-                     SolverError, SonicEncroachment, UncoveredNodes)
+                     LinearStagnation, NonConvergence, NonSolenoidalInput,
+                     RangeError, SelfsimError, SolverError,
+                     SonicEncroachment, UncoveredNodes)
 from .field import (Grid2D, ScalarField, VectorField, divergence, gradient,
                     hessian, laplacian, perp_gradient, read_field, rot,
                     write_field)

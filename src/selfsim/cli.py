@@ -1,7 +1,7 @@
 """Command-line front end: config parsing, subcommand dispatch, reports.
 
 Subcommands: classify | decompose | transport | solve-potential |
-solve-quasi | verify.  Exit codes: 0 success, 1 solver non-convergence or
+solve-quasi.  Exit codes: 0 success, 1 solver non-convergence or
 partial continuation, 2 config/validation error, 3 IO error, 4 internal
 invariant violation.  All file outputs are atomic (temp file + rename).
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import tempfile
@@ -196,9 +195,8 @@ def quasi_from_config(cfg: dict, grid: Grid2D) -> quasipotential.QuasiConfig:
         outer_tol=float(q.get("outer_tol", 1e-8)),
         outer_max_iters=int(q.get("outer_max_iters", 50)),
         zeta_b=zeta_b,
-        anchor=tuple(q.get("anchor", (0, 0))),
+        anchor=q.get("anchor", (0, 0)),
         sonic_margin=float(q.get("sonic_margin", 0.01)),
-        strict=bool(cfg.get("strict", False)),
     )
 
 
@@ -387,104 +385,6 @@ def cmd_transport(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: built-in invariant suites
-
-
-def _verify_cases():
-    rng = np.random.default_rng(2026)
-
-    def gas_suite():
-        for g in (-1.0, -0.5, 0.5, 1.0, 1.4, 2.0, 3.0):
-            law = GasLaw(a=1.2, gamma=g, rho_floor=0.1)
-            rho = np.linspace(0.2, 3.0, 40)
-            dr = 1e-6
-            fd = (gas.pressure(law, rho + dr) - gas.pressure(law, rho - dr)) \
-                / (2 * dr)
-            c2 = gas.sound_speed_sq(law, rho)
-            assert np.all(c2 > 0)
-            assert np.max(np.abs(fd - c2) / c2) < 1e-6
-            h = gas.enthalpy(law, rho)
-            back = gas.enthalpy_inverse(law, h)
-            assert np.max(np.abs(back - rho) / rho) < 1e-10
-
-    def eigen_goldens():
-        t = regime.eigen_steady(2.0, 0.0, 1.0)
-        r3 = math.sqrt(3.0) / 3.0
-        assert abs(t.lambdas[0] + r3) < 1e-14
-        assert abs(t.lambdas[-1] - r3) < 1e-14
-        td = regime.eigen_time_dependent(0.0, 0.0, 1.0, (1.0, 0.0))
-        assert td.lambdas == (-1.0, 0.0, 1.0)
-        assert regime.eigen_steady(0.5, 0.0, 1.0).complex_pair
-
-    def discriminant_identity():
-        p = rng.normal(size=(2, 2000))
-        c2 = rng.uniform(0.5, 4.0, 2000)
-        disc, check = regime.discriminant((p[0], p[1]), c2)
-        assert np.max(np.abs(disc - check)) < 1e-12
-
-    def f2d_roundtrip():
-        import tempfile as tf
-
-        grid = Grid2D(-1.0, 1.0, -0.5, 0.5, 7, 5)
-        f = ScalarField(grid, rng.normal(size=grid.shape))
-        with tf.TemporaryDirectory() as d:
-            p = os.path.join(d, "x.f2d")
-            fld.write_field(f, p)
-            g1 = fld.read_field(p)
-            fld.write_field(g1, p + "2")
-            with open(p) as a, open(p + "2") as b2:
-                assert a.read() == b2.read()
-        assert np.array_equal(f.values, g1.values)
-
-    def quiescent_residual():
-        law = GasLaw(a=1.0, gamma=2.0)
-        grid = Grid2D(-0.5, 0.5, -0.5, 0.5, 17, 17)
-        phi = ScalarField.from_function(
-            grid, lambda x, y: -(x ** 2 + y ** 2) / 2 - 1.0)
-        r = potential.residual_Q(law, phi)
-        assert np.max(np.abs(r.values)) < 1e-12
-
-    def hodge_roundtrip():
-        grid = Grid2D(-0.5, 0.5, -0.5, 0.5, 21, 21)
-        U = VectorField.from_function(grid,
-                                      lambda x, y: np.sin(x) + y,
-                                      lambda x, y: np.cos(y) * x)
-        dec = hodge.decompose(U)
-        assert dec.div_W_norm < 1e-9
-        gap = fld.rot(dec.W).values - fld.rot(U).values
-        assert np.max(np.abs(gap[1:-1, 1:-1])) < 1e-9
-
-    def transport_zero_data():
-        grid = Grid2D(0.25, 0.75, 0.25, 0.75, 17, 17)
-        b = VectorField.from_function(grid, lambda x, y: -x, lambda x, y: -y)
-        omega, _ = vorticity.transport_omega(b, ScalarField.zeros(grid))
-        assert np.all(omega.values == 0.0)
-
-    return [("gas law suite", gas_suite),
-            ("eigenvalue goldens", eigen_goldens),
-            ("discriminant identity", discriminant_identity),
-            ("F2D round trip", f2d_roundtrip),
-            ("quiescent residual", quiescent_residual),
-            ("Hodge round trip", hodge_roundtrip),
-            ("transport zero data", transport_zero_data)]
-
-
-def cmd_verify(args) -> int:
-    passed = failed = 0
-    for name, fn in _verify_cases():
-        try:
-            fn()
-        except BaseException as exc:
-            failed += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            passed += 1
-            print(f"pass {name}")
-    print(f"verify: {passed} passed, {failed} failed")
-    return 0 if failed == 0 else 4
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,9 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--out-dir", default=".")
     st.add_argument("--step", type=float, default=None)
     st.set_defaults(fn=cmd_transport)
-
-    sv = sub.add_parser("verify", help="run built-in invariant suites")
-    sv.set_defaults(fn=cmd_verify)
     return p
 
 

@@ -64,13 +64,10 @@ class NonConvergence(SolverError):
         self.report = report
 
 
-class NonIntegrableF1(SolverError):
-    """Curl defect of the F1 target field exceeds the strict-mode threshold."""
-
-
 class SonicEncroachment(SolverError):
     """Pseudo-Mach number approached 1 inside the computational rectangle."""
 
 
 class UncoveredNodes(SolverError):
-    """Backward characteristics failed to reach inflow data (strict mode)."""
+    """Backward characteristics failed to reach inflow data
+    (transport_omega with strict=True)."""

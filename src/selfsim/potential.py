@@ -96,7 +96,6 @@ class PicardReport:
     c2_min: float = float("nan")
     c2_max: float = float("nan")
     clamped: int = 0
-    lambda_min: float = float("nan")
 
 
 @dataclass
@@ -231,16 +230,12 @@ class FrozenSystem:
     """9-point stencil operator with Dirichlet (identity) frame rows.
 
     lambda_min is the operator's ellipticity margin over the interior;
-    solve_linear_dirichlet refuses to solve when it is not positive.  The
-    c2 fields describe the iterate a Jacobian was assembled at.
+    solve_linear_dirichlet refuses to solve when it is not positive.
     """
 
     grid: Grid2D
     coef: tuple = dc_field(repr=False)
     lambda_min: float
-    c2_min: float = float("nan")
-    c2_max: float = float("nan")
-    clamped: int = 0
     _matrix: sp.csc_matrix | None = dc_field(repr=False, default=None)
     _factor: object | None = dc_field(repr=False, default=None)
 
@@ -277,32 +272,31 @@ class FrozenSystem:
         return self._factor
 
 
-def assemble_frozen(law: GasLaw, w: ScalarField, eps: float,
-                    c2_floor: float = 1e-8, cap_M: float = 1e6
-                    ) -> FrozenSystem:
-    """Jacobian of Q_eps at w for damped Newton, as a 9-point stencil system.
-
-    The coefficients of linearization(law, w) with eps added to a11 and a22;
-    the ellipticity margin is the smaller eigenvalue of the principal part,
-    min(c0^2(w) - |grad w|^2 + eps) over the interior.  The c2 fields and
-    the clamped count are those of the clamped closure at w.
-    """
+def _check_cap(w: ScalarField, cap_M: float) -> None:
+    """Raise CapExceeded unless w is finite with |w|_inf <= cap_M."""
     if not np.all(np.isfinite(w.values)):
         raise CapExceeded("iterate contains non-finite values")
     wmax = float(np.max(np.abs(w.values)))
     if wmax > cap_M:
         raise CapExceeded(f"|w|_inf = {wmax:.3e} exceeds cap_M = {cap_M:.3e}")
+
+
+def assemble_frozen(law: GasLaw, w: ScalarField, eps: float,
+                    cap_M: float = 1e6) -> FrozenSystem:
+    """Jacobian of Q_eps at w for damped Newton, as a 9-point stencil system.
+
+    The coefficients of linearization(law, w) with eps added to a11 and a22;
+    the ellipticity margin is the smaller eigenvalue of the principal part,
+    min(c0^2(w) - |grad w|^2 + eps) over the interior.
+    """
+    _check_cap(w, cap_M)
     a11, a12, a22, b1, b2, c = linearization(law, w)
     a11, a22 = a11 + eps, a22 + eps
     margin = 0.5 * (a11 + a22 - np.hypot(a11 - a22, a12))
-    c2, clamped = c2_of_phi(law, w, c2_floor=c2_floor)
     return FrozenSystem(
         grid=w.grid,
         coef=stencil_coefficients(w.grid, a11, a12, a22, b1, b2, c),
         lambda_min=float(np.min(margin[1:-1, 1:-1])),
-        c2_min=float(np.min(c2.values)),
-        c2_max=float(np.max(c2.values)),
-        clamped=clamped,
     )
 
 
@@ -360,8 +354,9 @@ def picard_solve(problem: PotentialProblem, eps: float,
     then takes w + lam v with lam halved (at most _MAX_HALVINGS times) until
     |R|_inf decreases or |lam v|_inf <= tol_fixed_point.  The stage has
     converged on a step |lam v|_inf <= tol_fixed_point; report.iterations
-    counts the Jacobian factorizations.  The final iterate must have no node
-    clamped at c2_floor.
+    counts the Jacobian factorizations.  The final iterate must be finite
+    with |phi|_inf <= cap_M (else CapExceeded) and have no node clamped at
+    c2_floor.
     """
     params = params or PicardParams()
     grid = problem.grid
@@ -381,7 +376,6 @@ def picard_solve(problem: PotentialProblem, eps: float,
     while report.iterations < params.max_iters:
         report.iterations += 1
         system = assemble_frozen(law, ScalarField(grid, w), eps,
-                                 c2_floor=problem.c2_floor,
                                  cap_M=problem.cap_M)
         v = solve_linear_dirichlet(system, ScalarField(grid, -r), zero,
                                    lin_tol=params.lin_tol).values
@@ -408,12 +402,10 @@ def picard_solve(problem: PotentialProblem, eps: float,
             report.converged = True
             break
     phi = ScalarField(grid, w)
-    final_sys = assemble_frozen(law, phi, eps, c2_floor=problem.c2_floor,
-                                cap_M=problem.cap_M)
-    report.lambda_min = final_sys.lambda_min
-    report.c2_min = final_sys.c2_min
-    report.c2_max = final_sys.c2_max
-    report.clamped = final_sys.clamped
+    _check_cap(phi, problem.cap_M)
+    c2, report.clamped = c2_of_phi(law, phi, c2_floor=problem.c2_floor)
+    report.c2_min = float(np.min(c2.values))
+    report.c2_max = float(np.max(c2.values))
     report.final_residual = float(np.max(np.abs(
         residual_Q(law, phi, eps=eps, rhs=rhs,
                    c2_floor=problem.c2_floor).interior())))

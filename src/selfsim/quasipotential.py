@@ -27,8 +27,7 @@ import numpy as np
 
 from . import field as fld, potential, vorticity
 from .errors import (CapExceeded, ConfigError, IndefiniteSystem,
-                     LinearStagnation, NonConvergence, NonIntegrableF1,
-                     SonicEncroachment)
+                     LinearStagnation, NonConvergence, SonicEncroachment)
 from .field import ScalarField, VectorField
 from .gas import GasLaw
 from .hodge import _solve_poisson_dirichlet, integrability_residual, reconstruct_F
@@ -58,10 +57,8 @@ class QuasiConfig:
     outer_tol: float = 1e-8
     outer_max_iters: int = 50
     zeta_b: ScalarField | None = None  # full-grid; frame trace is Dirichlet data
-    anchor: tuple = (0, 0)
+    anchor: tuple = (0, 0)     # (i, j) node where F1 = 0
     sonic_margin: float = 0.01
-    strict: bool = False
-    curl_tol: float = 1e-6
 
     def __post_init__(self):
         t = list(self.delta_targets)
@@ -69,6 +66,12 @@ class QuasiConfig:
             raise ConfigError("delta_targets must be ascending within [0, 1)")
         if self.outer_tol <= 0 or self.outer_max_iters <= 0:
             raise ConfigError("outer_tol and outer_max_iters must be positive")
+        a = self.anchor
+        if not (isinstance(a, (tuple, list)) and len(a) == 2
+                and all(isinstance(k, (int, np.integer))
+                        and not isinstance(k, bool) for k in a)):
+            raise ConfigError(f"anchor must be two node indices, got {a!r}")
+        self.anchor = tuple(a)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +134,7 @@ def compute_N3(zeta: ScalarField) -> ScalarField:
 
 
 def reconstruct_F1(psi: ScalarField, zeta: ScalarField,
-                   anchor: tuple = (0, 0),
-                   strict: bool = False, curl_tol: float = 1e-6):
+                   anchor: tuple = (0, 0)):
     """Two-leg reconstruction of F1 from grad F1 = Lap(zeta) perp_grad(psi)
     + perp_grad(zeta), anchored with F1 = 0 at the anchor node.
 
@@ -145,9 +147,6 @@ def reconstruct_F1(psi: ScalarField, zeta: ScalarField,
     G = ScalarField(psi.grid, lz * pp.u + pz.u)
     H = ScalarField(psi.grid, lz * pp.v + pz.v)
     defect = integrability_residual(G, H)
-    if strict and defect > curl_tol:
-        raise NonIntegrableF1(
-            f"curl defect {defect:.3e} exceeds {curl_tol:.3e}")
     F1 = reconstruct_F(G, H, C=0.0, anchor=anchor)
     return F1, defect
 
@@ -243,9 +242,10 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
     zeta-recovery -> (F1, Q1, N1, c^2) -> psi solve, until the joint sup-norm
     change of (psi, zeta~) drops below outer_tol.  Stages warm-start from the
     previous delta; the last converged stage is returned on failure with
-    status PartialContinuation.  A linear-solve failure or a NonIntegrableF1
-    in the first stage is raised as NonConvergence.  The base potential is
-    the epsilon_continuation of base under schedule.  The report's
+    status PartialContinuation.  A linear-solve failure in the first stage
+    is raised as NonConvergence.  An anchor outside the grid raises
+    ConfigError before any solve.  The base potential is the
+    epsilon_continuation of base under schedule.  The report's
     final_residual is that of the psi equation, forcing included, at the
     returned state.
     """
@@ -255,6 +255,10 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
     zeta_b = config.zeta_b or ScalarField.zeros(grid)
     if zeta_b.grid != grid:
         raise ConfigError("zeta_b must live on the problem grid")
+    i0, j0 = config.anchor
+    if not (0 <= i0 < grid.nx and 0 <= j0 < grid.ny):
+        raise ConfigError(f"anchor {config.anchor} outside the "
+                          f"{grid.nx} x {grid.ny} grid")
     omega_b = fld.laplacian(zeta_b)  # inflow data for the transported vorticity
     report = SolveReport()
     psi, prep = potential.epsilon_continuation(base, schedule, params)
@@ -266,11 +270,10 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
         try:
             psi_d, zt_d, stage = _solve_stage(
                 config, base, params, delta, psi, zt, zeta_b, omega_b)
-        except (NonConvergence, SonicEncroachment, NonIntegrableF1,
-                *_LINEAR_ERRORS) as exc:
+        except (NonConvergence, SonicEncroachment, *_LINEAR_ERRORS) as exc:
             report.errors.append(f"delta={delta:g}: {exc}")
             if state is None:
-                if isinstance(exc, (NonIntegrableF1, *_LINEAR_ERRORS)):
+                if isinstance(exc, _LINEAR_ERRORS):
                     raise NonConvergence(f"first delta stage failed: {exc}",
                                          report=report) from exc
                 raise
@@ -319,9 +322,7 @@ def _solve_stage(config: QuasiConfig, base: PotentialProblem,
         omega_t, _trep = vorticity.transport_omega(VectorField(grid, b.u, b.v),
                                                    omega_b)
         zt_new = _zeta_tilde(grid, omega_t, zeta_b)
-        F1, defect = reconstruct_F1(psi, zt_new, anchor=config.anchor,
-                                    strict=config.strict,
-                                    curl_tol=config.curl_tol)
+        F1, defect = reconstruct_F1(psi, zt_new, anchor=config.anchor)
         q1 = compute_Q1(law, psi, zt_new, F1)
         n1 = compute_N1(psi, zt_new)
         c2, _ = c2_quasi(law, psi, zt_new, delta, F1,
@@ -354,8 +355,7 @@ def _solve_stage(config: QuasiConfig, base: PotentialProblem,
 
 
 def full_rotational_residual(psi: ScalarField, zeta: ScalarField, law: GasLaw,
-                             anchor: tuple = (0, 0), strict: bool = False,
-                             curl_tol: float = 1e-6):
+                             anchor: tuple = (0, 0)):
     """Residuals (r1, r2) of the untruncated rotational system at
     U = grad psi + perp_grad zeta (zeta already carries its delta scaling).
 
@@ -374,10 +374,6 @@ def full_rotational_residual(psi: ScalarField, zeta: ScalarField, law: GasLaw,
     pz = fld.perp_gradient(zeta)
     G = ScalarField(grid, -lz * (pp.u + gz.u) - pz.u)
     H = ScalarField(grid, -lz * (pp.v + gz.v) - pz.v)
-    defect = integrability_residual(G, H)
-    if strict and defect > curl_tol:
-        raise NonIntegrableF1(
-            f"curl defect {defect:.3e} exceeds {curl_tol:.3e}")
     F = reconstruct_F(G, H, C=0.0, anchor=anchor)
     gp = fld.gradient(psi)
     U = VectorField(grid, gp.u + pz.u, gp.v + pz.v)
