@@ -1,9 +1,9 @@
 """Command-line front end: config parsing, subcommand dispatch, reports.
 
 Subcommands: classify | decompose | transport | solve-potential |
-solve-quasi.  Exit codes: 0 success, 1 solver non-convergence or
-partial continuation, 2 config/validation error, 3 IO error, 4 internal
-invariant violation.  All file outputs are atomic (temp file + rename).
+solve-quasi.  Exit codes: 0 success, 1 solver non-convergence, partial
+continuation or uncovered transport nodes under --strict, 2
+config/validation error, 3 IO error, 4 internal invariant violation.  All file outputs are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import field as fld
 from . import gas, hodge, potential, quasipotential, regime, vorticity
 from .errors import (ConfigError, DimensionMismatch, DomainError,
                      FormatError, InternalError, NonConvergence, RangeError,
-                     SelfsimError, SonicEncroachment)
+                     SelfsimError, SonicEncroachment, UncoveredNodes)
 from .field import Grid2D, ScalarField, VectorField
 from .gas import GasLaw, GasVariant
 
@@ -435,7 +435,7 @@ def main(argv=None) -> int:
     except (FormatError, DimensionMismatch, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except (NonConvergence, SonicEncroachment) as exc:
+    except (NonConvergence, SonicEncroachment, UncoveredNodes) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
     except (InternalError, SelfsimError, AssertionError) as exc:

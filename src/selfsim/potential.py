@@ -8,12 +8,16 @@ linearization (linearization) and its regularization Q + eps Lap
 (residual_Q).  Damped Newton on Q_eps = rhs, with the Jacobian as a 9-point
 stencil system with Dirichlet frame data, and geometric epsilon-continuation
 solve Q = 0; the psi equation of quasipotential is the same Newton solve at
-eps = 0 with a forcing.  FrozenSystem solved by solve_linear_dirichlet is the
-single Dirichlet operator path: the Poisson solve of hodge uses it too.
+eps = 0 with a forcing.  A stage keeps a Jacobian's LU while the steps it
+gives are full and contract by _CONTRACTION, and refactors otherwise
+(picard_solve).  FrozenSystem solved by solve_linear_dirichlet is the single
+Dirichlet operator path: the LU covers the interior unknowns only, and the
+Poisson solve of hodge uses it too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -86,8 +90,9 @@ class EpsilonSchedule:
 
 @dataclass
 class PicardReport:
-    """One damped Newton stage: iterations (= Jacobian factorizations), the
-    sup norm of each accepted step and the final-iterate diagnostics."""
+    """One damped Newton stage: iterations (= Jacobian factorizations),
+    deltas (the sup norm of each accepted step; a stage reusing an LU takes
+    more steps than factorizations) and the final-iterate diagnostics."""
 
     iterations: int = 0
     converged: bool = False
@@ -225,6 +230,36 @@ _OFFSETS = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0),
             (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
+@functools.lru_cache(maxsize=8)
+def _interior_pattern(shape: tuple, used: tuple) -> tuple:
+    """CSC pattern (take, indices, indptr) of the interior stencil block.
+
+    used flags the coefficient arrays that store entries; the matrix data
+    are the interior values of those arrays, concatenated, indexed by take.
+    """
+    ny, nx = shape
+    mx, my = nx - 2, ny - 2
+    J, I = np.mgrid[0:my, 0:mx]
+    rows, cols, src = [], [], []
+    offsets = [o for o, u in zip(_OFFSETS, used) if u]
+    for k, (dj, di) in enumerate(offsets):
+        jj, ii = J + dj, I + di
+        inner = (jj >= 0) & (jj < my) & (ii >= 0) & (ii < mx)
+        rows.append((J * mx + I)[inner])
+        cols.append((jj * mx + ii)[inner])
+        src.append(k * mx * my + np.flatnonzero(inner))
+    src = np.concatenate(src)
+    # a CSC matrix of positions 1..nnz gives each entry's place in CSC order
+    order = sp.csc_matrix(
+        (np.arange(1, src.size + 1),
+         (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mx * my, mx * my))
+    pattern = (src[order.data - 1], order.indices, order.indptr)
+    for a in pattern:  # shared by every matrix built on this grid
+        a.flags.writeable = False
+    return pattern
+
+
 @dataclass
 class FrozenSystem:
     """9-point stencil operator with Dirichlet (identity) frame rows.
@@ -238,38 +273,43 @@ class FrozenSystem:
     lambda_min: float
     _matrix: sp.csc_matrix | None = dc_field(repr=False, default=None)
     _factor: object | None = dc_field(repr=False, default=None)
+    _anorm: float | None = dc_field(repr=False, default=None)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Operator application; frame nodes pass values through (Dirichlet rows)."""
         return _kernels.apply_stencil(self.coef, values)
 
     def matrix(self) -> sp.csc_matrix:
-        """CSC matrix; a coefficient array zero on the whole interior stores
-        no entries, so a 5-point operator keeps its 5-point pattern."""
+        """CSC matrix of the (nx - 2)(ny - 2) interior unknowns, row-major.
+
+        Entries that couple to a frame node are left out: the frame values
+        are known, and solve_linear_dirichlet moves them to the right-hand
+        side.  A coefficient array zero on the whole interior stores no
+        entries, so a 5-point operator keeps its 5-point pattern.
+        """
         if self._matrix is None:
-            ny, nx = self.grid.shape
-            idx = np.arange(nx * ny).reshape(ny, nx)
-            inner = idx[1:-1, 1:-1].ravel()
-            on_frame = np.ones((ny, nx), bool)
-            on_frame[1:-1, 1:-1] = False
-            frame = idx[on_frame]
-            rows, cols, data = [frame], [frame], [np.ones(frame.size)]
-            for cf, (dj, di) in zip(self.coef, _OFFSETS):
-                vals = cf[1:-1, 1:-1].ravel()
-                if vals.any():
-                    rows.append(inner)
-                    cols.append(inner + dj * nx + di)
-                    data.append(vals)
-            self._matrix = sp.csc_matrix(
-                (np.concatenate(data),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(nx * ny, nx * ny))
+            inner = [cf[1:-1, 1:-1] for cf in self.coef]
+            used = tuple(bool(vals.any()) for vals in inner)
+            take, indices, indptr = _interior_pattern(self.grid.shape, used)
+            data = np.concatenate([vals.ravel() for vals, u in zip(inner, used)
+                                   if u])
+            self._matrix = sp.csc_matrix((data[take], indices, indptr),
+                                         shape=(indptr.size - 1,) * 2)
         return self._matrix
 
     def factor(self):
         if self._factor is None:
-            self._factor = spla.splu(self.matrix())
+            self._factor = spla.splu(self.matrix(),
+                                     permc_spec="MMD_AT_PLUS_A")
         return self._factor
+
+    def anorm(self) -> float:
+        """Max row sum of |A| over the full stencil (at least 1, the frame
+        rows), the backward-error scale of solve_linear_dirichlet."""
+        if self._anorm is None:
+            self._anorm = max(
+                float(np.max(sum(np.abs(c) for c in self.coef))), 1.0)
+        return self._anorm
 
 
 def _check_cap(w: ScalarField, cap_M: float) -> None:
@@ -300,39 +340,50 @@ def assemble_frozen(law: GasLaw, w: ScalarField, eps: float,
     )
 
 
+def _check_margin(system: FrozenSystem) -> None:
+    """Raise IndefiniteSystem unless the ellipticity margin is positive."""
+    if system.lambda_min <= 0:
+        raise IndefiniteSystem(
+            f"ellipticity margin {system.lambda_min:.3e} <= 0")
+
+
 def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
                            phi_b: ScalarField,
                            lin_tol: float = 1e-11) -> ScalarField:
     """Solve L_eps phi = rhs (interior) with phi = phi_b on the frame.
 
-    Direct sparse LU; deterministic for fixed inputs.  Raises
+    Direct sparse LU of the interior block (FrozenSystem.matrix), with the
+    frame data on the right-hand side, then iterative refinement against
+    the full stencil (apply); deterministic for fixed inputs.  Raises
     IndefiniteSystem when nodewise ellipticity fails and LinearStagnation
     when the relative residual exceeds lin_tol.
     """
-    if system.lambda_min <= 0:
-        raise IndefiniteSystem(
-            f"ellipticity margin {system.lambda_min:.3e} <= 0")
+    _check_margin(system)
     grid = system.grid
-    b = np.zeros(grid.shape)
+    inner = (slice(1, -1), slice(1, -1))
+    x = np.zeros(grid.shape)
+    x[[0, -1], :] = phi_b.values[[0, -1], :]
+    x[:, [0, -1]] = phi_b.values[:, [0, -1]]
+    b = x.copy()
     if rhs is not None:
-        b[1:-1, 1:-1] = rhs.values[1:-1, 1:-1]
-    b[0, :] = phi_b.values[0, :]
-    b[-1, :] = phi_b.values[-1, :]
-    b[:, 0] = phi_b.values[:, 0]
-    b[:, -1] = phi_b.values[:, -1]
-    bv = b.ravel()
+        b[inner] = rhs.values[inner]
     lu = system.factor()
-    x = lu.solve(bv)
+
+    def correct(resid):  # interior LU solve; resid is zero on the frame
+        x[inner] -= lu.solve(resid[inner].ravel()).reshape(x[inner].shape)
+
+    correct(system.apply(x) - b)
     # backward-error scale: |r| / (|A| |x| + |b|) with |A| the max row sum
-    anorm = max(float(np.max(sum(np.abs(c) for c in system.coef))), 1.0)
+    anorm = system.anorm()
+    b_norm = float(np.linalg.norm(b))
     rel = np.inf
     for _ in range(3):  # iterative refinement against the stencil operator
-        resid = system.apply(x.reshape(grid.shape)).ravel() - bv
-        scale = anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(bv))
+        resid = system.apply(x) - b
+        scale = anorm * float(np.linalg.norm(x)) + b_norm
         rel = float(np.linalg.norm(resid)) / max(scale, 1.0)
         if not np.isfinite(rel) or rel <= 0.01 * lin_tol:
             break
-        x = x - lu.solve(resid)
+        correct(resid)
     if not np.all(np.isfinite(x)) or rel > lin_tol:
         raise LinearStagnation(f"linear relative residual {rel:.3e} > {lin_tol:.3e}")
     return ScalarField(grid, x)
@@ -340,6 +391,9 @@ def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
 
 # step halvings a damped Newton step may take before the stage fails
 _MAX_HALVINGS = 10
+# a reused-LU step keeps that LU for the next step only if it contracted:
+# |v_k|_inf <= _CONTRACTION |v_{k-1}|_inf
+_CONTRACTION = 0.25
 
 
 def picard_solve(problem: PotentialProblem, eps: float,
@@ -347,16 +401,28 @@ def picard_solve(problem: PotentialProblem, eps: float,
                  w0: ScalarField | None = None,
                  rhs: ScalarField | None = None
                  ) -> tuple[ScalarField, PicardReport]:
-    """Damped Newton solve of Q_eps[phi] = rhs with phi = phi_b on the frame.
+    """Damped Newton solve of Q_eps[phi] = rhs with phi = phi_b on the frame,
+    keeping each Jacobian's LU while the steps it gives contract.
 
-    Each iteration solves J v = -R(w) with J = assemble_frozen(w), R =
-    residual_Q(eps, rhs) with the unclamped closure and v = 0 on the frame,
-    then takes w + lam v with lam halved (at most _MAX_HALVINGS times) until
-    |R|_inf decreases or |lam v|_inf <= tol_fixed_point.  The stage has
-    converged on a step |lam v|_inf <= tol_fixed_point; report.iterations
-    counts the Jacobian factorizations.  The final iterate must be finite
-    with |phi|_inf <= cap_M (else CapExceeded) and have no node clamped at
-    c2_floor.
+    Each step solves J v = -R(w) with R = residual_Q(eps, rhs) under the
+    unclamped closure and v = 0 on the frame.  J = assemble_frozen(w') is
+    the Jacobian factored at the current or an earlier iterate w'.  A stage
+    starts with a fresh LU, and the LU is refactored at the current iterate
+    unless the last step was a full step (lam = 1) that either had a fresh
+    LU or contracted, |v_k|_inf <= _CONTRACTION |v_{k-1}|_inf.  A
+    reused-LU step is taken in full if it reduces |R|_inf; if it does not,
+    it is discarded and the step is redone with a fresh LU.  A fresh-LU step
+    is w + lam v with lam halved (at most _MAX_HALVINGS times) until |R|_inf
+    decreases or |lam v|_inf <= tol_fixed_point, so NonConvergence after the
+    halvings always comes from a fresh Jacobian.  Every iterate goes through
+    assemble_frozen (CapExceeded) and needs an ellipticity margin > 0
+    (IndefiniteSystem), whether or not it is factored.
+
+    The stage has converged on a step |lam v|_inf <= tol_fixed_point;
+    report.iterations counts the Jacobian factorizations and report.deltas
+    holds the accepted steps, at most max_iters of them.  The final iterate
+    must be finite with |phi|_inf <= cap_M (else CapExceeded) and have no
+    node clamped at c2_floor.
     """
     params = params or PicardParams()
     grid = problem.grid
@@ -367,35 +433,55 @@ def picard_solve(problem: PotentialProblem, eps: float,
         return residual_Q(law, ScalarField(grid, values), eps=eps, rhs=rhs,
                           c2_floor=-np.inf).values
 
+    def newton_step(system):
+        return solve_linear_dirichlet(system, ScalarField(grid, -r), zero,
+                                      lin_tol=params.lin_tol).values
+
     w = (w0.values if w0 is not None else problem.phi_b.values).copy()
     w[[0, -1], :] = problem.phi_b.values[[0, -1], :]
     w[:, [0, -1]] = problem.phi_b.values[:, [0, -1]]
     r = residual(w)
     r_norm = float(np.max(np.abs(r)))
     report = PicardReport()
-    while report.iterations < params.max_iters:
-        report.iterations += 1
-        system = assemble_frozen(law, ScalarField(grid, w), eps,
-                                 cap_M=problem.cap_M)
-        v = solve_linear_dirichlet(system, ScalarField(grid, -r), zero,
-                                   lin_tol=params.lin_tol).values
-        lam = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            step = float(np.max(np.abs(lam * v)))
-            trial = w + lam * v
-            if step <= params.tol_fixed_point:
-                break
-            r_trial = residual(trial)
-            r_trial_norm = float(np.max(np.abs(r_trial)))
-            if r_trial_norm < r_norm:
-                r, r_norm = r_trial, r_trial_norm
-                break
-            lam *= 0.5
-        else:
-            raise NonConvergence(
-                f"damped Newton step does not reduce |Q_eps|_inf = "
-                f"{r_norm:.3e} after {_MAX_HALVINGS} halvings",
-                best=ScalarField(grid, w), report=report)
+    system, reuse = None, False
+    while len(report.deltas) < params.max_iters:
+        current = assemble_frozen(law, ScalarField(grid, w), eps,
+                                  cap_M=problem.cap_M)
+        lam, fresh = 1.0, not reuse
+        if reuse:
+            _check_margin(current)
+            v = newton_step(system)
+            step = float(np.max(np.abs(v)))
+            trial = w + v
+            if step > params.tol_fixed_point:
+                r_trial = residual(trial)
+                r_trial_norm = float(np.max(np.abs(r_trial)))
+                if r_trial_norm < r_norm:
+                    r, r_norm = r_trial, r_trial_norm
+                else:  # discard the step and refactor at w
+                    fresh = True
+        if fresh:
+            system = current
+            report.iterations += 1
+            v = newton_step(system)
+            for _ in range(_MAX_HALVINGS + 1):
+                step = float(np.max(np.abs(lam * v)))
+                trial = w + lam * v
+                if step <= params.tol_fixed_point:
+                    break
+                r_trial = residual(trial)
+                r_trial_norm = float(np.max(np.abs(r_trial)))
+                if r_trial_norm < r_norm:
+                    r, r_norm = r_trial, r_trial_norm
+                    break
+                lam *= 0.5
+            else:
+                raise NonConvergence(
+                    f"damped Newton step does not reduce |Q_eps|_inf = "
+                    f"{r_norm:.3e} after {_MAX_HALVINGS} halvings",
+                    best=ScalarField(grid, w), report=report)
+        reuse = lam == 1.0 and (
+            fresh or step <= _CONTRACTION * report.deltas[-1])
         w = trial
         report.deltas.append(step)
         if step <= params.tol_fixed_point:
@@ -411,7 +497,7 @@ def picard_solve(problem: PotentialProblem, eps: float,
                    c2_floor=problem.c2_floor).interior())))
     if not report.converged:
         raise NonConvergence(
-            f"no converged Newton step after {params.max_iters} iterations "
+            f"no converged Newton step after {params.max_iters} steps "
             f"(last step {report.deltas[-1]:.3e})",
             best=phi, report=report)
     if report.clamped > 0:
@@ -451,6 +537,7 @@ def epsilon_continuation(problem: PotentialProblem,
             break
         phi = w0 = phi_e
         report.stages.append({"eps": eps, "iterations": prep.iterations,
+                              "steps": len(prep.deltas),
                               "delta": prep.deltas[-1],
                               "residual": prep.final_residual})
         report.final_eps = eps

@@ -197,6 +197,22 @@ def test_transport_subcommand(tmp_path):
     assert payload["report"]["uncovered"] == 0
 
 
+def test_strict_transport_uncovered_node_exits_1(tmp_path, capsys):
+    # the drift grad psi = -xi vanishes at the centre node, so no
+    # characteristic from the inflow frame reaches it
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 9, 9)
+    psi = ss.ScalarField.from_function(grid,
+                                       lambda x, y: -(x ** 2 + y ** 2) / 2)
+    fld.write_field(psi, tmp_path / "psi.f2d")
+    (tmp_path / "inflow.json").write_text(json.dumps(
+        {side: 1.0 for side in ("left", "right", "bottom", "top")}))
+    assert cli.main(["--strict", "transport",
+                     "--psi", str(tmp_path / "psi.f2d"),
+                     "--inflow", str(tmp_path / "inflow.json"),
+                     "--out-dir", str(tmp_path)]) == 1
+    assert "solver error" in capsys.readouterr().err
+
+
 def test_exit_code_missing_config(tmp_path):
     assert cli.main(["solve-potential", "--config",
                      str(tmp_path / "nope.json")]) == 3

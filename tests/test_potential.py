@@ -91,9 +91,12 @@ def test_frozen_apply_matches_matrix(law, grid):
     w = ss.ScalarField(grid, quiescent_field(grid).values
                        + 0.01 * rng.normal(size=grid.shape))
     sys_ = potential.assemble_frozen(law, w, eps=1e-3)
-    f = rng.normal(size=grid.shape)
-    a = sys_.apply(f)
-    b = (sys_.matrix() @ f.ravel()).reshape(grid.shape)
+    # the matrix holds the interior unknowns only: it equals the stencil on
+    # a field that is zero on the frame
+    f = np.zeros(grid.shape)
+    f[1:-1, 1:-1] = rng.normal(size=(grid.ny - 2, grid.nx - 2))
+    a = sys_.apply(f)[1:-1, 1:-1]
+    b = (sys_.matrix() @ f[1:-1, 1:-1].ravel()).reshape(a.shape)
     assert np.max(np.abs(a - b)) < 1e-11
     assert sys_.lambda_min > 0
 
@@ -209,16 +212,7 @@ def test_epsilon_continuation_perturbed_every_gamma(gamma, grid):
     assert rep.audit == "Pass"
 
 
-def test_continuation_factorization_count(monkeypatch):
-    # the solve-potential benchmark input shape: 33^2, gamma = 2,
-    # phi_b = -|xi|^2/2 - 1 + 0.02 sin(pi (xi1 + 2 xi2)); one LU per Newton
-    # step, counted without host timing noise
-    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 33, 33)
-    X, Y = grid.meshgrid()
-    phi_b = ss.ScalarField(grid, quiescent_field(grid).values
-                           + 0.02 * np.sin(np.pi * (X + 2.0 * Y)))
-    prob = potential.PotentialProblem(law=ss.GasLaw(a=1.0, gamma=2.0),
-                                      grid=grid, phi_b=phi_b)
+def _splu_spy(monkeypatch):
     factors = []
     splu = spla.splu
 
@@ -227,7 +221,71 @@ def test_continuation_factorization_count(monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", spy)
+    return factors
+
+
+def test_continuation_factorization_count(monkeypatch):
+    # the solve-potential benchmark input shape: 33^2, gamma = 2,
+    # phi_b = -|xi|^2/2 - 1 + 0.02 sin(pi (xi1 + 2 xi2)); LUs counted
+    # without host timing noise
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    X, Y = grid.meshgrid()
+    phi_b = ss.ScalarField(grid, quiescent_field(grid).values
+                           + 0.02 * np.sin(np.pi * (X + 2.0 * Y)))
+    prob = potential.PotentialProblem(law=ss.GasLaw(a=1.0, gamma=2.0),
+                                      grid=grid, phi_b=phi_b)
+    factors = _splu_spy(monkeypatch)
     _, rep = potential.epsilon_continuation(prob)
     assert rep.status == "Converged"
     assert len(factors) == sum(s["iterations"] for s in rep.stages)
-    assert len(factors) <= 60
+    assert len(factors) <= 25
+
+
+def test_stage_reuses_lu_while_steps_contract(grid, monkeypatch):
+    prob, _ = _gamma_problem(2.0, grid, 0.02)
+    factors = _splu_spy(monkeypatch)
+    _, rep = potential.picard_solve(prob, eps=0.1)
+    assert rep.converged
+    assert len(factors) == rep.iterations
+    assert rep.iterations < len(rep.deltas)
+
+
+def test_discarded_reused_lu_step_is_redone_fresh(grid, monkeypatch):
+    # on this input a reused-LU step fails to reduce |Q_eps|_inf: its linear
+    # solve is the one beyond the accepted steps, and the fresh step that
+    # replaces it is factored at the same assembled iterate
+    prob, _ = _gamma_problem(1.4, grid, 0.06)
+    factors = _splu_spy(monkeypatch)
+    counts = {"assemble_frozen": 0, "solve_linear_dirichlet": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(potential, name),
+                    **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(potential, name, counted)
+    _, rep = potential.picard_solve(prob, eps=0.1)
+    assert rep.converged
+    assert counts["solve_linear_dirichlet"] == len(rep.deltas) + 1
+    assert counts["assemble_frozen"] == len(rep.deltas)
+    assert len(factors) == rep.iterations < len(rep.deltas)
+
+
+def test_reused_lu_step_still_checks_ellipticity(grid, monkeypatch):
+    # the first step of a stage is a fresh, full Newton step, so the second
+    # iterate is solved with the first LU; its margin must still be checked
+    prob, _ = _gamma_problem(2.0, grid, 0.02)
+    factors = _splu_spy(monkeypatch)
+    assemble = potential.assemble_frozen
+    calls = []
+
+    def indefinite_after_first(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        calls.append(1)
+        if len(calls) > 1:
+            system.lambda_min = -1.0
+        return system
+
+    monkeypatch.setattr(potential, "assemble_frozen", indefinite_after_first)
+    with pytest.raises(IndefiniteSystem):
+        potential.picard_solve(prob, eps=0.1)
+    assert len(calls) == 2 and len(factors) == 1
