@@ -58,31 +58,48 @@ def apply_stencil(coef, f):
 # the march one batched bisection runs over all crossed nodes.  A bisection
 # depends only on the node's own start point, so each node sees the same
 # arithmetic as when bisected at the step it crossed.
+#
+# Samples gather from one corner table per call, holding for each cell's
+# lower-left node p the corners p, p + 1, p + nx, p + nx + 1 of (sgn gx,
+# sgn gy, div b).  The sign sits in the table: negation is exact and commutes
+# with the bilinear formula's products and sums, so a sample equals sgn * b
+# bit for bit (an exactly cancelled zero may differ in sign only).  Cell
+# indices truncate and clamp at 0, which gives floor's index, so the tracer
+# matches its scalar reference (tests/scalar_tracer.py) bit for bit.
 
 
-def _sample(fields, x, y, x0, y0, hx, hy, nx, ny):
-    """Bilinear samples (k, m) of stacked fields (k, ny, nx) at points.
-
-    One cell index, one set of weights and one gather serve all k fields.
-    """
-    tx = (x - x0) / hx
-    ty = (y - y0) / hy
-    i = np.minimum(np.maximum(np.floor(tx).astype(np.int64), 0), nx - 2)
-    j = np.minimum(np.maximum(np.floor(ty).astype(np.int64), 0), ny - 2)
-    ax = tx - i
-    ay = ty - j
-    p = j * nx + i
-    f = np.take(fields.reshape(len(fields), -1),
-                np.stack([p, p + 1, p + nx, p + nx + 1]), axis=1)
-    return (1.0 - ay) * ((1.0 - ax) * f[:, 0] + ax * f[:, 1]) + ay * (
-        (1.0 - ax) * f[:, 2] + ax * f[:, 3])
+def _corners(fields, x0, y0, hx, hy, nx, ny):
+    """Corner table (4k, base nodes) of stacked fields (k, ny, nx): row
+    4q + c holds field q at corner c of each cell; and its grid."""
+    flat = fields.reshape(len(fields), -1)
+    w = flat.shape[1] - nx - 1
+    tab = np.stack([flat[:, o:o + w] for o in (0, 1, nx, nx + 1)], axis=1)
+    geom = (np.array([[x0], [y0]]), np.array([[hx], [hy]]),
+            np.array([[nx - 2], [ny - 2]]), nx)
+    return tab.reshape(-1, w), geom
 
 
-def _rk4(gxy, p, k1, dt, sgn, geom):
-    """RK4 step of length dt from points p (2, m); k1 = sgn * b(p) is given."""
-    k2 = sgn * _sample(gxy, *(p + 0.5 * dt * k1), *geom)
-    k3 = sgn * _sample(gxy, *(p + 0.5 * dt * k2), *geom)
-    k4 = sgn * _sample(gxy, *(p + dt * k3), *geom)
+def _sample(tab, pts, geom):
+    """Bilinear samples (k, m) at points pts (2, m) of a corner table."""
+    lo, h, top, nx = geom
+    t = (pts - lo) / h
+    c = t.astype(np.int64)
+    np.maximum(c, 0, out=c)
+    np.minimum(c, top, out=c)
+    a = t - c
+    b = 1.0 - a
+    f = tab.take(c[1] * nx + c[0], axis=1)
+    f = f.reshape(len(tab) // 4, 2, 2, -1)  # field, row, column, point
+    g = b[0] * f[:, :, 0] + a[0] * f[:, :, 1]
+    return b[1] * g[:, 0] + a[1] * g[:, 1]
+
+
+def _rk4(tab, p, k1, dt, geom):
+    """RK4 step of length dt from points p (2, m) in the drift sgn * b of
+    tab; k1 = sgn * b(p) is given."""
+    k2 = _sample(tab, p + 0.5 * dt * k1, geom)
+    k3 = _sample(tab, p + 0.5 * dt * k2, geom)
+    k4 = _sample(tab, p + dt * k3, geom)
     return p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -94,12 +111,13 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     start point; the length is the march steps times ``step``, plus the
     bisected sub-step of an exited path.
     """
-    geom = (x0, y0, hx, hy, nx, ny)
-    fields = np.stack([gx, gy, gdiv])
-    gxy = fields[:2]
+    tab, geom = _corners(np.stack([sgn * gx, sgn * gy, gdiv]),
+                         x0, y0, hx, hy, nx, ny)
+    txy, tdiv = tab[:8], tab[8:]
+    frame_lo, frame_hi = np.array([[x0], [y0]]), np.array([[x1], [y1]])
 
     def inside(q):
-        return (x0 <= q[0]) & (q[0] <= x1) & (y0 <= q[1]) & (q[1] <= y1)
+        return ((frame_lo <= q) & (q <= frame_hi)).all(axis=0)
 
     n = xs.size
     acc = np.zeros(n)
@@ -107,18 +125,18 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     hit = np.array([xs, ys], dtype=float)
     status = np.full(n, TRACE_MAXLEN, np.int8)
     # the march keeps only live nodes: ids, points p, sums a, and the samples
-    # s = (bx, by, div b) at p, which the next step reuses
+    # s = (sgn bx, sgn by, div b) at p, which the next step reuses
     ids, p, a = np.arange(n), hit.copy(), acc.copy()
-    s = _sample(fields, *p, *geom)
+    s = _sample(tab, p, geom)
     crossed = []  # per step: ids, start points, sums, k1, g0, lengths
     n_steps = int(np.ceil(max_len / step))
     for steps in range(n_steps):
         if not ids.size:
             break
         stag = np.hypot(s[0], s[1]) < stag_tol
-        k1 = sgn * s[:2]
+        k1 = s[:2]
         g0 = 1.0 + s[2]
-        pn = _rk4(gxy, p, k1, step, sgn, geom)
+        pn = _rk4(txy, p, k1, step, geom)
         ok = inside(pn)
         keep = ok & ~stag
         if not keep.all():
@@ -130,7 +148,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
             crossed.append((ids[out], p[:, out], a[out], k1[:, out], g0[out],
                             np.full(np.count_nonzero(out), steps * step)))
             ids, pn, a, g0 = ids[keep], pn[:, keep], a[keep], g0[keep]
-        s = _sample(fields, *pn, *geom)
+        s = _sample(tab, pn, geom)
         a = a + 0.5 * step * (g0 + (1.0 + s[2]))
         p = pn
     hit[:, ids] = p
@@ -144,11 +162,12 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
         hi = np.full(ids.size, step)
         for _ in range(48):
             mid = 0.5 * (lo + hi)
-            ok = inside(_rk4(gxy, p, k1, mid, sgn, geom))
+            ok = inside(_rk4(txy, p, k1, mid, geom))
             lo = np.where(ok, mid, lo)
             hi = np.where(ok, hi, mid)
-        xb, yb = _rk4(gxy, p, k1, lo, sgn, geom)
-        g1 = 1.0 + _sample(fields[2:], xb, yb, *geom)[0]
+        pb = _rk4(txy, p, k1, lo, geom)
+        xb, yb = pb
+        g1 = 1.0 + _sample(tdiv, pb, geom)[0]
         acc[ids] = a + 0.5 * lo * (g0 + g1)
         length[ids] = r + lo
         # snap the closest bound onto the boundary

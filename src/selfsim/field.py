@@ -197,18 +197,31 @@ def write_field(field, path):
     """Serialize a Scalar/VectorField in the F2D text format (17 sig. digits)."""
     g = field.grid
     kind = "scalar" if isinstance(field, ScalarField) else "vector"
-    lines = ["F2D %d %d %s %s %s %s %s" % (
-        g.nx, g.ny, _FMT % g.x0, _FMT % g.x1, _FMT % g.y0, _FMT % g.y1, kind)]
+    head = "F2D %d %d %s %s %s %s %s" % (
+        g.nx, g.ny, _FMT % g.x0, _FMT % g.x1, _FMT % g.y0, _FMT % g.y1, kind)
     if kind == "scalar":
-        for j in range(g.ny):
-            for i in range(g.nx):
-                lines.append(_FMT % field.values[j, i])
+        body = map(_FMT.__mod__, field.values.ravel().tolist())
     else:
-        for j in range(g.ny):
-            for i in range(g.nx):
-                lines.append((_FMT + " " + _FMT) % (field.u[j, i], field.v[j, i]))
+        body = map((_FMT + " " + _FMT).__mod__,
+                   zip(field.u.ravel().tolist(), field.v.ravel().tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([head, *body]) + "\n")
+
+
+def _parse_rows(lines, first_lineno: int, want: int) -> np.ndarray:
+    """Value lines parsed one at a time; FormatError names the bad line."""
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        toks = line.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if len(toks) != want:
+            raise FormatError(f"expected {want} value(s) per line", line=lineno)
+        try:
+            rows.append([float(t) for t in toks])
+        except ValueError as exc:
+            raise FormatError(str(exc), line=lineno) from exc
+    return np.array(rows, dtype=float).reshape(-1, want)
 
 
 def read_field(path):
@@ -216,17 +229,11 @@ def read_field(path):
     with open(path) as fh:
         raw = fh.readlines()
     header = None
-    header_line = 0
-    rows = []
-    for lineno, line in enumerate(raw, start=1):
+    for header_line, line in enumerate(raw, start=1):
         text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if header is None:
+        if text:
             header = text.split()
-            header_line = lineno
-        else:
-            rows.append((lineno, text.split()))
+            break
     if header is None:
         raise FormatError("missing F2D header", line=1)
     if len(header) != 8 or header[0] != "F2D":
@@ -242,17 +249,21 @@ def read_field(path):
         raise FormatError(f"unknown field kind {kind!r}", line=header_line)
     grid = Grid2D(x0, x1, y0, y1, nx, ny)
     want = 1 if kind == "scalar" else 2
-    data = np.empty((len(rows), want))
-    for k, (lineno, toks) in enumerate(rows):
-        if len(toks) != want:
-            raise FormatError(f"expected {want} value(s) per line", line=lineno)
+    body = raw[header_line:]
+    data = None
+    # one loadtxt call parses the body (it warns on a body without values);
+    # when it fails or finds the wrong column count, the line loop names the
+    # bad line or accepts what float() accepts
+    if any(line.split("#", 1)[0].strip() for line in body):
         try:
-            data[k] = [float(t) for t in toks]
-        except ValueError as exc:
-            raise FormatError(str(exc), line=lineno) from exc
-    if len(rows) != nx * ny:
+            data = np.loadtxt(body, comments="#", ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape[1] != want:
+        data = _parse_rows(body, header_line + 1, want)
+    if len(data) != nx * ny:
         raise DimensionMismatch(
-            f"{len(rows)} value lines for a {nx}x{ny} grid")
+            f"{len(data)} value lines for a {nx}x{ny} grid")
     if kind == "scalar":
         return ScalarField(grid, data[:, 0])
     return VectorField(grid, data[:, 0], data[:, 1])

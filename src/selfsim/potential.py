@@ -199,14 +199,24 @@ def linearization(law: GasLaw, psi0: ScalarField) -> tuple:
     c = -k, with k = (gamma - 1)(2 + Lap psi0) the closure's share.
     """
     gp = fld.gradient(psi0)
-    p11, p12, p22 = fld.hessian(psi0)
+    return _principal_part(law, psi0, gp) + _lower_order(law, psi0, gp)
+
+
+def _principal_part(law: GasLaw, psi0: ScalarField, gp: VectorField) -> tuple:
+    """(a11, a12, a22) of linearization(law, psi0); gp = grad psi0."""
     c0 = c2_of_phi(law, psi0, gp, c2_floor=-np.inf)[0].values
+    return c0 - gp.u ** 2, -2.0 * gp.u * gp.v, c0 - gp.v ** 2
+
+
+def _lower_order(law: GasLaw, psi0: ScalarField, gp: VectorField) -> tuple:
+    """(b1, b2, c) of linearization(law, psi0); gp = grad psi0."""
+    p11, p12, p22 = fld.hessian(psi0)
     k = (law.gamma - 1.0) * (2.0 + (p11.values + p22.values))
     b1 = (-2.0 * (p11.values * gp.u + p12.values * gp.v)
           - (k + 2.0) * gp.u)
     b2 = (-2.0 * (p12.values * gp.u + p22.values * gp.v)
           - (k + 2.0) * gp.v)
-    return (c0 - gp.u ** 2, -2.0 * gp.u * gp.v, c0 - gp.v ** 2, b1, b2, -k)
+    return b1, b2, -k
 
 
 def stencil_coefficients(grid: Grid2D, a11, cross, a22, b1, b2, c0) -> tuple:
@@ -321,6 +331,19 @@ def _check_cap(w: ScalarField, cap_M: float) -> None:
         raise CapExceeded(f"|w|_inf = {wmax:.3e} exceeds cap_M = {cap_M:.3e}")
 
 
+def _checked_principal_part(law: GasLaw, w: ScalarField, eps: float,
+                            cap_M: float) -> tuple:
+    """The checks of every Newton iterate: CapExceeded, then grad w, the
+    principal part (a11 + eps, a12, a22 + eps) of the Jacobian at w and its
+    ellipticity margin (the smaller eigenvalue's minimum over the interior)."""
+    _check_cap(w, cap_M)
+    gp = fld.gradient(w)
+    a11, a12, a22 = _principal_part(law, w, gp)
+    a11, a22 = a11 + eps, a22 + eps
+    margin = 0.5 * (a11 + a22 - np.hypot(a11 - a22, a12))
+    return gp, (a11, a12, a22), float(np.min(margin[1:-1, 1:-1]))
+
+
 def assemble_frozen(law: GasLaw, w: ScalarField, eps: float,
                     cap_M: float = 1e6) -> FrozenSystem:
     """Jacobian of Q_eps at w for damped Newton, as a 9-point stencil system.
@@ -329,22 +352,19 @@ def assemble_frozen(law: GasLaw, w: ScalarField, eps: float,
     the ellipticity margin is the smaller eigenvalue of the principal part,
     min(c0^2(w) - |grad w|^2 + eps) over the interior.
     """
-    _check_cap(w, cap_M)
-    a11, a12, a22, b1, b2, c = linearization(law, w)
-    a11, a22 = a11 + eps, a22 + eps
-    margin = 0.5 * (a11 + a22 - np.hypot(a11 - a22, a12))
+    gp, principal, lambda_min = _checked_principal_part(law, w, eps, cap_M)
     return FrozenSystem(
         grid=w.grid,
-        coef=stencil_coefficients(w.grid, a11, a12, a22, b1, b2, c),
-        lambda_min=float(np.min(margin[1:-1, 1:-1])),
+        coef=stencil_coefficients(w.grid, *principal,
+                                  *_lower_order(law, w, gp)),
+        lambda_min=lambda_min,
     )
 
 
-def _check_margin(system: FrozenSystem) -> None:
+def _check_margin(lambda_min: float) -> None:
     """Raise IndefiniteSystem unless the ellipticity margin is positive."""
-    if system.lambda_min <= 0:
-        raise IndefiniteSystem(
-            f"ellipticity margin {system.lambda_min:.3e} <= 0")
+    if lambda_min <= 0:
+        raise IndefiniteSystem(f"ellipticity margin {lambda_min:.3e} <= 0")
 
 
 def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
@@ -358,7 +378,7 @@ def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
     IndefiniteSystem when nodewise ellipticity fails and LinearStagnation
     when the relative residual exceeds lin_tol.
     """
-    _check_margin(system)
+    _check_margin(system.lambda_min)
     grid = system.grid
     inner = (slice(1, -1), slice(1, -1))
     x = np.zeros(grid.shape)
@@ -414,9 +434,10 @@ def picard_solve(problem: PotentialProblem, eps: float,
     it is discarded and the step is redone with a fresh LU.  A fresh-LU step
     is w + lam v with lam halved (at most _MAX_HALVINGS times) until |R|_inf
     decreases or |lam v|_inf <= tol_fixed_point, so NonConvergence after the
-    halvings always comes from a fresh Jacobian.  Every iterate goes through
-    assemble_frozen (CapExceeded) and needs an ellipticity margin > 0
-    (IndefiniteSystem), whether or not it is factored.
+    halvings always comes from a fresh Jacobian.  Every iterate passes the
+    checks of assemble_frozen, CapExceeded and then an ellipticity margin > 0
+    (IndefiniteSystem), whether or not it is factored; the full Jacobian is
+    assembled only to be factored.
 
     The stage has converged on a step |lam v|_inf <= tol_fixed_point;
     report.iterations counts the Jacobian factorizations and report.deltas
@@ -445,11 +466,10 @@ def picard_solve(problem: PotentialProblem, eps: float,
     report = PicardReport()
     system, reuse = None, False
     while len(report.deltas) < params.max_iters:
-        current = assemble_frozen(law, ScalarField(grid, w), eps,
-                                  cap_M=problem.cap_M)
         lam, fresh = 1.0, not reuse
         if reuse:
-            _check_margin(current)
+            _check_margin(_checked_principal_part(
+                law, ScalarField(grid, w), eps, problem.cap_M)[2])
             v = newton_step(system)
             step = float(np.max(np.abs(v)))
             trial = w + v
@@ -461,7 +481,8 @@ def picard_solve(problem: PotentialProblem, eps: float,
                 else:  # discard the step and refactor at w
                     fresh = True
         if fresh:
-            system = current
+            system = assemble_frozen(law, ScalarField(grid, w), eps,
+                                     cap_M=problem.cap_M)
             report.iterations += 1
             v = newton_step(system)
             for _ in range(_MAX_HALVINGS + 1):

@@ -141,8 +141,9 @@ def _interp_frame(values: np.ndarray, grid: Grid2D, hx_, hy_):
 def _hit_is_inflow(b: VectorField, hx_, hy_, tol_inflow: float):
     """b.nu < -tol at snapped boundary hit points (side normal, not corner)."""
     g = b.grid
-    bu, bv = _kernels._sample(np.stack([b.u, b.v]), hx_, hy_,
-                              g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
+    tab, geom = _kernels._corners(np.stack([b.u, b.v]),
+                                  g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
+    bu, bv = _kernels._sample(tab, np.array([hx_, hy_]), geom)
     speed = np.full(hx_.shape, np.inf)
     speed = np.where(hx_ == g.x0, np.minimum(speed, -bu), speed)
     speed = np.where(hx_ == g.x1, np.minimum(speed, bu), speed)

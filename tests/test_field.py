@@ -99,10 +99,50 @@ def test_f2d_vector_round_trip(tmp_path, grid):
     assert np.array_equal(W.u, V.u) and np.array_equal(W.v, V.v)
 
 
-def test_f2d_comments_and_blank_lines(tmp_path):
+def _per_value_f2d(field):
+    """F2D text formatted one numpy value at a time (the reference)."""
+    g = field.grid
+    kind = "scalar" if isinstance(field, ss.ScalarField) else "vector"
+    lines = ["F2D %d %d %.17g %.17g %.17g %.17g %s" % (
+        g.nx, g.ny, g.x0, g.x1, g.y0, g.y1, kind)]
+    for j in range(g.ny):
+        for i in range(g.nx):
+            if kind == "scalar":
+                lines.append("%.17g" % field.values[j, i])
+            else:
+                lines.append("%.17g %.17g" % (field.u[j, i], field.v[j, i]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_f2d_special_values_round_trip(tmp_path):
+    grid = ss.Grid2D(-1.0, 1.0, -0.5, 0.5, 4, 3)
+    special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308]
+    rng = np.random.default_rng(9)
+    vals = np.concatenate([special, rng.normal(size=6) * 1e-300])
+    for field in (ss.ScalarField(grid, vals),
+                  ss.VectorField(grid, vals, vals[::-1])):
+        p = tmp_path / "s.f2d"
+        fld.write_field(field, p)
+        assert p.read_bytes() == _per_value_f2d(field)
+        back = fld.read_field(p)
+        pairs = ([(back.values, field.values)]
+                 if isinstance(field, ss.ScalarField)
+                 else [(back.u, field.u), (back.v, field.v)])
+        for got, want in pairs:  # bit for bit: -0.0 and nan included
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_f2d_comments_and_blank_lines(tmp_path, monkeypatch):
+    # comments and blank lines are parsed in one loadtxt call; the line
+    # loop runs only to report a malformed line
+    def no_line_loop(*args):
+        raise AssertionError("value lines parsed one at a time")
+
+    monkeypatch.setattr(fld, "_parse_rows", no_line_loop)
     p = tmp_path / "c.f2d"
     p.write_text("# leading comment\n\nF2D 3 3 0 1 0 1 scalar\n"
-                 + "\n".join(f"{v}.0  # node" for v in range(9)) + "\n")
+                 + "\n".join(f"{v}.0  # node" for v in range(9))
+                 + "\n\n# trailing comment\n")
     f = fld.read_field(p)
     assert f.values[0, 1] == 1.0 and f.values[2, 2] == 8.0
 

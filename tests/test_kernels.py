@@ -1,5 +1,7 @@
 """Batched numpy tracer against its scalar reference."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -9,21 +11,25 @@ from selfsim import _kernels, field as fld, vorticity
 import scalar_tracer
 
 
-def _trace_both(b, max_len):
-    """Trace every node backward with the numpy and the scalar kernel."""
+def _trace_both(b, max_len, sgn):
+    """Trace every node with the numpy and the scalar kernel."""
     g = b.grid
     X, Y = g.meshgrid()
-    args = (b.u, b.v, fld.divergence(b).values, X.ravel(), Y.ravel(), -1.0,
+    args = (b.u, b.v, fld.divergence(b).values, X.ravel(), Y.ravel(), sgn,
             0.5 * min(g.hx, g.hy), max_len, 1e-14,
             g.x0, g.x1, g.y0, g.y1, g.hx, g.hy, g.nx, g.ny)
     return _kernels.trace_all(*args), scalar_tracer.trace_all(*args)
 
 
-@pytest.mark.parametrize("case", ["radial", "spiral", "rotation"])
+@pytest.mark.parametrize("case", ["radial", "spiral", "rotation",
+                                  "nonsquare", "forward"])
 def test_numpy_tracer_matches_scalar_kernel(case):
     # the scalar reference, run as plain Python, on every node of a 9^2 grid
     # (11^2 for the rotation, whose step 0.1 is not a power of two, so that
-    # summed steps round below max_len after ceil(max_len / step) steps)
+    # summed steps round below max_len after ceil(max_len / step) steps);
+    # nonsquare has nx != ny and hx != hy, where a wrong corner index shows,
+    # and forward traces along +b, where a wrongly folded sign shows
+    sgn = -1.0
     if case == "radial":
         grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -x,
@@ -34,12 +40,20 @@ def test_numpy_tracer_matches_scalar_kernel(case):
         b = ss.VectorField.from_function(grid, lambda x, y: -y,
                                          lambda x, y: x)
         max_len, counts = 1.0, [36, 1, 84]
-    else:
+    elif case == "nonsquare":
+        grid = ss.Grid2D(-1, 1, -0.5, 0.75, 13, 7)
+        b = ss.VectorField.from_function(
+            grid, lambda x, y: -y + 0.15 * x + 0.3 * x * y,
+            lambda x, y: x + 0.15 * y - 0.2 * x * x)
+        max_len, counts = 1.0, [30, 0, 61]
+    else:  # the spiral, traced backward or forward
         grid = ss.Grid2D(-1, 1, -1, 1, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -y + 0.15 * x,
                                          lambda x, y: x + 0.15 * y)
         max_len, counts = 1.0, [20, 1, 60]
-    fast, ref = _trace_both(b, max_len)
+        if case == "forward":
+            counts, sgn = [40, 1, 40], 1.0
+    fast, ref = _trace_both(b, max_len, sgn)
     # exited, stagnated, max-length paths
     assert np.bincount(ref[3], minlength=3).tolist() == counts
     for a, r in zip(fast, ref):
@@ -64,3 +78,15 @@ def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
     # backward paths grow as xi0 * e^r and leave [0.25, 0.75]^2 by r = ln 3
     march_steps = int(np.ceil(np.log(3.0) / (0.5 * grid.hx)))
     assert len(calls) <= march_steps + 49
+
+
+def test_benchmark_hooks_keep_their_names():
+    # the benchmark patches trace_all and counts its start points as args[3],
+    # and reads the backend from HAVE_NUMBA and use_numba();
+    # test_numpy_tracer_bisects_once_per_trace patches _rk4
+    assert list(inspect.signature(_kernels.trace_all).parameters) == [
+        "gx", "gy", "gdiv", "xs", "ys", "sgn", "step", "max_len", "stag_tol",
+        "x0", "x1", "y0", "y1", "hx", "hy", "nx", "ny"]
+    assert callable(_kernels._rk4)
+    assert isinstance(_kernels.HAVE_NUMBA, bool)
+    assert isinstance(_kernels.use_numba(), bool)

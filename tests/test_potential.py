@@ -253,10 +253,13 @@ def test_stage_reuses_lu_while_steps_contract(grid, monkeypatch):
 def test_discarded_reused_lu_step_is_redone_fresh(grid, monkeypatch):
     # on this input a reused-LU step fails to reduce |Q_eps|_inf: its linear
     # solve is the one beyond the accepted steps, and the fresh step that
-    # replaces it is factored at the same assembled iterate
+    # replaces it is assembled and factored at the same iterate.  Every
+    # iterate is checked (one check more for the discarded step), but the
+    # full Jacobian is assembled only to be factored
     prob, _ = _gamma_problem(1.4, grid, 0.06)
     factors = _splu_spy(monkeypatch)
-    counts = {"assemble_frozen": 0, "solve_linear_dirichlet": 0}
+    counts = {"assemble_frozen": 0, "solve_linear_dirichlet": 0,
+              "_checked_principal_part": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(potential, name),
                     **kwargs):
@@ -266,26 +269,33 @@ def test_discarded_reused_lu_step_is_redone_fresh(grid, monkeypatch):
     _, rep = potential.picard_solve(prob, eps=0.1)
     assert rep.converged
     assert counts["solve_linear_dirichlet"] == len(rep.deltas) + 1
-    assert counts["assemble_frozen"] == len(rep.deltas)
+    assert counts["_checked_principal_part"] == len(rep.deltas) + 1
+    assert counts["assemble_frozen"] == len(factors)
     assert len(factors) == rep.iterations < len(rep.deltas)
 
 
 def test_reused_lu_step_still_checks_ellipticity(grid, monkeypatch):
     # the first step of a stage is a fresh, full Newton step, so the second
-    # iterate is solved with the first LU; its margin must still be checked
+    # iterate is solved with the first LU; its margin must still be checked,
+    # without assembling the Jacobian it does not factor
     prob, _ = _gamma_problem(2.0, grid, 0.02)
     factors = _splu_spy(monkeypatch)
-    assemble = potential.assemble_frozen
-    calls = []
+    check, assemble = (potential._checked_principal_part,
+                       potential.assemble_frozen)
+    calls, assembled = [], []
 
     def indefinite_after_first(*args, **kwargs):
-        system = assemble(*args, **kwargs)
+        gp, principal, margin = check(*args, **kwargs)
         calls.append(1)
-        if len(calls) > 1:
-            system.lambda_min = -1.0
-        return system
+        return gp, principal, (-1.0 if len(calls) > 1 else margin)
 
-    monkeypatch.setattr(potential, "assemble_frozen", indefinite_after_first)
+    def counted(*args, **kwargs):
+        assembled.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "_checked_principal_part",
+                        indefinite_after_first)
+    monkeypatch.setattr(potential, "assemble_frozen", counted)
     with pytest.raises(IndefiniteSystem):
         potential.picard_solve(prob, eps=0.1)
-    assert len(calls) == 2 and len(factors) == 1
+    assert len(calls) == 2 and len(assembled) == len(factors) == 1
