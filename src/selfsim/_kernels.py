@@ -2,8 +2,9 @@
 
 ``apply_stencil`` applies the frozen-coefficient operator at interior
 nodes.  ``trace_all`` integrates characteristics of a bilinear drift from
-many start points at once (semi-Lagrangian vorticity transport).  Both are
-deterministic.
+many start points at once (semi-Lagrangian vorticity transport); it is
+drift_table then trace_table, which a caller tracing many times on one
+drift calls itself.  Both kernels are deterministic.
 """
 
 from __future__ import annotations
@@ -111,8 +112,19 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     start point; the length is the march steps times ``step``, plus the
     bisected sub-step of an exited path.
     """
-    tab, geom = _corners(np.stack([sgn * gx, sgn * gy, gdiv]),
-                         x0, y0, hx, hy, nx, ny)
+    return trace_table(drift_table(gx, gy, gdiv, sgn, x0, y0, hx, hy, nx, ny),
+                       xs, ys, step, max_len, stag_tol, x0, x1, y0, y1)
+
+
+def drift_table(gx, gy, gdiv, sgn, x0, y0, hx, hy, nx, ny):
+    """Corner table of (sgn gx, sgn gy, gdiv) and its grid, for trace_table."""
+    return _corners(np.stack([sgn * gx, sgn * gy, gdiv]),
+                    x0, y0, hx, hy, nx, ny)
+
+
+def trace_table(table, xs, ys, step, max_len, stag_tol, x0, x1, y0, y1):
+    """trace_all on the drift of a drift_table, built once for many calls."""
+    tab, geom = table
     txy, tdiv = tab[:8], tab[8:]
     frame_lo, frame_hi = np.array([[x0], [y0]]), np.array([[x1], [y1]])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -113,6 +114,18 @@ def load_config(path: str, strict: bool = False) -> dict:
     return cfg
 
 
+def _reads_config(fn):
+    """A config value of the wrong type (a string for a number, a list for
+    a section) raises ConfigError from fn, not TypeError or ValueError."""
+    @functools.wraps(fn)
+    def read(*args):
+        try:
+            return fn(*args)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
+    return read
+
+
 def gas_from_config(cfg: dict) -> GasLaw:
     g = cfg.get("gas", {})
     variant = g.get("variant", "standard")
@@ -145,7 +158,7 @@ def boundary_from_config(cfg: dict, grid: Grid2D) -> ScalarField:
     if kind == "file":
         if "path" not in b:
             raise ConfigError("boundary.kind = 'file' requires boundary.path")
-        f = fld.read_field(b["path"])
+        f = fld.read_field(os.fspath(b["path"]))  # a number is not a path
         if not isinstance(f, ScalarField) or f.grid != grid:
             raise ConfigError("boundary file must be a scalar field on the "
                               "configured grid")
@@ -164,8 +177,16 @@ def boundary_from_config(cfg: dict, grid: Grid2D) -> ScalarField:
                       "'quiescent', 'file' or 'expression-table'")
 
 
-def solver_from_config(cfg: dict):
+@_reads_config
+def _solve_inputs(cfg: dict):
+    """The potential problem, Newton parameters and epsilon schedule."""
+    grid = grid_from_config(cfg)
     s = cfg.get("solver", {})
+    problem = potential.PotentialProblem(
+        law=gas_from_config(cfg), grid=grid,
+        phi_b=boundary_from_config(cfg, grid),
+        c2_floor=float(s.get("c2_floor", 1e-8)),
+        cap_M=float(s.get("cap_M", 1e6)))
     params = potential.PicardParams(
         tol_fixed_point=float(s.get("tol_fixed_point", 1e-10)),
         max_iters=int(s.get("max_iters", 200)),
@@ -176,16 +197,15 @@ def solver_from_config(cfg: dict):
         ratio=float(s.get("ratio", 0.5)),
         eps_min=float(s.get("eps_min", 1e-6)),
     )
-    extras = {"c2_floor": float(s.get("c2_floor", 1e-8)),
-              "cap_M": float(s.get("cap_M", 1e6))}
-    return params, schedule, extras
+    return problem, params, schedule
 
 
+@_reads_config
 def quasi_from_config(cfg: dict, grid: Grid2D) -> quasipotential.QuasiConfig:
     q = cfg.get("quasi", {})
     zeta_b = None
     if q.get("zeta_b"):
-        f = fld.read_field(q["zeta_b"])
+        f = fld.read_field(os.fspath(q["zeta_b"]))
         if not isinstance(f, ScalarField) or f.grid != grid:
             raise ConfigError("quasi.zeta_b must be a scalar field on the "
                               "configured grid")
@@ -216,12 +236,7 @@ def _report_payload(report_dict: dict) -> str:
 
 def cmd_solve_potential(args) -> int:
     cfg = load_config(args.config, strict=args.strict)
-    law = gas_from_config(cfg)
-    grid = grid_from_config(cfg)
-    phi_b = boundary_from_config(cfg, grid)
-    params, schedule, extras = solver_from_config(cfg)
-    problem = potential.PotentialProblem(law=law, grid=grid, phi_b=phi_b,
-                                         **extras)
+    problem, params, schedule = _solve_inputs(cfg)
     status = 0
     try:
         phi, report = potential.epsilon_continuation(problem, schedule, params)
@@ -235,8 +250,9 @@ def cmd_solve_potential(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(phi_path)) or "."
     atomic_write_field(phi, phi_path)
     gp = fld.gradient(phi)
-    c2, _ = potential.c2_of_phi(law, phi, gp, c2_floor=extras["c2_floor"])
-    L2 = regime.pseudo_mach_field(VectorField(grid, gp.u, gp.v), c2)
+    c2, _ = potential.c2_of_phi(problem.law, phi, gp,
+                                c2_floor=problem.c2_floor)
+    L2 = regime.pseudo_mach_field(gp, c2)
     atomic_write_field(c2, os.path.join(out_dir, "c2.f2d"))
     atomic_write_field(L2, os.path.join(out_dir, "L2.f2d"))
     if cfg.get("output", {}).get("csv"):
@@ -250,13 +266,8 @@ def cmd_solve_potential(args) -> int:
 
 def cmd_solve_quasi(args) -> int:
     cfg = load_config(args.config, strict=args.strict)
-    law = gas_from_config(cfg)
-    grid = grid_from_config(cfg)
-    phi_b = boundary_from_config(cfg, grid)
-    params, schedule, extras = solver_from_config(cfg)
-    problem = potential.PotentialProblem(law=law, grid=grid, phi_b=phi_b,
-                                         **extras)
-    qcfg = quasi_from_config(cfg, grid)
+    problem, params, schedule = _solve_inputs(cfg)
+    qcfg = quasi_from_config(cfg, problem.grid)
     try:
         state, report = quasipotential.solve_quasi(qcfg, problem, params,
                                                    schedule)
@@ -295,8 +306,7 @@ def cmd_classify(args) -> int:
     payload = {
         "max_L2": rr.max_L2, "max_L2_node": list(rr.max_L2_node),
         "flagged": rr.flagged, "audit": rr.audit.value,
-        "audit_details": {k: (list(v) if isinstance(v, tuple) else v)
-                          for k, v in rr.audit_details.items()},
+        "audit_details": rr.audit_details,  # JSON writes tuples as arrays
         "counts": counts,
     }
     report_path = os.path.join(base, "classify.json")
@@ -366,17 +376,14 @@ def cmd_transport(args) -> int:
         raise ConfigError("transport expects a scalar stream potential")
     b = fld.gradient(psi)
     omega_b = _inflow_field(args.inflow, psi.grid)
-    omega, rep = vorticity.transport_omega(
-        VectorField(psi.grid, b.u, b.v), omega_b,
-        step=args.step, strict=args.strict)
+    omega, rep = vorticity.transport_omega(b, omega_b, step=args.step,
+                                           strict=args.strict)
     base = args.out_dir
     os.makedirs(base, exist_ok=True)
     atomic_write_field(omega, os.path.join(base, "omega.f2d"))
-    resid = vorticity.transport_residual(omega, VectorField(psi.grid, b.u, b.v))
-    payload = {"uncovered": rep.uncovered, "stagnated": rep.stagnated,
-               "truncated": rep.truncated, "exited": rep.exited,
-               "traced": rep.traced,
-               "residual_sup": float(np.max(np.abs(resid.values)))}
+    resid = vorticity.transport_residual(omega, b)
+    payload = dict(vars(rep),
+                   residual_sup=float(np.max(np.abs(resid.values))))
     report_path = os.path.join(base, "transport.json")
     atomic_write_text(report_path, _report_payload(payload))
     print(f"transport: {rep.uncovered} uncovered of {rep.traced}; "

@@ -129,17 +129,20 @@ def decompose(U: VectorField, lin_tol: float = 1e-11) -> Decomposition:
     return Decomposition(psi=psi, W=W, div_W_norm=div_norm)
 
 
-def stream_function(W: VectorField, div_tol: float = 1e-8,
-                    ) -> tuple[ScalarField, float]:
+# largest interior |div W| that stream_function accepts
+_DIV_TOL = 1e-8
+
+
+def stream_function(W: VectorField) -> tuple[ScalarField, float]:
     """Recover zeta with W ~ perp_grad(zeta) from Delta zeta = rot W, zeta = 0
     on the frame.  Returns (zeta, mismatch) where mismatch is the interior
     sup-norm of perp_grad(zeta) - W (harmonic remainder plus truncation).
     """
     grid = W.grid
     div_norm = float(np.max(np.abs(fld.divergence(W).interior())))
-    if div_norm > div_tol:
+    if div_norm > _DIV_TOL:
         raise NonSolenoidalInput(
-            f"div W = {div_norm:.3e} exceeds tolerance {div_tol:.3e}")
+            f"div W = {div_norm:.3e} exceeds tolerance {_DIV_TOL:.3e}")
     rhs_field = fld.rot(W)
     zeta_vec = _solve_poisson_dirichlet(grid, rhs_field.values,
                                         np.zeros(grid.shape))

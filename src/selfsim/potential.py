@@ -17,6 +17,7 @@ Poisson solve of hodge uses it too.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field as dc_field
 
@@ -92,14 +93,14 @@ class EpsilonSchedule:
 class PicardReport:
     """One damped Newton stage: iterations (= Jacobian factorizations),
     deltas (the sup norm of each accepted step; a stage reusing an LU takes
-    more steps than factorizations) and the final-iterate diagnostics."""
+    more steps than factorizations) and the final-iterate diagnostics: its
+    residual, its closure c2 floored at c2_floor and the clamped count."""
 
     iterations: int = 0
     converged: bool = False
     deltas: list = dc_field(default_factory=list)
     final_residual: float = float("nan")
-    c2_min: float = float("nan")
-    c2_max: float = float("nan")
+    c2: ScalarField | None = dc_field(repr=False, default=None)
     clamped: int = 0
 
 
@@ -119,21 +120,8 @@ class SolveReport:
     errors: list = dc_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "stages": self.stages,
-            "final_eps": self.final_eps,
-            "final_residual": self.final_residual,
-            "c2_min": self.c2_min,
-            "c2_max": self.c2_max,
-            "max_L2": self.max_L2,
-            "max_L2_node": list(self.max_L2_node),
-            "clamped": self.clamped,
-            "audit": self.audit,
-            "audit_details": {k: (list(v) if isinstance(v, tuple) else v)
-                              for k, v in self.audit_details.items()},
-            "errors": self.errors,
-        }
+        """Every field, as JSON writes it (a tuple becomes an array)."""
+        return dataclasses.asdict(self)
 
 
 def c2_of_phi(law: GasLaw, phi: ScalarField,
@@ -510,9 +498,8 @@ def picard_solve(problem: PotentialProblem, eps: float,
             break
     phi = ScalarField(grid, w)
     _check_cap(phi, problem.cap_M)
-    c2, report.clamped = c2_of_phi(law, phi, c2_floor=problem.c2_floor)
-    report.c2_min = float(np.min(c2.values))
-    report.c2_max = float(np.max(c2.values))
+    report.c2, report.clamped = c2_of_phi(law, phi,
+                                          c2_floor=problem.c2_floor)
     report.final_residual = float(np.max(np.abs(
         residual_Q(law, phi, eps=eps, rhs=rhs,
                    c2_floor=problem.c2_floor).interior())))
@@ -542,7 +529,7 @@ def epsilon_continuation(problem: PotentialProblem,
     schedule = schedule or EpsilonSchedule()
     params = params or PicardParams()
     report = SolveReport()
-    phi = None
+    phi = last = None
     w0 = problem.phi_b
     for eps in schedule.stages() + [0.0]:
         try:
@@ -557,24 +544,23 @@ def epsilon_continuation(problem: PotentialProblem,
             report.status = "PartialContinuation"
             break
         phi = w0 = phi_e
+        last = prep
         report.stages.append({"eps": eps, "iterations": prep.iterations,
                               "steps": len(prep.deltas),
                               "delta": prep.deltas[-1],
                               "residual": prep.final_residual})
         report.final_eps = eps
-    _finalize_report(problem, phi, report)
+    _finalize_report(report, fld.gradient(phi), last.c2, last.clamped,
+                     last.final_residual)
     return phi, report
 
 
-def _finalize_report(problem: PotentialProblem, phi: ScalarField,
-                     report: SolveReport,
-                     rhs: ScalarField | None = None) -> None:
-    gp = fld.gradient(phi)
-    c2, clamped = c2_of_phi(problem.law, phi, gp, c2_floor=problem.c2_floor)
-    rr = regime.classify(VectorField(problem.grid, gp.u, gp.v), c2)
-    report.final_residual = float(np.max(np.abs(residual_Q(
-        problem.law, phi, eps=report.final_eps, rhs=rhs,
-        c2_floor=problem.c2_floor).interior())))
+def _finalize_report(report: SolveReport, U: VectorField, c2: ScalarField,
+                     clamped: int, residual: float) -> None:
+    """Fill the final-state fields of report from the solve's pseudo-velocity
+    U, its floored c^2 with the clamped count, and its residual."""
+    rr = regime.classify(U, c2)
+    report.final_residual = residual
     report.c2_min = float(np.min(c2.values))
     report.c2_max = float(np.max(c2.values))
     report.clamped = clamped

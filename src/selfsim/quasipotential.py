@@ -14,6 +14,9 @@ Gauss-Seidel sweeps (transport -> zeta -> closures -> psi) per delta target,
 warm-starting each stage; the psi solve of each sweep is the damped Newton
 solve of potential.picard_solve at eps = 0 with the forcing above, whose
 Jacobian is the linearized operator L (potential.linearization).
+quasi_state is the one evaluation of the closures (F1, Q1, N1, c^2 floored
+at the problem's c2_floor) and of U: every sweep reads it, and so do the
+returned state and the report of solve_quasi.
 
 Diagnostics reconstruct the untruncated rotational residuals (r1, r2); at a
 converged first-order state r1 = O(delta^2).
@@ -45,6 +48,9 @@ class QuasiState:
     Q1: ScalarField
     N1: ScalarField
     c2: ScalarField
+    clamped: int               # nodes of c2 held at c2_floor
+    curl_defect: float         # of grad F1, from reconstruct_F1
+    U: VectorField             # grad psi + delta perp_grad zeta~
 
     def __post_init__(self):
         if self.delta < 0:
@@ -222,12 +228,6 @@ def gateaux_check(psi0: ScalarField, v: ScalarField, law: GasLaw,
 # coupled solver
 
 
-def _zeta_tilde(grid, omega_t: ScalarField, zeta_b: ScalarField
-                ) -> ScalarField:
-    vals = _solve_poisson_dirichlet(grid, omega_t.values, zeta_b.values)
-    return ScalarField(grid, vals)
-
-
 # failures of a linear solve inside a sweep; they fail the stage
 _LINEAR_ERRORS = (IndefiniteSystem, LinearStagnation, CapExceeded)
 
@@ -239,19 +239,19 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
     """Delta-continuation solve of the first-order quasi-potential system.
 
     Per delta target (ascending): block Gauss-Seidel sweeps of transport ->
-    zeta-recovery -> (F1, Q1, N1, c^2) -> psi solve, until the joint sup-norm
-    change of (psi, zeta~) drops below outer_tol.  Stages warm-start from the
-    previous delta; the last converged stage is returned on failure with
-    status PartialContinuation.  A linear-solve failure in the first stage
-    is raised as NonConvergence.  An anchor outside the grid raises
-    ConfigError before any solve.  The base potential is the
-    epsilon_continuation of base under schedule.  The report's
-    final_residual is that of the psi equation, forcing included, at the
-    returned state.
+    zeta-recovery -> quasi_state (F1, Q1, N1, c^2) -> psi solve, until the
+    joint sup-norm change of (psi, zeta~) drops below outer_tol.  Stages
+    warm-start from the previous delta; the last converged stage is
+    returned on failure with status PartialContinuation.  A linear-solve
+    failure in the first stage is raised as NonConvergence.  An anchor
+    outside the grid raises ConfigError before any solve.  The base
+    potential is the epsilon_continuation of base under schedule.  The
+    report's top-level fields describe the returned state, quasi_state at
+    the last converged (psi, zeta~): its c^2, the audit of its U against
+    that c^2, and the residual of the psi equation, forcing included.
     """
     params = params or PicardParams()
     grid = base.grid
-    law = base.law
     zeta_b = config.zeta_b or ScalarField.zeros(grid)
     if zeta_b.grid != grid:
         raise ConfigError("zeta_b must live on the problem grid")
@@ -281,33 +281,40 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
             break
         psi, zt = psi_d, zt_d
         report.stages.append(stage)
-        state = _make_state(config, law, delta, psi, zt)
+        state = quasi_state(config, base, delta, psi, zt)
     report.final_eps = 0.0
-    potential._finalize_report(
-        base, state.psi, report,
-        rhs=_psi_forcing(state.delta, state.psi, state.Q1, state.N1))
+    residual = float(np.max(np.abs(potential.residual_Q(
+        base.law, state.psi, rhs=_psi_forcing(state),
+        c2_floor=base.c2_floor).interior())))
+    potential._finalize_report(report, state.U, state.c2, state.clamped,
+                               residual)
     return state, report
 
 
-def _psi_forcing(delta: float, psi: ScalarField, q1: ScalarField,
-                 n1: ScalarField) -> ScalarField:
-    """delta ((2 + Lap psi) Q1 + N1), the right-hand side of the psi
-    equation."""
-    return ScalarField(psi.grid,
-                       delta * ((2.0 + _lap_c(psi)) * q1.values + n1.values))
-
-
-def _make_state(config: QuasiConfig, law: GasLaw, delta: float,
+def quasi_state(config: QuasiConfig, base: PotentialProblem, delta: float,
                 psi: ScalarField, zt: ScalarField) -> QuasiState:
-    F1, _ = reconstruct_F1(psi, zt, anchor=config.anchor)
-    q1 = compute_Q1(law, psi, zt, F1)
-    n1 = compute_N1(psi, zt)
-    c2, _ = c2_quasi(law, psi, zt, delta, F1)
+    """The quasi state at (psi, zeta~): F1 and its curl defect, Q1, N1, and
+    c^2 = c0^2 - delta Q1 floored at base.c2_floor, with
+    U = grad psi + delta perp_grad zeta~."""
+    law = base.law
+    F1, defect = reconstruct_F1(psi, zt, anchor=config.anchor)
+    c2, clamped = c2_quasi(law, psi, zt, delta, F1, c2_floor=base.c2_floor)
+    gp = fld.gradient(psi)
+    pz = fld.perp_gradient(zt)
     return QuasiState(
         delta=delta, psi=psi,
         zeta=ScalarField(psi.grid, delta * zt.values),
         omega_tilde=ScalarField(psi.grid, _lap_c(zt)),
-        F1=F1, Q1=q1, N1=n1, c2=c2)
+        F1=F1, Q1=compute_Q1(law, psi, zt, F1), N1=compute_N1(psi, zt),
+        c2=c2, clamped=clamped, curl_defect=defect,
+        U=VectorField(psi.grid, gp.u + delta * pz.u, gp.v + delta * pz.v))
+
+
+def _psi_forcing(state: QuasiState) -> ScalarField:
+    """delta ((2 + Lap psi) Q1 + N1), the right-hand side of the psi
+    equation at the state."""
+    return ScalarField(state.psi.grid, state.delta * (
+        (2.0 + _lap_c(state.psi)) * state.Q1.values + state.N1.values))
 
 
 def _solve_stage(config: QuasiConfig, base: PotentialProblem,
@@ -315,34 +322,23 @@ def _solve_stage(config: QuasiConfig, base: PotentialProblem,
                  psi: ScalarField, zt: ScalarField,
                  zeta_b: ScalarField, omega_b: ScalarField):
     grid = base.grid
-    law = base.law
     stage = {"delta": delta, "outer_iters": 0, "change": float("inf")}
     for it in range(1, config.outer_max_iters + 1):
-        b = fld.gradient(psi)
-        omega_t, _trep = vorticity.transport_omega(VectorField(grid, b.u, b.v),
-                                                   omega_b)
-        zt_new = _zeta_tilde(grid, omega_t, zeta_b)
-        F1, defect = reconstruct_F1(psi, zt_new, anchor=config.anchor)
-        q1 = compute_Q1(law, psi, zt_new, F1)
-        n1 = compute_N1(psi, zt_new)
-        c2, _ = c2_quasi(law, psi, zt_new, delta, F1,
-                         c2_floor=base.c2_floor)
-        U = VectorField(grid,
-                        b.u + delta * fld.perp_gradient(zt_new).u,
-                        b.v + delta * fld.perp_gradient(zt_new).v)
-        L2max = float(np.max(U.magnitude_sq() / c2.values))
+        omega_t, trep = vorticity.transport_omega(fld.gradient(psi), omega_b)
+        zt_new = ScalarField(grid, _solve_poisson_dirichlet(
+            grid, omega_t.values, zeta_b.values))
+        state = quasi_state(config, base, delta, psi, zt_new)
+        L2max = float(np.max(state.U.magnitude_sq() / state.c2.values))
         if L2max >= 1.0 - config.sonic_margin:
             raise SonicEncroachment(
                 f"max pseudo-Mach^2 {L2max:.4f} >= {1 - config.sonic_margin}")
         psi_new, _prep = potential.picard_solve(
-            base, 0.0, params, w0=psi, rhs=_psi_forcing(delta, psi, q1, n1))
+            base, 0.0, params, w0=psi, rhs=_psi_forcing(state))
         change = max(float(np.max(np.abs(psi_new.values - psi.values))),
                      float(np.max(np.abs(zt_new.values - zt.values))))
         psi, zt = psi_new, zt_new
-        stage["outer_iters"] = it
-        stage["change"] = change
-        stage["max_L2"] = L2max
-        stage["curl_defect"] = defect
+        stage.update(outer_iters=it, change=change, max_L2=L2max,
+                     curl_defect=state.curl_defect, uncovered=trep.uncovered)
         if change <= config.outer_tol:
             return psi, zt, stage
     raise NonConvergence(

@@ -19,6 +19,8 @@ from .field import ScalarField, VectorField
 from .gas import Regime
 
 _DEGEN_TOL = 1e-14
+# |L - 1| at or below which classify calls a node sonic
+_TOL_SONIC = 1e-12
 
 
 class AuditVerdict(enum.Enum):
@@ -147,15 +149,13 @@ def ellipticity_audit(L2: ScalarField, b: ScalarField | None = None,
     return AuditVerdict.INTERIOR_MAX_VIOLATION, details
 
 
-def classify(U: VectorField, c2: ScalarField, tol_sonic: float = 1e-12,
-             b: ScalarField | None = None, audit_tol: float = 1e-10
-             ) -> RegimeReport:
+def classify(U: VectorField, c2: ScalarField) -> RegimeReport:
     """Per-node regime classification plus discriminant and ellipticity audit."""
     L2 = pseudo_mach_field(U, c2)
     L = np.sqrt(np.where(np.isfinite(L2.values), L2.values, np.nan))
     regime_map = np.full(L.shape, Regime.SUBSONIC.value, dtype=np.int8)
     regime_map[L > 1.0] = Regime.SUPERSONIC.value
-    regime_map[np.abs(L - 1.0) <= tol_sonic] = Regime.SONIC.value
+    regime_map[np.abs(L - 1.0) <= _TOL_SONIC] = Regime.SONIC.value
     regime_map[~np.isfinite(L)] = -1
     flagged = int(np.count_nonzero(~np.isfinite(L)))
     safe_c2 = np.where(c2.values > 0, c2.values, np.nan)
@@ -169,8 +169,7 @@ def classify(U: VectorField, c2: ScalarField, tol_sonic: float = 1e-12,
         j = i = 0
         max_L2 = float("nan")
     verdict, details = ellipticity_audit(
-        ScalarField(L2.grid, np.where(finite, L2.values, 0.0)), b=b,
-        tol=audit_tol)
+        ScalarField(L2.grid, np.where(finite, L2.values, 0.0)))
     return RegimeReport(
         regime_map=regime_map,
         L2=L2,

@@ -23,6 +23,11 @@ from .errors import ConfigError, UncoveredNodes
 from .field import Grid2D, ScalarField, VectorField
 from .hodge import _boundary_normals
 
+# |b| below which a characteristic stagnates
+_STAG_TOL = 1e-14
+# a frame point is inflow where b.nu < -_TOL_INFLOW (nu the outward normal)
+_TOL_INFLOW = 1e-12
+
 
 @dataclass
 class CharacteristicTrace:
@@ -52,38 +57,25 @@ class TransportReport:
     traced: int = 0
 
 
-def inflow_boundary(b: VectorField, tol_inflow: float = 1e-12) -> InflowSet:
+def inflow_boundary(b: VectorField) -> InflowSet:
     """Classify frame nodes by the sign of b.nu (corners use the unit diagonal)."""
     nux, nuy = _boundary_normals(b.grid)
     speed = nux * b.u + nuy * b.v
     frame = (nux != 0) | (nuy != 0)
-    mask = frame & (speed < -tol_inflow)
+    mask = frame & (speed < -_TOL_INFLOW)
     return InflowSet(mask=mask, normal_speed=speed,
                      count=int(np.count_nonzero(mask)))
 
 
-def _tracer(b: VectorField, step: float, max_len: float, stag_tol: float,
-            sgn: float):
-    """``_kernels.trace_all`` bound to the drift b; div b is computed once."""
-    g = b.grid
-    gdiv = fld.divergence(b).values
-
-    def trace(xs, ys):
-        return _kernels.trace_all(
-            b.u, b.v, gdiv, np.atleast_1d(xs), np.atleast_1d(ys), sgn, step,
-            max_len, stag_tol, g.x0, g.x1, g.y0, g.y1, g.hx, g.hy, g.nx, g.ny)
-    return trace
-
-
 def trace_characteristic(b: VectorField, start, step: float | None = None,
                          max_len: float | None = None,
-                         stag_tol: float = 1e-14,
                          forward: bool = True) -> CharacteristicTrace:
     """Record one characteristic polyline from ``start`` (diagnostic helper).
 
     Re-traces step by step so intermediate points are kept; the heavy batch
     path in transport_omega only keeps endpoints.  Runs the march-step
-    count of ``_kernels.trace_all``, ceil(max_len / step).
+    count of ``_kernels.trace_all``, ceil(max_len / step).  The drift table
+    and div b are built once per call, so a path costs O(N + steps).
     """
     g = b.grid
     step = step or 0.5 * min(g.hx, g.hy)
@@ -95,10 +87,13 @@ def trace_characteristic(b: VectorField, start, step: float | None = None,
     acc = 0.0
     status = "maxlen"
     r = 0.0
-    # single sub-step: max_len slightly below step forces one iteration
-    trace = _tracer(b, step, step * 0.999, stag_tol, sgn)
+    table = _kernels.drift_table(b.u, b.v, fld.divergence(b).values, sgn,
+                                 g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
     for _ in range(int(np.ceil(max_len / step))):
-        a1, h1x, h1y, st, dr = trace(x, y)
+        # single sub-step: max_len slightly below step forces one iteration
+        a1, h1x, h1y, st, dr = _kernels.trace_table(
+            table, np.array([x]), np.array([y]), step, step * 0.999,
+            _STAG_TOL, g.x0, g.x1, g.y0, g.y1)
         if st[0] == _kernels.TRACE_STAGNATION:
             status = "stagnation"
             break
@@ -138,8 +133,8 @@ def _interp_frame(values: np.ndarray, grid: Grid2D, hx_, hy_):
     return out
 
 
-def _hit_is_inflow(b: VectorField, hx_, hy_, tol_inflow: float):
-    """b.nu < -tol at snapped boundary hit points (side normal, not corner)."""
+def _hit_is_inflow(b: VectorField, hx_, hy_):
+    """b.nu < -_TOL_INFLOW at snapped hit points (side normal, not corner)."""
     g = b.grid
     tab, geom = _kernels._corners(np.stack([b.u, b.v]),
                                   g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
@@ -149,14 +144,12 @@ def _hit_is_inflow(b: VectorField, hx_, hy_, tol_inflow: float):
     speed = np.where(hx_ == g.x1, np.minimum(speed, bu), speed)
     speed = np.where(hy_ == g.y0, np.minimum(speed, -bv), speed)
     speed = np.where(hy_ == g.y1, np.minimum(speed, bv), speed)
-    return speed < -tol_inflow
+    return speed < -_TOL_INFLOW
 
 
 def transport_omega(b: VectorField, omega_b: ScalarField,
                     step: float | None = None,
                     max_len: float | None = None,
-                    stag_tol: float = 1e-14,
-                    tol_inflow: float = 1e-12,
                     strict: bool = False
                     ) -> tuple[ScalarField, TransportReport]:
     """Backward semi-Lagrangian solve of div(omega b) + omega = 0.
@@ -172,15 +165,17 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     max_len = max_len or 20.0 * grid.diam
     if step <= 0 or max_len <= 0:
         raise ConfigError("step and max_len must be positive")
-    inflow = inflow_boundary(b, tol_inflow=tol_inflow)
+    inflow = inflow_boundary(b)
     X, Y = grid.meshgrid()
     trace_mask = ~inflow.mask  # inflow frame nodes keep their data verbatim
     xs = X[trace_mask]
     ys = Y[trace_mask]
-    trace = _tracer(b, step, max_len, stag_tol, -1.0)
-    acc, hx_, hy_, status, _ = trace(xs, ys)
+    acc, hx_, hy_, status, _ = _kernels.trace_all(
+        b.u, b.v, fld.divergence(b).values, xs, ys, -1.0, step, max_len,
+        _STAG_TOL, grid.x0, grid.x1, grid.y0, grid.y1, grid.hx, grid.hy,
+        grid.nx, grid.ny)
     exited = status == _kernels.TRACE_EXITED
-    landed = exited & _hit_is_inflow(b, hx_, hy_, tol_inflow)
+    landed = exited & _hit_is_inflow(b, hx_, hy_)
     vals = np.zeros(xs.shape)
     vals[landed] = (_interp_frame(omega_b.values, grid,
                                   hx_[landed], hy_[landed])

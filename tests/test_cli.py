@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import inspect
 import json
 import os
 from pathlib import Path
@@ -14,6 +15,9 @@ from selfsim import cli, field as fld, potential, quasipotential
 from selfsim.errors import LinearStagnation
 
 from conftest import quiescent_field
+
+
+_QUASI_GRID = {"x0": 0.1, "x1": 0.6, "y0": 0.1, "y1": 0.6, "nx": 17, "ny": 17}
 
 
 def small_config(tmp_path, **overrides):
@@ -151,6 +155,8 @@ def test_solve_quasi_end_to_end(tmp_path):
         assert (tmp_path / f"{name}.f2d").exists()
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["report"]["status"] == "Converged"
+    # the last sweep's transport reached every node
+    assert [s["uncovered"] for s in payload["report"]["stages"]] == [0]
 
 
 def test_classify_subcommand(tmp_path):
@@ -289,15 +295,30 @@ def test_exit_code_non_numeric_inflow_csv(tmp_path):
     assert _transport_with_inflow(tmp_path, spec) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"solver": {"max_iters": "abc"}},
+    {"grid": {**_QUASI_GRID, "nx": "x"}},
+    {"quasi": {"delta_targets": 5}},
+    {"gas": [1, 2]},
+    {"grid": [1]},
+    {"boundary": {"kind": "expression-table",
+                  "table": [["a"] * 17] * 17}},
+    # open() would take a number as a file descriptor
+    {"boundary": {"kind": "file", "path": 9999}},
+    {"quasi": {"zeta_b": 9999}},
+])
+def test_mistyped_config_value_exits_2(tmp_path, capsys, overrides):
+    path = small_config(tmp_path, **{"grid": _QUASI_GRID, **overrides})
+    assert cli.main(["solve-quasi", "--config", str(path)]) == 2
+    assert "malformed config value" in capsys.readouterr().err
+
+
 def test_exit_code_bad_grid(tmp_path):
     path = small_config(
         tmp_path,
         grid={"x0": 0.5, "x1": -0.5, "y0": -0.5, "y1": 0.5,
               "nx": 9, "ny": 9})
     assert cli.main(["solve-potential", "--config", str(path)]) == 2
-
-
-_QUASI_GRID = {"x0": 0.1, "x1": 0.6, "y0": 0.1, "y1": 0.6, "nx": 17, "ny": 17}
 
 
 def _quasi_config(tmp_path, delta_targets, quasi=None, **overrides):
@@ -362,6 +383,53 @@ def test_solve_quasi_report_is_json_with_psi_residual(tmp_path):
     assert report["final_eps"] == 0.0
     # the psi equation with its O(delta) forcing, not the bare Q(psi)
     assert report["final_residual"] <= 1e-8
+
+
+def _rotational_quasi_run(tmp_path, **overrides):
+    """Run solve-quasi to delta = 1e-2 with a rotational zeta_b; return the
+    report and the written psi, zeta and c2."""
+    path = _quasi_config(
+        tmp_path, [1e-3, 1e-2],
+        quasi={"outer_tol": 1e-9,
+               "zeta_b": _write_zeta_b(tmp_path / "zeta_b.f2d")},
+        **overrides)
+    assert cli.main(["solve-quasi", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    return report, *(fld.read_field(tmp_path / f"{name}.f2d")
+                     for name in ("psi", "zeta", "c2"))
+
+
+def test_solve_quasi_report_describes_written_state(tmp_path):
+    report, psi, zeta, c2 = _rotational_quasi_run(tmp_path)
+    # c^2 = c0^2 - delta Q1 of the returned state, not the base closure c0^2
+    assert report["c2_min"] == np.min(c2.values)
+    assert report["c2_max"] == np.max(c2.values)
+    assert report["clamped"] == 0
+    # U = grad psi + perp_grad zeta, zeta already scaled by delta
+    gp, pz = fld.gradient(psi), fld.perp_gradient(zeta)
+    L2 = ((gp.u + pz.u) ** 2 + (gp.v + pz.v) ** 2) / c2.values
+    assert abs(report["max_L2"] - np.max(L2)) <= 1e-12
+    assert report["audit_details"]["max_L2"] == report["max_L2"]
+
+
+def test_solve_quasi_closures_use_configured_c2_floor(tmp_path, monkeypatch):
+    floors = []
+    c2_quasi = quasipotential.c2_quasi
+    signature = inspect.signature(c2_quasi)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        floors.append(bound.arguments["c2_floor"])
+        return c2_quasi(*args, **kwargs)
+
+    monkeypatch.setattr(quasipotential, "c2_quasi", spy)
+    report, *_ = _rotational_quasi_run(
+        tmp_path, solver={"eps0": 0.1, "ratio": 0.25, "eps_min": 1e-4,
+                          "c2_floor": 1e-6})
+    # one call per sweep and one for the state each stage returns
+    sweeps = sum(s["outer_iters"] for s in report["stages"])
+    assert floors == [1e-6] * (sweeps + len(report["stages"]))
 
 
 def test_solve_quasi_uses_configured_schedule(tmp_path, monkeypatch):

@@ -139,7 +139,7 @@ def test_picard_fixed_point_quiescent(law, grid):
     exact = quiescent_field(grid)
     assert np.max(np.abs(phi.values - exact.values)) < 1e-3  # O(eps) bias
     assert rep.final_residual < 1e-8
-    assert rep.c2_min > 0 and rep.clamped == 0
+    assert np.min(rep.c2.values) > 0 and rep.clamped == 0
 
 
 def test_picard_nonconvergence_carries_best(law, grid):

@@ -132,3 +132,37 @@ def test_transport_validation():
     with pytest.raises(ConfigError):
         vorticity.transport_omega(radial_drift(grid),
                                   ss.ScalarField.zeros(grid), step=-1.0)
+
+
+def test_trace_characteristic_builds_one_drift_table(monkeypatch):
+    # the polyline equals one trace_all sub-step per recorded step, while
+    # the O(N) corner table is built once per call, not once per step
+    from selfsim import _kernels, field as fld
+
+    grid = ss.Grid2D(-1, 1, -1, 1, 21, 21)
+    b = ss.VectorField.from_function(grid, lambda x, y: -y + 0.3 * x,
+                                     lambda x, y: x + 0.1)
+    step = 0.05
+    x, y = 0.5, 0.0
+    points = [(x, y)]
+    for _ in range(40):
+        a, hx_, hy_, st, _ = _kernels.trace_all(
+            b.u, b.v, fld.divergence(b).values, np.array([x]), np.array([y]),
+            1.0, step, step * 0.999, 1e-14, grid.x0, grid.x1, grid.y0,
+            grid.y1, grid.hx, grid.hy, grid.nx, grid.ny)
+        x, y = float(hx_[0]), float(hy_[0])
+        points.append((x, y))
+        if st[0] == _kernels.TRACE_EXITED:
+            break
+    calls = []
+    corners = _kernels._corners
+
+    def counted(*args):
+        calls.append(1)
+        return corners(*args)
+
+    monkeypatch.setattr(_kernels, "_corners", counted)
+    tr = vorticity.trace_characteristic(b, (0.5, 0.0), step=step,
+                                        max_len=40 * step)
+    assert len(calls) == 1
+    assert np.array_equal(tr.points, np.array(points))
