@@ -167,12 +167,13 @@ def compute_Q1(law: GasLaw, psi: ScalarField, zeta: ScalarField,
 
 
 def c2_quasi(law: GasLaw, psi: ScalarField, zeta: ScalarField, delta: float,
-             F1: ScalarField, c2_floor: float = 1e-8):
+             F1: ScalarField, c2_floor: float = 1e-8, Q1=None):
     """Perturbed closure c^2 = c0^2(psi) - delta Q1, floored with count
-    (c^2 = a^2 for the isothermal law, where Q1 = 0)."""
+    (c^2 = a^2 for the isothermal law, where Q1 = 0); pass Q1 to reuse it."""
     c0, _ = potential.c2_of_phi(law, psi, c2_floor=-np.inf)
-    q1 = compute_Q1(law, psi, zeta, F1)
-    raw = c0.values - delta * q1.values
+    if Q1 is None:
+        Q1 = compute_Q1(law, psi, zeta, F1)
+    raw = c0.values - delta * Q1.values
     clamped = int(np.count_nonzero(raw <= c2_floor))
     return ScalarField(psi.grid, np.maximum(raw, c2_floor)), clamped
 
@@ -298,14 +299,15 @@ def quasi_state(config: QuasiConfig, base: PotentialProblem, delta: float,
     U = grad psi + delta perp_grad zeta~."""
     law = base.law
     F1, defect = reconstruct_F1(psi, zt, anchor=config.anchor)
-    c2, clamped = c2_quasi(law, psi, zt, delta, F1, c2_floor=base.c2_floor)
+    Q1 = compute_Q1(law, psi, zt, F1)
+    c2, clamped = c2_quasi(law, psi, zt, delta, F1, base.c2_floor, Q1)
     gp = fld.gradient(psi)
     pz = fld.perp_gradient(zt)
     return QuasiState(
         delta=delta, psi=psi,
         zeta=ScalarField(psi.grid, delta * zt.values),
         omega_tilde=ScalarField(psi.grid, _lap_c(zt)),
-        F1=F1, Q1=compute_Q1(law, psi, zt, F1), N1=compute_N1(psi, zt),
+        F1=F1, Q1=Q1, N1=compute_N1(psi, zt),
         c2=c2, clamped=clamped, curl_defect=defect,
         U=VectorField(psi.grid, gp.u + delta * pz.u, gp.v + delta * pz.v))
 

@@ -1,8 +1,8 @@
 """Scalar reference of ``selfsim._kernels.trace_all``: one node at a time.
 
-Plain Python loops over the same RK4, bilinear-interpolation and 48-step
-exit-bisection arithmetic as the batched numpy tracer, which must match it
-bit for bit (tests/test_kernels.py).
+Plain Python loops over the same midpoint-RK2, bilinear-interpolation and
+48-step exit-bisection arithmetic as the batched numpy tracer, which must
+match it bit for bit (tests/test_kernels.py).
 """
 
 import numpy as np
@@ -33,24 +33,14 @@ def _bilinear(field, x, y, x0, y0, hx, hy, nx, ny):
         (1.0 - ax) * f10 + ax * f11)
 
 
-def _rk4_step(gx, gy, x, y, dt, sgn, x0, y0, hx, hy, nx, ny):
+def _rk2_step(gx, gy, x, y, dt, sgn, x0, y0, hx, hy, nx, ny):
     k1x = sgn * _bilinear(gx, x, y, x0, y0, hx, hy, nx, ny)
     k1y = sgn * _bilinear(gy, x, y, x0, y0, hx, hy, nx, ny)
     k2x = sgn * _bilinear(gx, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y,
                           x0, y0, hx, hy, nx, ny)
     k2y = sgn * _bilinear(gy, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y,
                           x0, y0, hx, hy, nx, ny)
-    k3x = sgn * _bilinear(gx, x + 0.5 * dt * k2x, y + 0.5 * dt * k2y,
-                          x0, y0, hx, hy, nx, ny)
-    k3y = sgn * _bilinear(gy, x + 0.5 * dt * k2x, y + 0.5 * dt * k2y,
-                          x0, y0, hx, hy, nx, ny)
-    k4x = sgn * _bilinear(gx, x + dt * k3x, y + dt * k3y,
-                          x0, y0, hx, hy, nx, ny)
-    k4y = sgn * _bilinear(gy, x + dt * k3x, y + dt * k3y,
-                          x0, y0, hx, hy, nx, ny)
-    xn = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    yn = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return xn, yn
+    return x + dt * k2x, y + dt * k2y
 
 
 def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
@@ -74,7 +64,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
                 st = TRACE_STAGNATION
                 break
             g0 = 1.0 + _bilinear(gdiv, x, y, x0, y0, hx, hy, nx, ny)
-            xn, yn = _rk4_step(gx, gy, x, y, step, sgn, x0, y0, hx, hy, nx, ny)
+            xn, yn = _rk2_step(gx, gy, x, y, step, sgn, x0, y0, hx, hy, nx, ny)
             if x0 <= xn <= x1 and y0 <= yn <= y1:
                 g1 = 1.0 + _bilinear(gdiv, xn, yn, x0, y0, hx, hy, nx, ny)
                 a += 0.5 * step * (g0 + g1)
@@ -86,13 +76,13 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
                 hi = step
                 for _ in range(48):
                     mid = 0.5 * (lo + hi)
-                    xm, ym = _rk4_step(gx, gy, x, y, mid, sgn,
+                    xm, ym = _rk2_step(gx, gy, x, y, mid, sgn,
                                        x0, y0, hx, hy, nx, ny)
                     if x0 <= xm <= x1 and y0 <= ym <= y1:
                         lo = mid
                     else:
                         hi = mid
-                xn, yn = _rk4_step(gx, gy, x, y, lo, sgn,
+                xn, yn = _rk2_step(gx, gy, x, y, lo, sgn,
                                    x0, y0, hx, hy, nx, ny)
                 g1 = 1.0 + _bilinear(gdiv, xn, yn, x0, y0, hx, hy, nx, ny)
                 a += 0.5 * lo * (g0 + g1)

@@ -61,16 +61,16 @@ def test_numpy_tracer_matches_scalar_kernel(case):
 
 
 def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
-    # the exit bisection (49 RK4 steps) runs once for all crossed nodes,
+    # the exit bisection (49 RK2 steps) runs once for all crossed nodes,
     # not once per march step in which some node crosses
     calls = []
-    rk4 = _kernels._rk4
+    rk2 = _kernels._rk2
 
     def counted(*args):
         calls.append(1)
-        return rk4(*args)
+        return rk2(*args)
 
-    monkeypatch.setattr(_kernels, "_rk4", counted)
+    monkeypatch.setattr(_kernels, "_rk2", counted)
     grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 33, 33)
     b = ss.VectorField.from_function(grid, lambda x, y: -x, lambda x, y: -y)
     _, rep = vorticity.transport_omega(b, ss.ScalarField.zeros(grid))
@@ -80,13 +80,67 @@ def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
     assert len(calls) <= march_steps + 49
 
 
+def _trace_radial(n):
+    """Backward trace of b = -xi from every node of an n^2 grid on
+    [0.25, 0.75]^2 at the default step; returns the start points, the step
+    and the trace_all result."""
+    grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, n, n)
+    b = ss.VectorField.from_function(grid, lambda x, y: -x, lambda x, y: -y)
+    X, Y = grid.meshgrid()
+    xs, ys = X.ravel(), Y.ravel()
+    step = 0.5 * min(grid.hx, grid.hy)
+    out = _kernels.trace_all(
+        b.u, b.v, fld.divergence(b).values, xs, ys, -1.0, step,
+        20.0 * grid.diam, 1e-14, grid.x0, grid.x1, grid.y0, grid.y1,
+        grid.hx, grid.hy, grid.nx, grid.ny)
+    return xs, ys, step, out
+
+
+def test_tracer_converges_to_the_exact_radial_characteristics():
+    # bilinear interpolation is exact for the linear drift b = -xi, so only
+    # the integrator's error shows: the backward path is xi0 e^r, it leaves
+    # [0.25, 0.75]^2 at r = ln(0.75 / max(xi0)), and 1 + div b = -1 makes
+    # the integral -r; midpoint RK2 errs by O(step^2)
+    errs = []
+    for n in (33, 65):
+        xs, ys, _, (acc, hx, hy, status, length) = _trace_radial(n)
+        assert (status == _kernels.TRACE_EXITED).all()
+        hit = np.hypot(hx - xs * np.exp(length), hy - ys * np.exp(length))
+        integral = np.abs(acc + np.log(0.75 / np.maximum(xs, ys)))
+        errs.append((hit.max(), integral.max()))
+    assert max(errs[0]) <= 2.5e-5
+    for coarse, fine in zip(*errs):
+        assert 3.4 <= coarse / fine <= 4.6
+
+
+def test_tracer_takes_two_samples_per_march_step(monkeypatch):
+    # a node samples the drift twice per march step it is live in: at the
+    # half step and at the new point, the next step's k1 (the start point's
+    # sample counts for the crossing step, which makes no new point); an
+    # exited node then takes 50 in the bisection: 48 halvings, the final
+    # step and div b at the hit point
+    points = []
+    sample = _kernels._sample
+
+    def counted(tab, pts, geom):
+        points.append(pts.shape[1])
+        return sample(tab, pts, geom)
+
+    monkeypatch.setattr(_kernels, "_sample", counted)
+    xs, _, step, (_, _, _, status, length) = _trace_radial(33)
+    assert (status == _kernels.TRACE_EXITED).all()
+    # length = full steps * step + the bisected part of the crossing step
+    live_steps = np.floor(length / step).astype(np.int64) + 1
+    assert sum(points) == 2 * live_steps.sum() + 50 * xs.size
+
+
 def test_benchmark_hooks_keep_their_names():
     # the benchmark patches trace_all and counts its start points as args[3],
     # and reads the backend from HAVE_NUMBA and use_numba();
-    # test_numpy_tracer_bisects_once_per_trace patches _rk4
+    # test_numpy_tracer_bisects_once_per_trace patches _rk2
     assert list(inspect.signature(_kernels.trace_all).parameters) == [
         "gx", "gy", "gdiv", "xs", "ys", "sgn", "step", "max_len", "stag_tol",
         "x0", "x1", "y0", "y1", "hx", "hy", "nx", "ny"]
-    assert callable(_kernels._rk4)
+    assert callable(_kernels._rk2)
     assert isinstance(_kernels.HAVE_NUMBA, bool)
     assert isinstance(_kernels.use_numba(), bool)

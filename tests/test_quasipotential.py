@@ -84,6 +84,30 @@ def test_Q1_and_c2_quasi(law, grid):
     assert clamped == 0
 
 
+def test_quasi_state_computes_Q1_once(law, grid, monkeypatch):
+    psi = quiescent_field(grid)
+    zeta = ss.ScalarField.from_function(grid, lambda x, y: x * y)
+    base = potential.PotentialProblem(law=law, grid=grid, phi_b=psi,
+                                      c2_floor=1e-6)
+    compute_Q1 = qp.compute_Q1
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return compute_Q1(*args)
+
+    monkeypatch.setattr(qp, "compute_Q1", counted)
+    state = qp.quasi_state(qp.QuasiConfig(anchor=(16, 16)), base, 1e-3,
+                           psi, zeta)
+    assert len(calls) == 1
+    # the closure from the shared Q1 is the one c2_quasi computes alone
+    c2, clamped = qp.c2_quasi(law, psi, zeta, 1e-3, state.F1, 1e-6)
+    assert np.array_equal(state.c2.values, c2.values)
+    assert state.clamped == clamped
+    assert np.array_equal(state.Q1.values, compute_Q1(law, psi, zeta,
+                                                      state.F1).values)
+
+
 def test_residual_map_zero_at_quiescent(law, grid):
     # the residual map of the Newton step is residual_Q with the unclamped
     # closure
