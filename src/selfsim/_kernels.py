@@ -2,7 +2,8 @@
 
 ``apply_stencil`` applies the frozen-coefficient operator at interior
 nodes.  ``trace_all`` integrates characteristics of a bilinear drift from
-many start points at once (semi-Lagrangian vorticity transport); it is
+many start points at once (semi-Lagrangian vorticity transport), each until
+it reaches a foot point _REACH cells upstream or leaves the frame; it is
 drift_table then trace_table, which a caller tracing many times on one
 drift calls itself.  Both kernels are deterministic.
 """
@@ -26,6 +27,13 @@ def use_numba() -> bool:
 TRACE_EXITED = 0
 TRACE_STAGNATION = 1
 TRACE_MAXLEN = 2
+TRACE_FOOT = 3
+
+# a path stops at a foot point this many cells (of the larger spacing) from
+# its start: the 4 x 4 cubic stencil of the foot's cell lies within 2 cells
+# of the foot on each axis (2.83 on a diagonal), so at 3 cells it never
+# holds the start node, which the ordered fill needs
+_REACH = 3
 
 
 def apply_stencil(coef, f):
@@ -53,14 +61,21 @@ def apply_stencil(coef, f):
 # makes the drift b = (gx, gy) only C0 across cell edges, so a higher order
 # gains nothing) and the trapezoid quadrature of (1 + div b) along the path;
 # the sample at a step's new point is the next step's k1, so a step takes two
-# samples.  A path ends on stagnation of |b|, at path length max_len, or when
-# a step leaves the frame: that sub-step is bisected 48 times onto the
-# boundary and the hit point is snapped onto the closest side.
+# samples.  A path ends on stagnation of |b|, at path length max_len, at a
+# foot point, or when a step leaves the frame: that sub-step is bisected 48
+# times onto the boundary and the hit point is snapped onto the closest
+# side.  A step's new point is a foot (TRACE_FOOT) when it lies at least
+# _REACH * max(hx, hy) from the path's start (np.hypot) and in a cell whose
+# 4 x 4 cubic stencil fits inside the grid, cells 1 .. n - 3 on each axis;
+# the caller interpolates there from nodes it has already solved, so a path
+# takes O(1) steps, not O(1 / h).  Without the cell rule, a clamped stencil
+# next to the frame can hold the start node itself.
 # All live nodes march together, one full step at a time; a node whose step
 # would leave the frame records its start point and leaves the march.  After
-# the march one batched bisection runs over all crossed nodes.  A bisection
-# depends only on the node's own start point, so each node sees the same
-# arithmetic as when bisected at the step it crossed.
+# the march one batched bisection runs over all crossed nodes, so it runs
+# only for paths that reach the frame before a foot.  A bisection depends
+# only on the node's own start point, so each node sees the same arithmetic
+# as when bisected at the step it crossed.
 #
 # Samples gather from one corner table per call, holding for each cell's
 # lower-left node p the corners p, p + 1, p + nx, p + nx + 1 of (sgn gx,
@@ -108,7 +123,10 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
 
     Returns (accumulated integral, hit x, hit y, status, path length) per
     start point; the length is the march steps times ``step``, plus the
-    bisected sub-step of an exited path.
+    bisected sub-step of an exited path.  The status is TRACE_EXITED (hit
+    on the frame), TRACE_FOOT (hit at the first step point _REACH cells from
+    the start whose cell is 1 .. n - 3 on both axes), TRACE_STAGNATION or
+    TRACE_MAXLEN.
     """
     return trace_table(drift_table(gx, gy, gdiv, sgn, x0, y0, hx, hy, nx, ny),
                        xs, ys, step, max_len, stag_tol, x0, x1, y0, y1)
@@ -124,6 +142,8 @@ def trace_table(table, xs, ys, step, max_len, stag_tol, x0, x1, y0, y1):
     """trace_all on the drift of a drift_table, built once for many calls."""
     tab, geom = table
     txy, tdiv = tab[:8], tab[8:]
+    lo, h, top = geom[:3]
+    reach = _REACH * h.max()
     frame_lo, frame_hi = np.array([[x0], [y0]]), np.array([[x1], [y1]])
 
     def inside(q):
@@ -134,9 +154,10 @@ def trace_table(table, xs, ys, step, max_len, stag_tol, x0, x1, y0, y1):
     length = np.zeros(n)
     hit = np.array([xs, ys], dtype=float)
     status = np.full(n, TRACE_MAXLEN, np.int8)
-    # the march keeps only live nodes: ids, points p, sums a, and the samples
-    # s = (sgn bx, sgn by, div b) at p, which the next step reuses
-    ids, p, a = np.arange(n), hit.copy(), acc.copy()
+    # the march keeps only live nodes: ids, start points p0, points p, sums
+    # a, and the samples s = (sgn bx, sgn by, div b) at p, which the next
+    # step reuses
+    ids, p0, p, a = np.arange(n), hit.copy(), hit.copy(), acc.copy()
     s = _sample(tab, p, geom)
     crossed = []  # per step: ids, start points, sums, k1, g0, lengths
     n_steps = int(np.ceil(max_len / step))
@@ -157,10 +178,23 @@ def trace_table(table, xs, ys, step, max_len, stag_tol, x0, x1, y0, y1):
             out = ~ok & ~stag
             crossed.append((ids[out], p[:, out], a[out], k1[:, out], g0[out],
                             np.full(np.count_nonzero(out), steps * step)))
-            ids, pn, a, g0 = ids[keep], pn[:, keep], a[keep], g0[keep]
+            ids, p0, pn, a, g0 = (ids[keep], p0[:, keep], pn[:, keep],
+                                  a[keep], g0[keep])
         s = _sample(tab, pn, geom)
         a = a + 0.5 * step * (g0 + (1.0 + s[2]))
         p = pn
+        # points are inside the frame, so truncation is floor
+        c = ((p - lo) / h).astype(np.int64)
+        foot = ((np.hypot(p[0] - p0[0], p[1] - p0[1]) >= reach)
+                & ((1 <= c) & (c < top)).all(axis=0))
+        if foot.any():
+            hit[:, ids[foot]] = p[:, foot]
+            acc[ids[foot]] = a[foot]
+            length[ids[foot]] = (steps + 1) * step
+            status[ids[foot]] = TRACE_FOOT
+            live = ~foot
+            ids, p0, p, a, s = (ids[live], p0[:, live], p[:, live], a[live],
+                                s[:, live])
     hit[:, ids] = p
     acc[ids] = a
     length[ids] = n_steps * step

@@ -105,15 +105,19 @@ def _jac_perp_form(zeta: ScalarField, a1, a2, b1, b2):
             + b2 * (z11.values * a1 + z12.values * a2))
 
 
-def compute_N1(psi: ScalarField, zeta: ScalarField) -> ScalarField:
+def compute_N1(psi: ScalarField, zeta: ScalarField,
+               grad_psi=None, perp_zeta=None) -> ScalarField:
     """First-order forcing, linear in zeta:
 
     N1 = (D perp_grad zeta) grad psi . grad psi
          + 2 (D^2 psi) grad psi . perp_grad zeta
          - 2 grad psi . perp_grad zeta.
+
+    grad_psi and perp_zeta, when given, are fld.gradient(psi) and
+    fld.perp_gradient(zeta), reused instead of taken again.
     """
-    gp = fld.gradient(psi)
-    pz = fld.perp_gradient(zeta)
+    gp = fld.gradient(psi) if grad_psi is None else grad_psi
+    pz = fld.perp_gradient(zeta) if perp_zeta is None else perp_zeta
     vals = (_jac_perp_form(zeta, gp.u, gp.v, gp.u, gp.v)
             + 2.0 * _hess_form(psi, gp.u, gp.v, pz.u, pz.v)
             - 2.0 * (gp.u * pz.u + gp.v * pz.v))
@@ -140,16 +144,16 @@ def compute_N3(zeta: ScalarField) -> ScalarField:
 
 
 def reconstruct_F1(psi: ScalarField, zeta: ScalarField,
-                   anchor: tuple = (0, 0)):
+                   anchor: tuple = (0, 0), perp_zeta=None):
     """Two-leg reconstruction of F1 from grad F1 = Lap(zeta) perp_grad(psi)
     + perp_grad(zeta), anchored with F1 = 0 at the anchor node.
 
     Returns (F1, curl_defect); the defect is small only when zeta satisfies
-    the vorticity transport equation.
+    the vorticity transport equation.  perp_zeta as in compute_N1.
     """
     lz = _lap_c(zeta)
     pp = fld.perp_gradient(psi)
-    pz = fld.perp_gradient(zeta)
+    pz = fld.perp_gradient(zeta) if perp_zeta is None else perp_zeta
     G = ScalarField(psi.grid, lz * pp.u + pz.u)
     H = ScalarField(psi.grid, lz * pp.v + pz.v)
     defect = integrability_residual(G, H)
@@ -158,19 +162,22 @@ def reconstruct_F1(psi: ScalarField, zeta: ScalarField,
 
 
 def compute_Q1(law: GasLaw, psi: ScalarField, zeta: ScalarField,
-               F1: ScalarField) -> ScalarField:
-    """Q1 = (gamma - 1)(F1 + grad psi . perp_grad zeta)."""
-    gp = fld.gradient(psi)
-    pz = fld.perp_gradient(zeta)
+               F1: ScalarField, grad_psi=None, perp_zeta=None) -> ScalarField:
+    """Q1 = (gamma - 1)(F1 + grad psi . perp_grad zeta); grad_psi and
+    perp_zeta as in compute_N1."""
+    gp = fld.gradient(psi) if grad_psi is None else grad_psi
+    pz = fld.perp_gradient(zeta) if perp_zeta is None else perp_zeta
     return ScalarField(psi.grid, (law.gamma - 1.0)
                        * (F1.values + gp.u * pz.u + gp.v * pz.v))
 
 
 def c2_quasi(law: GasLaw, psi: ScalarField, zeta: ScalarField, delta: float,
-             F1: ScalarField, c2_floor: float = 1e-8, Q1=None):
+             F1: ScalarField, c2_floor: float = 1e-8, Q1=None,
+             grad_psi=None):
     """Perturbed closure c^2 = c0^2(psi) - delta Q1, floored with count
-    (c^2 = a^2 for the isothermal law, where Q1 = 0); pass Q1 to reuse it."""
-    c0, _ = potential.c2_of_phi(law, psi, c2_floor=-np.inf)
+    (c^2 = a^2 for the isothermal law, where Q1 = 0); pass Q1 and
+    grad_psi = fld.gradient(psi) to reuse them."""
+    c0, _ = potential.c2_of_phi(law, psi, grad_psi, c2_floor=-np.inf)
     if Q1 is None:
         Q1 = compute_Q1(law, psi, zeta, F1)
     raw = c0.values - delta * Q1.values
@@ -298,16 +305,17 @@ def quasi_state(config: QuasiConfig, base: PotentialProblem, delta: float,
     c^2 = c0^2 - delta Q1 floored at base.c2_floor, with
     U = grad psi + delta perp_grad zeta~."""
     law = base.law
-    F1, defect = reconstruct_F1(psi, zt, anchor=config.anchor)
-    Q1 = compute_Q1(law, psi, zt, F1)
-    c2, clamped = c2_quasi(law, psi, zt, delta, F1, base.c2_floor, Q1)
     gp = fld.gradient(psi)
     pz = fld.perp_gradient(zt)
+    F1, defect = reconstruct_F1(psi, zt, anchor=config.anchor, perp_zeta=pz)
+    Q1 = compute_Q1(law, psi, zt, F1, gp, pz)
+    c2, clamped = c2_quasi(law, psi, zt, delta, F1, base.c2_floor, Q1,
+                           grad_psi=gp)
     return QuasiState(
         delta=delta, psi=psi,
         zeta=ScalarField(psi.grid, delta * zt.values),
         omega_tilde=ScalarField(psi.grid, _lap_c(zt)),
-        F1=F1, Q1=Q1, N1=compute_N1(psi, zt),
+        F1=F1, Q1=Q1, N1=compute_N1(psi, zt, grad_psi=gp, perp_zeta=pz),
         c2=c2, clamped=clamped, curl_defect=defect,
         U=VectorField(psi.grid, gp.u + delta * pz.u, gp.v + delta * pz.v))
 

@@ -1,15 +1,20 @@
 """Vorticity transport along pseudo-velocity characteristics.
 
-The stationary vorticity balance div(omega b) + omega = 0 is solved by
-backward characteristic tracing: from each node the ODE d(xi)/dr = -b(xi) is
-integrated until it leaves the domain, and the damping integral of
-(1 + div b) is accumulated along the path, giving
+The stationary vorticity balance div(omega b) + omega = 0 is solved by an
+ordered one-step semi-Lagrangian scheme.  From each node the ODE
+d(xi)/dr = -b(xi) is integrated, with the damping integral of (1 + div b)
+along the path, until it leaves the domain or reaches a foot point three
+cells upstream (_kernels.trace_all), giving
 
-    omega(xi) = omega_b(xi_hit) * exp(-int_0^R (1 + div b) ds).
+    omega(xi) = omega(xi_end) * exp(-int_0^R (1 + div b) ds),
 
-Nodes whose backward trace stagnates, exceeds the length budget, or lands on
-a non-inflow boundary point are *uncovered*: they receive zero and are
-counted in the report.
+with omega(xi_end) the inflow data at a boundary hit, or the 4 x 4
+Lagrange-cubic interpolation at a foot of nodes already solved.  Foot nodes
+are filled in dependency order (Kahn's algorithm on the stencil graph), so
+the work is O(N) rather than O(N / h).  Nodes whose characteristic
+stagnates, exceeds the length budget, lands on a non-inflow boundary point,
+interpolates an uncovered node, or stays in a dependency cycle are
+*uncovered*: they receive zero and are counted in the report.
 """
 
 from __future__ import annotations
@@ -50,11 +55,17 @@ class InflowSet:
 
 @dataclass
 class TransportReport:
+    """Node counts of one transport; the last four statuses partition the
+    traced nodes by how their own segment ended: on the frame, at a foot
+    that was interpolated, on stagnation, or truncated (the length budget,
+    or a foot left in a dependency cycle)."""
+
     uncovered: int = 0
     stagnated: int = 0
     truncated: int = 0
     exited: int = 0
     traced: int = 0
+    interpolated: int = 0
 
 
 def inflow_boundary(b: VectorField) -> InflowSet:
@@ -147,6 +158,69 @@ def _hit_is_inflow(b: VectorField, hx_, hy_):
     return speed < -_TOL_INFLOW
 
 
+def _cubic_weights(a):
+    """Lagrange weights (m, 4) of the nodes -1, 0, 1, 2 at offsets a (m,)."""
+    ap, am, a2 = a + 1.0, a - 1.0, a - 2.0
+    return np.stack([-a * am * a2 / 6.0, ap * am * a2 / 2.0,
+                     -ap * a * a2 / 2.0, ap * a * am / 6.0], axis=1)
+
+
+def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
+               max_len):
+    """Fill the foot nodes (flat indices ``nodes``) in dependency order.
+
+    ``omega`` and ``total`` hold per grid node omega, NaN where uncovered,
+    and the characteristic length.  A foot node takes the 4 x 4
+    Lagrange-cubic interpolation of both at its foot (fx, fy), omega times
+    exp(-acc) and the length plus its segment's; a NaN anywhere in the
+    stencil, or a length beyond max_len, leaves it uncovered.  A node is
+    ready once no stencil node is a pending foot node; each level of ready
+    nodes is filled in one batch.  Returns the mask of nodes filled; the
+    rest sit in or behind a dependency cycle.
+    """
+    nx = grid.nx
+    tx = (fx - grid.x0) / grid.hx
+    ty = (fy - grid.y0) / grid.hy
+    cx = np.floor(tx).astype(np.int64)
+    cy = np.floor(ty).astype(np.int64)
+    w = (_cubic_weights(ty - cy)[:, :, None]
+         * _cubic_weights(tx - cx)[:, None, :]).reshape(-1, 16)
+    offsets = (np.arange(4)[:, None] * nx + np.arange(4)).ravel()
+    stencil = ((cy - 1) * nx + cx - 1)[:, None] + offsets
+    pending = np.zeros(omega.size, bool)
+    pending[nodes] = True
+    indeg = np.count_nonzero(pending[stencil], axis=1)
+    # a node s is in the stencil of the feet whose stencil base is s minus
+    # an offset: group the feet by base, feet[first[c]:first[c + 1]] (the
+    # bases run nearly in node order, which the stable sort takes fastest)
+    base = stencil[:, 0]
+    feet = np.argsort(base, kind="stable")
+    first = np.concatenate(
+        [[0], np.cumsum(np.bincount(base, minlength=omega.size))])
+    filled = np.zeros(nodes.size, bool)
+    slot = np.zeros(nodes.size, np.int64)
+    ready = np.flatnonzero(indeg == 0)
+    while ready.size:
+        st, wr, g = stencil[ready], w[ready], nodes[ready]
+        t = length[ready] + (wr * total[st]).sum(axis=1)
+        omega[g] = np.where(t <= max_len, (wr * omega[st]).sum(axis=1)
+                            * np.exp(-acc[ready]), np.nan)
+        total[g] = t
+        filled[ready] = True
+        cells = (g[:, None] - offsets).ravel()
+        cells = cells[cells >= 0]
+        n_out = first[cells + 1] - first[cells]
+        ends = np.cumsum(n_out)
+        deps = feet[np.repeat(first[cells] - ends + n_out, n_out)
+                    + np.arange(ends[-1])]
+        np.subtract.at(indeg, deps, 1)
+        # a node reaching zero in-degree appears once per edge: keep one
+        ready = deps[indeg[deps] == 0]
+        slot[ready] = np.arange(ready.size)
+        ready = ready[slot[ready] == np.arange(ready.size)]
+    return filled
+
+
 def transport_omega(b: VectorField, omega_b: ScalarField,
                     step: float | None = None,
                     max_len: float | None = None,
@@ -155,8 +229,9 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     """Backward semi-Lagrangian solve of div(omega b) + omega = 0.
 
     omega_b carries the boundary data on the frame of the same grid; only
-    inflow frame values are consulted.  ``strict`` raises UncoveredNodes
-    instead of zero-filling.
+    inflow frame values are consulted.  ``step`` is the RK2 sub-step of
+    each segment and ``max_len`` bounds each whole characteristic.
+    ``strict`` raises UncoveredNodes instead of zero-filling.
     """
     grid = b.grid
     if omega_b.grid != grid:
@@ -170,30 +245,41 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     trace_mask = ~inflow.mask  # inflow frame nodes keep their data verbatim
     xs = X[trace_mask]
     ys = Y[trace_mask]
-    acc, hx_, hy_, status, _ = _kernels.trace_all(
+    acc, hx_, hy_, status, length = _kernels.trace_all(
         b.u, b.v, fld.divergence(b).values, xs, ys, -1.0, step, max_len,
         _STAG_TOL, grid.x0, grid.x1, grid.y0, grid.y1, grid.hx, grid.hy,
         grid.nx, grid.ny)
-    exited = status == _kernels.TRACE_EXITED
-    landed = exited & _hit_is_inflow(b, hx_, hy_)
-    vals = np.zeros(xs.shape)
-    vals[landed] = (_interp_frame(omega_b.values, grid,
-                                  hx_[landed], hy_[landed])
-                    * np.exp(-acc[landed]))
-    omega = np.zeros(grid.shape)
-    omega[trace_mask] = vals
-    omega[inflow.mask] = omega_b.values[inflow.mask]
+    # per grid node omega and characteristic length; omega is NaN until
+    # covered: inflow frame data, a hit on the inflow frame, or a foot
+    traced = np.flatnonzero(trace_mask)
+    omega = np.where(inflow.mask, omega_b.values, np.nan).ravel()
+    total = np.zeros(omega.size)
+    total[traced] = length
+    exited = np.flatnonzero(status == _kernels.TRACE_EXITED)
+    landed = exited[_hit_is_inflow(b, hx_[exited], hy_[exited])]
+    omega[traced[landed]] = (_interp_frame(omega_b.values, grid,
+                                           hx_[landed], hy_[landed])
+                             * np.exp(-acc[landed]))
+    foot = np.flatnonzero(status == _kernels.TRACE_FOOT)
+    filled = _fill_feet(omega, total, traced[foot], acc[foot], length[foot],
+                        hx_[foot], hy_[foot], grid, max_len)
+    interpolated = int(np.count_nonzero(
+        filled & (total[traced[foot]] <= max_len)))
+    uncovered = np.isnan(omega)
+    omega[uncovered] = 0.0
+    stagnated = int(np.count_nonzero(status == _kernels.TRACE_STAGNATION))
     report = TransportReport(
-        uncovered=int(np.count_nonzero(~landed)),
-        stagnated=int(np.count_nonzero(status == _kernels.TRACE_STAGNATION)),
-        truncated=int(np.count_nonzero(status == _kernels.TRACE_MAXLEN)),
-        exited=int(np.count_nonzero(exited)),
+        uncovered=int(np.count_nonzero(uncovered)),
+        stagnated=stagnated,
+        truncated=int(xs.size - exited.size - interpolated - stagnated),
+        exited=int(exited.size),
         traced=int(xs.size),
+        interpolated=interpolated,
     )
     if strict and report.uncovered:
         raise UncoveredNodes(
             f"{report.uncovered} nodes not reached from the inflow set")
-    return ScalarField(grid, omega), report
+    return ScalarField(grid, omega.reshape(grid.shape)), report
 
 
 def transport_residual(omega: ScalarField, b: VectorField) -> ScalarField:

@@ -1,13 +1,14 @@
 """Scalar reference of ``selfsim._kernels.trace_all``: one node at a time.
 
-Plain Python loops over the same midpoint-RK2, bilinear-interpolation and
-48-step exit-bisection arithmetic as the batched numpy tracer, which must
-match it bit for bit (tests/test_kernels.py).
+Plain Python loops over the same midpoint-RK2, bilinear-interpolation,
+foot-point and 48-step exit-bisection arithmetic as the batched numpy
+tracer, which must match it bit for bit (tests/test_kernels.py).
 """
 
 import numpy as np
 
-from selfsim._kernels import TRACE_EXITED, TRACE_MAXLEN, TRACE_STAGNATION
+from selfsim._kernels import (_REACH, TRACE_EXITED, TRACE_FOOT, TRACE_MAXLEN,
+                               TRACE_STAGNATION)
 
 
 def _bilinear(field, x, y, x0, y0, hx, hy, nx, ny):
@@ -51,6 +52,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     hity = np.empty(n)
     status = np.empty(n, np.int8)
     length = np.empty(n)
+    reach = _REACH * max(hx, hy)
     for k in range(n):
         x = xs[k]
         y = ys[k]
@@ -71,6 +73,12 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
                 x = xn
                 y = yn
                 r = (steps + 1) * step
+                i = int(np.floor((x - x0) / hx))
+                j = int(np.floor((y - y0) / hy))
+                if (np.hypot(x - xs[k], y - ys[k]) >= reach
+                        and 1 <= i <= nx - 3 and 1 <= j <= ny - 3):
+                    st = TRACE_FOOT
+                    break
             else:
                 lo = 0.0
                 hi = step

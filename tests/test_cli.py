@@ -201,6 +201,10 @@ def test_transport_subcommand(tmp_path):
     assert np.all(np.isfinite(omega.values))
     payload = json.loads((tmp_path / "transport.json").read_text())
     assert payload["report"]["uncovered"] == 0
+    # the frame-side nodes exit, the rest are interpolated at their feet
+    rep = payload["report"]
+    assert rep["exited"] > 0 and rep["interpolated"] > 0
+    assert rep["exited"] + rep["interpolated"] == rep["traced"]
 
 
 def test_strict_transport_uncovered_node_exits_1(tmp_path, capsys):

@@ -34,35 +34,36 @@ def test_numpy_tracer_matches_scalar_kernel(case):
         grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -x,
                                          lambda x, y: -y)
-        max_len, counts = 20.0 * grid.diam, [81, 0, 0]
+        max_len, counts = 20.0 * grid.diam, [56, 0, 0, 25]
     elif case == "rotation":
         grid = ss.Grid2D(-1, 1, -1, 1, 11, 11)
         b = ss.VectorField.from_function(grid, lambda x, y: -y,
                                          lambda x, y: x)
-        max_len, counts = 1.0, [36, 1, 84]
+        max_len, counts = 1.0, [36, 1, 44, 40]
     elif case == "nonsquare":
         grid = ss.Grid2D(-1, 1, -0.5, 0.75, 13, 7)
         b = ss.VectorField.from_function(
             grid, lambda x, y: -y + 0.15 * x + 0.3 * x * y,
             lambda x, y: x + 0.15 * y - 0.2 * x * x)
-        max_len, counts = 1.0, [30, 0, 61]
+        max_len, counts = 1.0, [30, 0, 48, 13]
     else:  # the spiral, traced backward or forward
         grid = ss.Grid2D(-1, 1, -1, 1, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -y + 0.15 * x,
                                          lambda x, y: x + 0.15 * y)
-        max_len, counts = 1.0, [20, 1, 60]
+        max_len, counts = 1.0, [20, 1, 52, 8]
         if case == "forward":
-            counts, sgn = [40, 1, 40], 1.0
+            counts, sgn = [40, 1, 32, 8], 1.0
     fast, ref = _trace_both(b, max_len, sgn)
-    # exited, stagnated, max-length paths
-    assert np.bincount(ref[3], minlength=3).tolist() == counts
+    # exited, stagnated, max-length and foot paths
+    assert np.bincount(ref[3], minlength=4).tolist() == counts
     for a, r in zip(fast, ref):
         assert np.array_equal(a, r)
 
 
 def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
     # the exit bisection (49 RK2 steps) runs once for all crossed nodes,
-    # not once per march step in which some node crosses
+    # not once per march step in which some node crosses; every other node
+    # stops at a foot and is interpolated
     calls = []
     rk2 = _kernels._rk2
 
@@ -74,7 +75,8 @@ def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
     grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 33, 33)
     b = ss.VectorField.from_function(grid, lambda x, y: -x, lambda x, y: -y)
     _, rep = vorticity.transport_omega(b, ss.ScalarField.zeros(grid))
-    assert rep.exited == rep.traced
+    assert rep.exited + rep.interpolated == rep.traced
+    assert rep.exited > 0 and rep.interpolated > 0
     # backward paths grow as xi0 * e^r and leave [0.25, 0.75]^2 by r = ln 3
     march_steps = int(np.ceil(np.log(3.0) / (0.5 * grid.hx)))
     assert len(calls) <= march_steps + 49
@@ -100,25 +102,36 @@ def test_tracer_converges_to_the_exact_radial_characteristics():
     # bilinear interpolation is exact for the linear drift b = -xi, so only
     # the integrator's error shows: the backward path is xi0 e^r, it leaves
     # [0.25, 0.75]^2 at r = ln(0.75 / max(xi0)), and 1 + div b = -1 makes
-    # the integral -r; midpoint RK2 errs by O(step^2)
+    # the integral -r.  A path stops at a foot 3 cells out or at the frame,
+    # so it is O(h) long and midpoint RK2 errs by O(h^3) on it
     errs = []
     for n in (33, 65):
         xs, ys, _, (acc, hx, hy, status, length) = _trace_radial(n)
-        assert (status == _kernels.TRACE_EXITED).all()
+        exited = status == _kernels.TRACE_EXITED
+        foot = status == _kernels.TRACE_FOOT
+        assert (exited | foot).all() and exited.any() and foot.any()
         hit = np.hypot(hx - xs * np.exp(length), hy - ys * np.exp(length))
-        integral = np.abs(acc + np.log(0.75 / np.maximum(xs, ys)))
-        errs.append((hit.max(), integral.max()))
-    assert max(errs[0]) <= 2.5e-5
+        exit_integral = np.abs(acc + np.log(0.75 / np.maximum(xs, ys)))
+        # the trapezoid sums of a constant integrand are exact at a foot
+        assert np.abs(acc + length)[foot].max() <= 1e-14
+        errs.append((hit[exited].max(), hit[foot].max(),
+                     exit_integral[exited].max()))
+        # a foot is 3 cells from its start, in a cell 1 .. n - 3
+        h = 0.5 / (n - 1)
+        assert (np.hypot(hx - xs, hy - ys)[foot] >= 3 * h).all()
+        for t in ((hx[foot] - 0.25) / h, (hy[foot] - 0.25) / h):
+            assert ((1 <= np.floor(t)) & (np.floor(t) <= n - 3)).all()
+    assert max(errs[0]) <= 1e-6
     for coarse, fine in zip(*errs):
-        assert 3.4 <= coarse / fine <= 4.6
+        assert 6.8 <= coarse / fine <= 9.2
 
 
 def test_tracer_takes_two_samples_per_march_step(monkeypatch):
-    # a node samples the drift twice per march step it is live in: at the
-    # half step and at the new point, the next step's k1 (the start point's
-    # sample counts for the crossing step, which makes no new point); an
-    # exited node then takes 50 in the bisection: 48 halvings, the final
-    # step and div b at the hit point
+    # a node samples the drift at its start point and twice per march step
+    # it completes: at the half step and at the new point, the next step's
+    # k1.  A foot node takes nothing more; an exited node samples the
+    # midpoint of its crossing step and then 50 in the bisection: 48
+    # halvings, the final step and div b at the hit point
     points = []
     sample = _kernels._sample
 
@@ -128,10 +141,14 @@ def test_tracer_takes_two_samples_per_march_step(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_sample", counted)
     xs, _, step, (_, _, _, status, length) = _trace_radial(33)
-    assert (status == _kernels.TRACE_EXITED).all()
-    # length = full steps * step + the bisected part of the crossing step
-    live_steps = np.floor(length / step).astype(np.int64) + 1
-    assert sum(points) == 2 * live_steps.sum() + 50 * xs.size
+    exited = status == _kernels.TRACE_EXITED
+    # length = full steps * step, plus the bisected part of a crossing step
+    full_steps = np.where(exited, np.floor(length / step),
+                          np.rint(length / step)).astype(np.int64)
+    assert (status[~exited] == _kernels.TRACE_FOOT).all()
+    assert np.array_equal(full_steps[~exited] * step, length[~exited])
+    assert sum(points) == (xs.size + 2 * full_steps.sum()
+                           + 51 * np.count_nonzero(exited))
 
 
 def test_benchmark_hooks_keep_their_names():

@@ -108,6 +108,36 @@ def test_quasi_state_computes_Q1_once(law, grid, monkeypatch):
                                                       state.F1).values)
 
 
+
+def test_quasi_state_takes_each_gradient_once(law, grid, monkeypatch):
+    # grad psi and perp_grad zeta~ are taken once per evaluation and shared
+    # by F1, Q1, N1, c^2 and U, which equal the standalone forms
+    psi = smooth(grid, 3)
+    zeta = smooth(grid, 4)
+    base = potential.PotentialProblem(law=law, grid=grid, phi_b=psi,
+                                      c2_floor=1e-6)
+    calls = []
+    for name in ("gradient", "perp_gradient"):
+        def counted(f, _name=name, _fn=getattr(fld, name)):
+            calls.append((_name, f))
+            return _fn(f)
+        monkeypatch.setattr(fld, name, counted)
+    state = qp.quasi_state(qp.QuasiConfig(anchor=(16, 16)), base, 1e-2,
+                           psi, zeta)
+    assert [n for n, f in calls if f is psi].count("gradient") == 1
+    assert [n for n, f in calls if f is zeta].count("perp_gradient") == 1
+    monkeypatch.undo()
+    F1, defect = qp.reconstruct_F1(psi, zeta, anchor=(16, 16))
+    Q1 = qp.compute_Q1(law, psi, zeta, F1)
+    c2, clamped = qp.c2_quasi(law, psi, zeta, 1e-2, F1, 1e-6)
+    gp, pz = fld.gradient(psi), fld.perp_gradient(zeta)
+    for got, want in ((state.F1, F1), (state.Q1, Q1), (state.c2, c2),
+                      (state.N1, qp.compute_N1(psi, zeta))):
+        assert np.array_equal(got.values, want.values)
+    assert (state.curl_defect, state.clamped) == (defect, clamped)
+    assert np.array_equal(state.U.u, gp.u + 1e-2 * pz.u)
+    assert np.array_equal(state.U.v, gp.v + 1e-2 * pz.v)
+
 def test_residual_map_zero_at_quiescent(law, grid):
     # the residual map of the Newton step is residual_Q with the unclamped
     # closure

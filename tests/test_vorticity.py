@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import selfsim as ss
-from selfsim import vorticity
+from selfsim import _kernels, field as fld, vorticity
 from selfsim.errors import ConfigError, UncoveredNodes
+
+from conftest import quiescent_field
 
 
 def radial_grid(n=33):
@@ -121,6 +123,160 @@ def test_transport_uncovered_strict():
     with pytest.raises(UncoveredNodes):
         vorticity.transport_omega(b, ss.ScalarField.zeros(grid),
                                   max_len=2.0, strict=True)
+
+
+def _statuses_sum(rep):
+    return rep.exited + rep.interpolated + rep.stagnated + rep.truncated
+
+
+def test_transport_samples_per_node_stay_flat(monkeypatch):
+    # each node is traced 3 cells upstream, not to the frame, so the drift
+    # samples per traced node do not grow with n (the full-length march took
+    # 196 at 65^2 and 337 at 129^2)
+    points = []
+    sample = _kernels._sample
+
+    def counted(tab, pts, geom):
+        points.append(pts.shape[1])
+        return sample(tab, pts, geom)
+
+    monkeypatch.setattr(_kernels, "_sample", counted)
+    per_node = []
+    for n in (65, 129):
+        grid = radial_grid(n)
+        points.clear()
+        _, rep = vorticity.transport_omega(radial_drift(grid),
+                                           ss.ScalarField.zeros(grid))
+        per_node.append(sum(points) / rep.traced)
+    assert max(per_node) <= 32
+    assert per_node[1] <= per_node[0]
+
+
+@pytest.mark.parametrize("case", ["radial", "criterion-11"])
+def test_transport_resolves_every_node(case):
+    # every foot node is filled in dependency order: no cycle is left, and
+    # the counts partition the traced nodes
+    if case == "radial":
+        grid = radial_grid(65)
+        b = radial_drift(grid)
+    else:  # the first sweep's drift on the criterion-11 patch
+        grid = ss.Grid2D(0.1, 0.6, 0.1, 0.6, 65, 65)
+        b = fld.gradient(quiescent_field(grid))
+    _, rep = vorticity.transport_omega(b, ss.ScalarField.zeros(grid))
+    assert rep.uncovered == rep.truncated == rep.stagnated == 0
+    assert rep.exited + rep.interpolated == rep.traced
+    assert rep.interpolated > rep.exited > 0
+
+
+def test_transport_counts_partition_traced_nodes():
+    # a rotation leaves its feet in dependency cycles: truncated and
+    # uncovered; on the sink b = -xi, max_len bounds each whole
+    # characteristic, whose length -ln max(|x0|, |y0|) passes through the
+    # interpolation, and the centre node stagnates
+    grid = ss.Grid2D(-1, 1, -1, 1, 33, 33)
+    X, Y = grid.meshgrid()
+    ones = ss.ScalarField(grid, np.ones(grid.shape))
+    rot = ss.VectorField.from_function(grid, lambda x, y: -y, lambda x, y: x)
+    _, rep = vorticity.transport_omega(rot, ones, max_len=4.0)
+    assert _statuses_sum(rep) == rep.traced
+    assert rep.truncated > rep.traced // 2
+    assert rep.uncovered == rep.truncated + rep.stagnated
+    sink = ss.VectorField.from_function(grid, lambda x, y: -x,
+                                        lambda x, y: -y)
+    for max_len, truncated in ((2.0, 24), (None, 0)):
+        omega, rep = vorticity.transport_omega(sink, ones, max_len=max_len)
+        assert _statuses_sum(rep) == rep.traced
+        assert (rep.stagnated, rep.truncated) == (1, truncated)
+        assert rep.uncovered == 1 + truncated
+        if max_len:
+            too_long = np.maximum(np.abs(X), np.abs(Y)) < np.exp(-max_len)
+            assert np.array_equal(omega.values == 0.0, too_long)
+
+
+def _lagrange(a, m):
+    """Weight of node m in -1 .. 2 of the cubic through those nodes."""
+    w = 1.0
+    for k in (-1, 0, 1, 2):
+        if k != m:
+            w *= (a - k) / (m - k)
+    return w
+
+
+def _loop_transport(b, omega_b, max_len):
+    """transport_omega with the foot nodes filled by plain loops: each
+    pass fills every foot whose stencil holds no unfilled foot."""
+    g = b.grid
+    inflow = vorticity.inflow_boundary(b).mask.ravel()
+    X, Y = g.meshgrid()
+    nodes = np.flatnonzero(~inflow)
+    acc, hx_, hy_, st, length = _kernels.trace_all(
+        b.u, b.v, fld.divergence(b).values, X.ravel()[nodes],
+        Y.ravel()[nodes], -1.0, 0.5 * min(g.hx, g.hy), max_len, 1e-14,
+        g.x0, g.x1, g.y0, g.y1, g.hx, g.hy, g.nx, g.ny)
+    # omega and length of the covered nodes, by flat index
+    omega = {int(k): omega_b.values.flat[k] for k in np.flatnonzero(inflow)}
+    total = dict.fromkeys(omega, 0.0)
+    feet = {}
+    for i, k in enumerate(nodes):
+        hit = hx_[i:i + 1], hy_[i:i + 1]
+        if (st[i] == _kernels.TRACE_EXITED
+                and vorticity._hit_is_inflow(b, *hit)[0]):
+            omega[k] = (vorticity._interp_frame(omega_b.values, g, *hit)[0]
+                        * np.exp(-acc[i]))
+            total[k] = length[i]
+        elif st[i] == _kernels.TRACE_FOOT:
+            tx, ty = (hx_[i] - g.x0) / g.hx, (hy_[i] - g.y0) / g.hy
+            cx, cy = int(np.floor(tx)), int(np.floor(ty))
+            feet[int(k)] = (i, [((cy + m) * g.nx + cx + n,
+                                 _lagrange(ty - cy, m) * _lagrange(tx - cx, n))
+                                for m in (-1, 0, 1, 2) for n in (-1, 0, 1, 2)])
+    while True:
+        ready = [k for k, (_, sten) in feet.items()
+                 if not any(s in feet for s, _ in sten)]
+        if not ready:
+            break
+        for k in ready:
+            i, sten = feet[k]
+            if all(s in omega for s, _ in sten):
+                t = length[i] + sum(w * total[s] for s, w in sten)
+                if t <= max_len:
+                    omega[k] = (sum(w * omega[s] for s, w in sten)
+                                * np.exp(-acc[i]))
+                    total[k] = t
+        for k in ready:
+            del feet[k]
+    return omega
+
+
+@pytest.mark.parametrize("case", ["spiral", "spiral-cut", "shear"])
+def test_transport_matches_a_loop_reference(case):
+    # a spiral sink inflowing on the whole frame; with max_len 1.5 the
+    # length budget cuts the characteristics of the inner nodes.  The shear
+    # b = (y, 0) stagnates on y = 0, and coverage passes through whole
+    # stencils: a foot whose stencil holds an uncovered node is uncovered
+    grid = ss.Grid2D(-1, 1, -1, 1, 17, 17)
+    if case == "shear":
+        b = ss.VectorField.from_function(grid, lambda x, y: y,
+                                         lambda x, y: 0.0 * y)
+        max_len = 20.0
+    else:
+        b = ss.VectorField.from_function(grid, lambda x, y: -x - 0.4 * y,
+                                         lambda x, y: -y + 0.4 * x)
+        max_len = 1.5 if case == "spiral-cut" else 20.0
+    X, Y = grid.meshgrid()
+    omega_b = ss.ScalarField(grid, 1.0 + 0.5 * np.sin(3 * X + Y))
+    omega, rep = vorticity.transport_omega(b, omega_b, max_len=max_len)
+    ref = _loop_transport(b, omega_b, max_len)
+    covered = np.zeros(grid.nx * grid.ny, bool)
+    covered[list(ref)] = True
+    assert rep.uncovered == covered.size - len(ref)
+    assert rep.interpolated > 0
+    if case == "shear":  # the case reaches the propagation rule
+        assert rep.uncovered > rep.stagnated > 0
+    assert np.all(omega.values.ravel()[~covered] == 0.0)
+    keys = np.array(sorted(ref))
+    assert np.allclose(omega.values.ravel()[keys],
+                       [ref[k] for k in keys], rtol=1e-13, atol=0.0)
 
 
 def test_transport_validation():
