@@ -79,8 +79,13 @@ def decompose(U: VectorField, lin_tol: float = 1e-11) -> Decomposition:
     psi solves div(grad psi) = div U at interior nodes and grad(psi).nu = U.nu
     on the boundary.  The compatibility defect of the discrete Neumann system
     is absorbed by a Lagrange multiplier distributed over the boundary rows
-    (so interior equations hold to solver accuracy), and the additive
-    constant is pinned by a zero-mean constraint.
+    (so interior equations hold to solver accuracy).  The constant in psi is
+    pinned by the row psi[0] = 0, which keeps the system sparse where a mean
+    row would couple every unknown, and psi is shifted to zero mean after
+    the solve.  The frame rows, O(1/h), are scaled by 1/min(hx, hy) to the
+    O(1/h^2) size of the interior rows, so that partial pivoting keeps the
+    diagonal and the LU keeps the minimum-degree ordering of
+    FrozenSystem.factor; refinement measures the unscaled residual.
     """
     grid = U.grid
     if not (np.all(np.isfinite(U.u)) and np.all(np.isfinite(U.v))):
@@ -104,21 +109,22 @@ def decompose(U: VectorField, lin_tol: float = 1e-11) -> Decomposition:
     )
     w_b = (~int_flat).astype(float)
     w_b /= w_b.sum()
-    mean_row = np.full(N, 1.0 / N)
-    M = sp.bmat([[A, w_b[:, None]], [mean_row[None, :], None]],
-                format="csc")
+    pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, N))
+    M = sp.bmat([[A, w_b[:, None]], [pin, None]], format="csc")
     rhs_aug = np.concatenate([rhs, [0.0]])
-    lu = spla.splu(M)
-    x = lu.solve(rhs_aug)
-    scale = max(np.linalg.norm(rhs), 1.0)
-    rel = np.inf
-    for _ in range(3):  # iterative refinement
-        res = M @ x - rhs_aug
-        rel = float(np.linalg.norm(res)) / scale
-        if not np.isfinite(rel) or rel <= 0.01 * lin_tol:
-            break
-        x = x - lu.solve(res)
-    psi_vec = x[:N]
+    row_scale = np.concatenate(
+        [np.where(int_flat, 1.0, 1.0 / min(grid.hx, grid.hy)), [1.0]])
+    lu = spla.splu((sp.diags(row_scale) @ M).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A")
+    x = lu.solve(row_scale * rhs_aug)
+
+    def correct(res):
+        x[:] -= lu.solve(row_scale * res)
+
+    scale = max(potential.norm2(rhs), 1.0)
+    rel = potential.refine(lambda: M @ x - rhs_aug, correct, lambda: scale,
+                           lin_tol)
+    psi_vec = x[:N] - np.mean(x[:N])
     if not np.all(np.isfinite(psi_vec)) or rel > 1e3 * lin_tol:
         raise SolverError("Neumann solve for the potential part stagnated")
     psi = ScalarField(grid, psi_vec)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -355,6 +356,26 @@ def _check_margin(lambda_min: float) -> None:
         raise IndefiniteSystem(f"ellipticity margin {lambda_min:.3e} <= 0")
 
 
+def norm2(v: np.ndarray) -> float:
+    """Euclidean norm of all entries, without the BLAS dot of
+    np.linalg.norm, whose threads can stall for milliseconds per call."""
+    return math.sqrt(float(np.sum(v * v)))
+
+
+def refine(residual, correct, scale, lin_tol: float) -> float:
+    """Iterative refinement: up to three rounds of r = residual(), stopping
+    once |r| / scale() <= 0.01 lin_tol or is not finite, else correct(r),
+    which updates the unknowns in place.  Returns the last |r| / scale()."""
+    rel = np.inf
+    for _ in range(3):
+        r = residual()
+        rel = norm2(r) / scale()
+        if not np.isfinite(rel) or rel <= 0.01 * lin_tol:
+            break
+        correct(r)
+    return rel
+
+
 def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
                            phi_b: ScalarField,
                            lin_tol: float = 1e-11) -> ScalarField:
@@ -383,15 +404,9 @@ def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
     correct(system.apply(x) - b)
     # backward-error scale: |r| / (|A| |x| + |b|) with |A| the max row sum
     anorm = system.anorm()
-    b_norm = float(np.linalg.norm(b))
-    rel = np.inf
-    for _ in range(3):  # iterative refinement against the stencil operator
-        resid = system.apply(x) - b
-        scale = anorm * float(np.linalg.norm(x)) + b_norm
-        rel = float(np.linalg.norm(resid)) / max(scale, 1.0)
-        if not np.isfinite(rel) or rel <= 0.01 * lin_tol:
-            break
-        correct(resid)
+    b_norm = norm2(b)
+    rel = refine(lambda: system.apply(x) - b, correct,
+                 lambda: max(anorm * norm2(x) + b_norm, 1.0), lin_tol)
     if not np.all(np.isfinite(x)) or rel > lin_tol:
         raise LinearStagnation(f"linear relative residual {rel:.3e} > {lin_tol:.3e}")
     return ScalarField(grid, x)

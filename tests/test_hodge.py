@@ -45,6 +45,86 @@ def test_decompose_rejects_nonfinite(grid):
         hodge.decompose(U)
 
 
+def _zero_mean_bordered_psi(U):
+    """Reference psi: a dense solve of the Neumann system bordered by the
+    boundary multiplier column and the row mean(psi) = 0."""
+    grid = U.grid
+    N = grid.nx * grid.ny
+    Gx, Gy = hodge.gradient_operators(grid)
+    interior = np.zeros(grid.shape, bool)
+    interior[1:-1, 1:-1] = True
+    interior = interior.ravel()
+    nux, nuy = (a.ravel() for a in hodge._boundary_normals(grid))
+    L = (Gx @ Gx + Gy @ Gy).toarray()
+    A = np.where(interior[:, None], L,
+                 nux[:, None] * Gx.toarray() + nuy[:, None] * Gy.toarray())
+    rhs = np.where(interior, Gx @ U.u.ravel() + Gy @ U.v.ravel(),
+                   nux * U.u.ravel() + nuy * U.v.ravel())
+    w_b = (~interior) / np.count_nonzero(~interior)
+    M = np.block([[A, w_b[:, None]], [np.full((1, N), 1.0 / N), 0.0]])
+    return np.linalg.solve(M, np.append(rhs, 0.0))[:N].reshape(grid.shape)
+
+
+@pytest.mark.parametrize("shape", [(17, 17), (13, 9)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompose_matches_zero_mean_bordered_system(shape, seed):
+    # the pinned, row-scaled solve and the mean shift keep the discrete
+    # problem: the same psi as the dense zero-mean system, also for hx != hy
+    g = ss.Grid2D(0.0, 1.0, -0.5, 0.1, *shape)
+    rng = np.random.default_rng(seed)
+    U = ss.VectorField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
+    dec = hodge.decompose(U)
+    assert np.max(np.abs(dec.psi.values - _zero_mean_bordered_psi(U))) <= 1e-12
+    assert abs(np.mean(dec.psi.values)) <= 1e-14
+
+
+class _CountingLU:
+    """SuperLU stand-in that counts its triangular solves."""
+
+    def __init__(self, lu):
+        self.lu, self.nnz, self.solves = lu, lu.nnz, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def test_decompose_factors_once_with_sparse_fill(monkeypatch):
+    # one LU with no dense row: fill 501,940 on this field with a mean row
+    # and unscaled frame rows; 199,778 with the pin, the scaled rows and the
+    # minimum-degree ordering
+    factors = []
+    splu = hodge.spla.splu
+
+    def spy(*args, **kwargs):
+        factors.append(_CountingLU(splu(*args, **kwargs)))
+        return factors[-1]
+
+    monkeypatch.setattr(hodge.spla, "splu", spy)
+    g = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 65, 65)
+    rng = np.random.default_rng(5)
+    dec = hodge.decompose(ss.VectorField(g, rng.normal(size=g.shape),
+                                         rng.normal(size=g.shape)))
+    assert dec.div_W_norm <= 1e-10
+    assert len(factors) == 1
+    assert factors[0].nnz <= 250_000
+    assert 1 <= factors[0].solves <= 4
+
+
+@pytest.mark.parametrize("box, shape", [
+    ((-1.0, 1.0, -0.1, 0.1), (129, 65)),
+    ((0.0, 0.1, 0.0, 2.0), (33, 129)),
+])
+def test_decompose_is_solenoidal_on_stretched_grids(box, shape):
+    # hx / hy = 5 and 1 / 6.4: the row scale 1 / min(hx, hy) must keep the
+    # solve accurate when the two spacings differ
+    g = ss.Grid2D(*box, *shape)
+    rng = np.random.default_rng(7)
+    dec = hodge.decompose(ss.VectorField(g, rng.normal(size=g.shape),
+                                         rng.normal(size=g.shape)))
+    assert dec.div_W_norm <= 1e-10
+
+
 def test_stream_function_recovers_perp_potential(grid):
     # zeta vanishes on the frame, matching the solver's Dirichlet convention
     zeta = ss.ScalarField.from_function(
