@@ -126,6 +126,13 @@ def _reads_config(fn):
     return read
 
 
+def _integer(value) -> int:
+    """int(value) for an integral value; int() alone truncates 9.5 to 9."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def gas_from_config(cfg: dict) -> GasLaw:
     g = cfg.get("gas", {})
     variant = g.get("variant", "standard")
@@ -143,7 +150,8 @@ def grid_from_config(cfg: dict) -> Grid2D:
         raise ConfigError("config requires a grid section")
     try:
         return Grid2D(float(g["x0"]), float(g["x1"]), float(g["y0"]),
-                      float(g["y1"]), int(g["nx"]), int(g["ny"]))
+                      float(g["y1"]), _integer(g["nx"]),
+                      _integer(g["ny"]))
     except KeyError as exc:
         raise ConfigError(f"grid section missing key {exc}") from exc
 
@@ -189,7 +197,7 @@ def _solve_inputs(cfg: dict):
         cap_M=float(s.get("cap_M", 1e6)))
     params = potential.PicardParams(
         tol_fixed_point=float(s.get("tol_fixed_point", 1e-10)),
-        max_iters=int(s.get("max_iters", 200)),
+        max_iters=_integer(s.get("max_iters", 200)),
         lin_tol=float(s.get("lin_tol", 1e-11)),
     )
     schedule = potential.EpsilonSchedule(
@@ -213,7 +221,7 @@ def quasi_from_config(cfg: dict, grid: Grid2D) -> quasipotential.QuasiConfig:
     return quasipotential.QuasiConfig(
         delta_targets=[float(d) for d in q.get("delta_targets", [0.0])],
         outer_tol=float(q.get("outer_tol", 1e-8)),
-        outer_max_iters=int(q.get("outer_max_iters", 50)),
+        outer_max_iters=_integer(q.get("outer_max_iters", 50)),
         zeta_b=zeta_b,
         anchor=q.get("anchor", (0, 0)),
         sonic_margin=float(q.get("sonic_margin", 0.01)),
@@ -237,31 +245,24 @@ def _report_payload(report_dict: dict) -> str:
 def cmd_solve_potential(args) -> int:
     cfg = load_config(args.config, strict=args.strict)
     problem, params, schedule = _solve_inputs(cfg)
-    status = 0
     try:
         phi, report = potential.epsilon_continuation(problem, schedule, params)
     except NonConvergence as exc:
         print(f"solve-potential: {exc}", file=sys.stderr)
         return 1
-    if report.status != "Converged":
-        status = 1
     phi_path = _out_path(cfg, "phi_path", "phi.f2d")
     report_path = _out_path(cfg, "report_path", "report.json")
     out_dir = os.path.dirname(os.path.abspath(phi_path)) or "."
     atomic_write_field(phi, phi_path)
-    gp = fld.gradient(phi)
-    c2, _ = potential.c2_of_phi(problem.law, phi, gp,
-                                c2_floor=problem.c2_floor)
-    L2 = regime.pseudo_mach_field(gp, c2)
-    atomic_write_field(c2, os.path.join(out_dir, "c2.f2d"))
-    atomic_write_field(L2, os.path.join(out_dir, "L2.f2d"))
+    atomic_write_field(report.c2, os.path.join(out_dir, "c2.f2d"))
+    atomic_write_field(report.L2, os.path.join(out_dir, "L2.f2d"))
     if cfg.get("output", {}).get("csv"):
         _write_csv(phi, os.path.splitext(phi_path)[0] + ".csv")
     atomic_write_text(report_path, _report_payload(report.to_dict()))
     print(f"solve-potential: {report.status} (eps={report.final_eps:g}, "
           f"residual={report.final_residual:.3e}, audit={report.audit}); "
           f"report: {report_path}")
-    return status
+    return 0 if report.status == "Converged" else 1
 
 
 def cmd_solve_quasi(args) -> int:
@@ -325,11 +326,10 @@ def cmd_decompose(args) -> int:
     os.makedirs(base, exist_ok=True)
     atomic_write_field(dec.psi, os.path.join(base, "psi.f2d"))
     atomic_write_field(dec.W, os.path.join(base, "W.f2d"))
-    G, H = hodge.bernoulli_GH(U, dec.W)
-    F = hodge.reconstruct_F(G, H)
-    atomic_write_field(F, os.path.join(base, "F.f2d"))
+    bf = hodge.bernoulli_fields(U, dec.W)
+    atomic_write_field(bf.F, os.path.join(base, "F.f2d"))
     payload = {"div_W_norm": dec.div_W_norm,
-               "integrability_residual": hodge.integrability_residual(G, H)}
+               "integrability_residual": bf.integrability_residual}
     report_path = os.path.join(base, "decompose.json")
     atomic_write_text(report_path, _report_payload(payload))
     print(f"decompose: |div W| = {dec.div_W_norm:.3e}; report: {report_path}")

@@ -119,10 +119,15 @@ class SolveReport:
     audit: str = ""
     audit_details: dict = dc_field(default_factory=dict)
     errors: list = dc_field(default_factory=list)
+    # the final state's floored c^2 and its L^2 = |U|^2 / c^2
+    c2: ScalarField | None = dc_field(repr=False, default=None)
+    L2: ScalarField | None = dc_field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        """Every field, as JSON writes it (a tuple becomes an array)."""
-        return dataclasses.asdict(self)
+        """Every field but c2 and L2, as JSON writes it (a tuple becomes an
+        array)."""
+        return {k: v for k, v in dataclasses.asdict(self).items()
+                if k not in ("c2", "L2")}
 
 
 def c2_of_phi(law: GasLaw, phi: ScalarField,
@@ -432,12 +437,13 @@ def picard_solve(problem: PotentialProblem, eps: float,
     the Jacobian factored at the current or an earlier iterate w'.  A stage
     starts with a fresh LU, and the LU is refactored at the current iterate
     unless the last step was a full step (lam = 1) that either had a fresh
-    LU or contracted, |v_k|_inf <= _CONTRACTION |v_{k-1}|_inf.  A
-    reused-LU step is taken in full if it reduces |R|_inf; if it does not,
-    it is discarded and the step is redone with a fresh LU.  A fresh-LU step
-    is w + lam v with lam halved (at most _MAX_HALVINGS times) until |R|_inf
-    decreases or |lam v|_inf <= tol_fixed_point, so NonConvergence after the
-    halvings always comes from a fresh Jacobian.  Every iterate passes the
+    LU or contracted, |v_k|_inf <= _CONTRACTION |v_{k-1}|_inf.  A step
+    tries w + lam v from lam = 1 and takes the first trial that reduces
+    |R|_inf or has |lam v|_inf <= tol_fixed_point.  A fresh LU halves lam
+    at most _MAX_HALVINGS times before NonConvergence; a reused LU gets the
+    one trial lam = 1, and if that is not taken the step is discarded and
+    redone with a fresh LU at w.  So NonConvergence after the halvings
+    always comes from a fresh Jacobian.  Every iterate passes the
     checks of assemble_frozen, CapExceeded and then an ellipticity margin > 0
     (IndefiniteSystem), whether or not it is factored; the full Jacobian is
     assembled only to be factored.
@@ -457,55 +463,45 @@ def picard_solve(problem: PotentialProblem, eps: float,
         return residual_Q(law, ScalarField(grid, values), eps=eps, rhs=rhs,
                           c2_floor=-np.inf).values
 
-    def newton_step(system):
-        return solve_linear_dirichlet(system, ScalarField(grid, -r), zero,
-                                      lin_tol=params.lin_tol).values
-
     w = (w0.values if w0 is not None else problem.phi_b.values).copy()
     w[[0, -1], :] = problem.phi_b.values[[0, -1], :]
     w[:, [0, -1]] = problem.phi_b.values[:, [0, -1]]
     r = residual(w)
     r_norm = float(np.max(np.abs(r)))
     report = PicardReport()
-    system, reuse = None, False
+    reuse = False
     while len(report.deltas) < params.max_iters:
-        lam, fresh = 1.0, not reuse
         if reuse:
             _check_margin(_checked_principal_part(
                 law, ScalarField(grid, w), eps, problem.cap_M)[2])
-            v = newton_step(system)
-            step = float(np.max(np.abs(v)))
-            trial = w + v
-            if step > params.tol_fixed_point:
-                r_trial = residual(trial)
-                r_trial_norm = float(np.max(np.abs(r_trial)))
-                if r_trial_norm < r_norm:
-                    r, r_norm = r_trial, r_trial_norm
-                else:  # discard the step and refactor at w
-                    fresh = True
-        if fresh:
+        else:
             system = assemble_frozen(law, ScalarField(grid, w), eps,
                                      cap_M=problem.cap_M)
             report.iterations += 1
-            v = newton_step(system)
-            for _ in range(_MAX_HALVINGS + 1):
-                step = float(np.max(np.abs(lam * v)))
-                trial = w + lam * v
-                if step <= params.tol_fixed_point:
-                    break
-                r_trial = residual(trial)
-                r_trial_norm = float(np.max(np.abs(r_trial)))
-                if r_trial_norm < r_norm:
-                    r, r_norm = r_trial, r_trial_norm
-                    break
-                lam *= 0.5
-            else:
+        v = solve_linear_dirichlet(system, ScalarField(grid, -r), zero,
+                                   lin_tol=params.lin_tol).values
+        lam = 1.0
+        for _ in range(1 if reuse else _MAX_HALVINGS + 1):
+            step = float(np.max(np.abs(lam * v)))
+            trial = w + lam * v
+            if step <= params.tol_fixed_point:
+                break
+            r_trial = residual(trial)
+            r_trial_norm = float(np.max(np.abs(r_trial)))
+            if r_trial_norm < r_norm:
+                r, r_norm = r_trial, r_trial_norm
+                break
+            lam *= 0.5
+        else:
+            if not reuse:
                 raise NonConvergence(
                     f"damped Newton step does not reduce |Q_eps|_inf = "
                     f"{r_norm:.3e} after {_MAX_HALVINGS} halvings",
                     best=ScalarField(grid, w), report=report)
+            reuse = False  # discard the step and refactor at w
+            continue
         reuse = lam == 1.0 and (
-            fresh or step <= _CONTRACTION * report.deltas[-1])
+            not reuse or step <= _CONTRACTION * report.deltas[-1])
         w = trial
         report.deltas.append(step)
         if step <= params.tol_fixed_point:
@@ -575,6 +571,7 @@ def _finalize_report(report: SolveReport, U: VectorField, c2: ScalarField,
     """Fill the final-state fields of report from the solve's pseudo-velocity
     U, its floored c^2 with the clamped count, and its residual."""
     rr = regime.classify(U, c2)
+    report.c2, report.L2 = c2, rr.L2
     report.final_residual = residual
     report.c2_min = float(np.min(c2.values))
     report.c2_max = float(np.max(c2.values))

@@ -101,9 +101,9 @@ def trace_characteristic(b: VectorField, start, step: float | None = None,
     table = _kernels.drift_table(b.u, b.v, fld.divergence(b).values, sgn,
                                  g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
     for _ in range(int(np.ceil(max_len / step))):
-        # single sub-step: max_len slightly below step forces one iteration
+        # single sub-step: max_len = step gives ceil(1) = 1 march step
         a1, h1x, h1y, st, dr = _kernels.trace_table(
-            table, np.array([x]), np.array([y]), step, step * 0.999,
+            table, np.array([x]), np.array([y]), step, step,
             _STAG_TOL, g.x0, g.x1, g.y0, g.y1)
         if st[0] == _kernels.TRACE_STAGNATION:
             status = "stagnation"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import selfsim as ss
-from selfsim import cli, field as fld, potential, quasipotential
+from selfsim import cli, field as fld, potential, quasipotential, regime
 from selfsim.errors import LinearStagnation
 
 from conftest import quiescent_field
@@ -48,6 +48,38 @@ def test_solve_potential_end_to_end(tmp_path):
     assert payload["report"]["status"] == "Converged"
     assert payload["report"]["audit"] == "Pass"
     assert list(payload) == ["report"]  # no wall-clock metadata
+
+
+def test_solve_potential_writes_the_solves_c2_and_L2(tmp_path, monkeypatch):
+    # c2.f2d and L2.f2d are the report's fields, not a second evaluation
+    continuation = potential.epsilon_continuation
+    reports, calls = [], []
+
+    def solve_then_spy(*args, **kwargs):
+        phi, report = continuation(*args, **kwargs)
+        reports.append(report)
+        for owner, name in ((fld, "gradient"), (potential, "c2_of_phi"),
+                            (regime, "pseudo_mach_field")):
+            def spy(*a, _name=name, _fn=getattr(owner, name), **k):
+                calls.append(_name)
+                return _fn(*a, **k)
+            monkeypatch.setattr(owner, name, spy)
+        return phi, report
+
+    monkeypatch.setattr(potential, "epsilon_continuation", solve_then_spy)
+    path = small_config(tmp_path)
+    assert cli.main(["solve-potential", "--config", str(path)]) == 0
+    monkeypatch.undo()
+    assert calls == []
+    phi, c2, L2 = (fld.read_field(tmp_path / name)
+                   for name in ("phi.f2d", "c2.f2d", "L2.f2d"))
+    assert np.array_equal(c2.values, reports[0].c2.values)
+    assert np.array_equal(L2.values, reports[0].L2.values)
+    gp = fld.gradient(phi)
+    c2_phi, _ = potential.c2_of_phi(ss.GasLaw(a=1.0, gamma=2.0), phi, gp)
+    assert np.array_equal(c2.values, c2_phi.values)
+    assert np.array_equal(L2.values,
+                          regime.pseudo_mach_field(gp, c2_phi).values)
 
 
 def test_solve_potential_csv_output(tmp_path):
@@ -100,6 +132,23 @@ def test_solve_potential_failed_eps0_stage_is_partial(tmp_path, monkeypatch):
     assert report["final_eps"] == 1e-4
     assert report["stages"][-1]["eps"] == 1e-4
     assert report["errors"] == ["eps=0: injected"]
+
+
+def test_solve_potential_failed_first_stage_exits_1(tmp_path, capsys):
+    # gamma = 2 data with c^2 = 1 plus 0.08 sin(pi (xi1 + 2 xi2) + 0.3) on
+    # 9^2: the first eps stage meets a non-elliptic iterate
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 9, 9)
+    X, Y = grid.meshgrid()
+    table = quiescent_field(grid).values + 0.08 * np.sin(
+        np.pi * (X + 2.0 * Y) + 0.3)
+    path = small_config(
+        tmp_path, grid={"x0": -0.5, "x1": 0.5, "y0": -0.5, "y1": 0.5,
+                        "nx": 9, "ny": 9},
+        boundary={"kind": "expression-table", "table": table.tolist()})
+    assert cli.main(["solve-potential", "--config", str(path)]) == 1
+    assert ("first continuation stage failed: ellipticity margin "
+            "-1.166e-01 <= 0") in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def _all_files(d):
@@ -310,6 +359,11 @@ def test_exit_code_non_numeric_inflow_csv(tmp_path):
     # open() would take a number as a file descriptor
     {"boundary": {"kind": "file", "path": 9999}},
     {"quasi": {"zeta_b": 9999}},
+    # int() would truncate these to 9 nodes, 2 steps and 1 sweep
+    {"grid": {**_QUASI_GRID, "nx": 9.5}},
+    {"grid": {**_QUASI_GRID, "ny": 17.5}},
+    {"solver": {"max_iters": 2.7}},
+    {"quasi": {"outer_max_iters": 1.5}},
 ])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, overrides):
     path = small_config(tmp_path, **{"grid": _QUASI_GRID, **overrides})
@@ -370,6 +424,24 @@ def test_solve_quasi_later_stage_linear_failure_is_partial(tmp_path,
     assert report["status"] == "PartialContinuation"
     assert [s["delta"] for s in report["stages"]] == [0.0]
     assert report["errors"] == ["delta=0.001: injected"]
+
+
+@pytest.mark.parametrize("quasi, message", [
+    ({"sonic_margin": 0.99}, "max pseudo-Mach^2 0.7204 >= "),
+    ({"outer_max_iters": 1, "outer_tol": 1e-14},
+     "outer loop: change 2.940e-01 > 1.000e-14 after 1 sweeps"),
+])
+def test_solve_quasi_solver_failure_exits_1(tmp_path, capsys, quasi,
+                                            message):
+    zeta_b = tmp_path / "zeta_b.f2d"
+    fld.write_field(ss.ScalarField.from_function(
+        ss.Grid2D(**_QUASI_GRID),
+        lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)), zeta_b)
+    path = _quasi_config(tmp_path, [1e-2],
+                         quasi={"zeta_b": str(zeta_b), **quasi})
+    assert cli.main(["solve-quasi", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def _raise_on_constant(name):

@@ -54,6 +54,19 @@ def test_enthalpy_round_trip(gamma):
     assert np.max(np.abs(back - rho) / rho) < 1e-10
 
 
+@pytest.mark.parametrize("gamma", [-1.0, -0.5, -0.25])
+def test_dark_energy_enthalpy(gamma):
+    law = GasLaw(a=1.3, gamma=gamma, rho_floor=0.2,
+                 variant=GasVariant.DARK_ENERGY)
+    rho = np.linspace(0.25, 3.0, 37)
+    h = enthalpy(law, rho)
+    assert np.max(np.abs(enthalpy_inverse(law, h) - rho)) < 1e-13
+    # H' = p'(rho) / rho = c^2 / rho
+    dr = 1e-6
+    fd = (enthalpy(law, rho + dr) - enthalpy(law, rho - dr)) / (2 * dr)
+    assert np.max(np.abs(fd - sound_speed_sq(law, rho) / rho)) < 1e-8
+
+
 def test_enthalpy_isothermal_log_law():
     law = GasLaw(a=2.0, gamma=1.0, rho_floor=0.5)
     assert enthalpy(law, 0.5 * np.e) == pytest.approx(4.0)

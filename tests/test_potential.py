@@ -299,3 +299,46 @@ def test_reused_lu_step_still_checks_ellipticity(grid, monkeypatch):
     with pytest.raises(IndefiniteSystem):
         potential.picard_solve(prob, eps=0.1)
     assert len(calls) == 2 and len(assembled) == len(factors) == 1
+
+
+def test_damped_step_halves_lambda(grid, monkeypatch):
+    # at eps = 0 the full first Newton step from this phi_b raises |Q|_inf;
+    # half of it lowers |Q|_inf, and the later steps are full
+    prob, _ = _gamma_problem(2.0, grid, 0.055)
+    norms = []  # |v|_inf of every Newton step v solved for
+    solve = potential.solve_linear_dirichlet
+
+    def spy(*args, **kwargs):
+        v = solve(*args, **kwargs)
+        norms.append(float(np.max(np.abs(v.values))))
+        return v
+
+    monkeypatch.setattr(potential, "solve_linear_dirichlet", spy)
+    _, rep = potential.picard_solve(prob, 0.0)
+    assert rep.converged
+    assert (rep.iterations, len(rep.deltas)) == (3, 9)
+    assert rep.deltas == [0.5 * norms[0], *norms[1:]]
+
+def test_damped_step_fails_after_max_halvings(monkeypatch):
+    # the same phi_b on 33^2: a step that no halving makes lower |Q|_inf
+    # fails the stage.  That step comes from a fresh LU, and best is the
+    # last accepted iterate, whose |Q|_inf the message quotes
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    prob, _ = _gamma_problem(2.0, grid, 0.055)
+    calls = []
+    for name in ("assemble_frozen", "solve_linear_dirichlet"):
+        def logged(*args, _name=name, _fn=getattr(potential, name),
+                   **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(potential, name, logged)
+    with pytest.raises(NonConvergence,
+                       match=f"after {potential._MAX_HALVINGS} halvings"
+                       ) as exc:
+        potential.picard_solve(prob, 0.0)
+    rep = exc.value.report
+    assert (rep.iterations, len(rep.deltas)) == (7, 8)
+    assert calls.count("assemble_frozen") == rep.iterations
+    assert calls[-2:] == ["assemble_frozen", "solve_linear_dirichlet"]
+    r = potential.residual_Q(prob.law, exc.value.best, c2_floor=-np.inf)
+    assert f"|Q_eps|_inf = {np.max(np.abs(r.values)):.3e} " in str(exc.value)
