@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all selfsim modules."""
+"""Exception hierarchy shared by all selfsim modules; check_positive."""
+
+import math
 
 
 class SelfsimError(Exception):
@@ -71,3 +73,11 @@ class SonicEncroachment(SolverError):
 class UncoveredNodes(SolverError):
     """Backward characteristics failed to reach inflow data
     (transport_omega with strict=True)."""
+
+
+def check_positive(**values) -> None:
+    """Raise ConfigError unless each value is finite and > 0, each tested on
+    its own (NaN fails every comparison: min(nan, x) depends on order)."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {v!r}")

@@ -16,7 +16,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import field as fld, potential
-from .errors import NonSolenoidalInput, SolverError
+from .errors import (DomainError, NonSolenoidalInput, SolverError,
+                     check_positive)
 from .field import Grid2D, ScalarField, VectorField
 from .gas import GasLaw, enthalpy
 
@@ -86,10 +87,12 @@ def decompose(U: VectorField, lin_tol: float = 1e-11) -> Decomposition:
     O(1/h^2) size of the interior rows, so that partial pivoting keeps the
     diagonal and the LU keeps the minimum-degree ordering of
     FrozenSystem.factor; refinement measures the unscaled residual.
+    Before the solve: ConfigError for a bad lin_tol, DomainError for a bad U.
     """
     grid = U.grid
+    check_positive(lin_tol=lin_tol)
     if not (np.all(np.isfinite(U.u)) and np.all(np.isfinite(U.v))):
-        raise SolverError("decompose requires finite input fields")
+        raise DomainError("decompose requires finite input fields")
     ny, nx = grid.shape
     N = nx * ny
     Gx, Gy = gradient_operators(grid)

@@ -2,10 +2,11 @@
 
 One definition, for every gamma, of the self-similar potential-flow operator
     Q[phi] = c^2 Lap phi - (D^2 phi) grad phi . grad phi - |grad phi|^2 + 2 c^2
-(self_similar_operator), its closure c^2 = -(gamma - 1)(phi + |grad phi|^2/2),
-a^2 for the isothermal gamma = 1 (c2_of_phi), the coefficients of its
-linearization (linearization) and its regularization Q + eps Lap
-(residual_Q).  Damped Newton on Q_eps = rhs, with the Jacobian as a 9-point
+(self_similar_operator, on any pseudo-velocity U; quasipotential's r1 is it
+on U = grad psi + perp_grad zeta), its closure c^2 = -(gamma - 1)(phi +
+|grad phi|^2/2), a^2 for the isothermal gamma = 1 (c2_of_phi), the
+coefficients of its linearization (linearization) and its regularization
+Q + eps Lap (residual_Q).  Damped Newton on Q_eps = rhs, with the Jacobian as a 9-point
 stencil system with Dirichlet frame data, and geometric epsilon-continuation
 solve Q = 0; the psi equation of quasipotential is the same Newton solve at
 eps = 0 with a forcing.  A stage keeps a Jacobian's LU while the steps it
@@ -28,7 +29,7 @@ import scipy.sparse.linalg as spla
 
 from . import _kernels, field as fld, regime
 from .errors import (CapExceeded, ConfigError, IndefiniteSystem,
-                     LinearStagnation, NonConvergence)
+                     LinearStagnation, NonConvergence, check_positive)
 from .field import Grid2D, ScalarField, VectorField
 from .gas import GasLaw
 
@@ -51,8 +52,7 @@ class PotentialProblem:
     def __post_init__(self):
         if not np.all(np.isfinite(self.phi_b.values)):
             raise ConfigError("phi_b must be finite")
-        if self.c2_floor <= 0 or self.cap_M <= 0:
-            raise ConfigError("c2_floor and cap_M must be positive")
+        check_positive(c2_floor=self.c2_floor, cap_M=self.cap_M)
 
 
 @dataclass
@@ -64,8 +64,8 @@ class PicardParams:
     lin_tol: float = 1e-11
 
     def __post_init__(self):
-        if min(self.tol_fixed_point, self.lin_tol) <= 0 or self.max_iters <= 0:
-            raise ConfigError("tolerances and max_iters must be positive")
+        check_positive(tol_fixed_point=self.tol_fixed_point,
+                       max_iters=self.max_iters, lin_tol=self.lin_tol)
 
 
 @dataclass
@@ -75,8 +75,8 @@ class EpsilonSchedule:
     eps_min: float = 1e-6
 
     def __post_init__(self):
-        if not (self.eps0 > self.eps_min > 0):
-            raise ConfigError("schedule requires eps0 > eps_min > 0")
+        if not (math.isfinite(self.eps0) and self.eps0 > self.eps_min > 0):
+            raise ConfigError("schedule requires a finite eps0 > eps_min > 0")
         if not (0.0 < self.ratio < 1.0):
             raise ConfigError("ratio must lie in (0, 1)")
 
@@ -150,18 +150,19 @@ def c2_of_phi(law: GasLaw, phi: ScalarField,
     return ScalarField(phi.grid, np.maximum(raw, c2_floor)), clamped
 
 
-def self_similar_operator(c2: np.ndarray, grad_phi: VectorField,
-                          hess_phi: tuple) -> np.ndarray:
-    """c^2 Lap phi - (D^2 phi) grad phi . grad phi - |grad phi|^2 + 2 c^2.
+def hessian_form(h: tuple, a: VectorField, b: VectorField) -> np.ndarray:
+    """h a . b for the symmetric h = (h11, h12, h22), nodewise."""
+    h11, h12, h22 = h
+    return h11 * a.u * b.u + h12 * (a.u * b.v + a.v * b.u) + h22 * a.v * b.v
 
-    Nodewise, for the given c^2 values, fld.gradient(phi) and
-    fld.hessian(phi); Lap is the compact diff2_x + diff2_y.
-    """
-    u, v = grad_phi.u, grad_phi.v
-    f11, f12, f22 = (f.values for f in hess_phi)
-    return (c2 * (f11 + f22)
-            - (f11 * u * u + f12 * (u * v + v * u) + f22 * v * v)
-            - grad_phi.magnitude_sq() + 2.0 * c2)
+
+def self_similar_operator(c2: np.ndarray, U: VectorField,
+                          DU: tuple) -> np.ndarray:
+    """c^2 div U - (DU) U . U - |U|^2 + 2 c^2, nodewise, with DU = (h11, h12,
+    h22) the symmetric part of the Jacobian of U, whose trace is div U; for
+    U = grad phi, fld.hessian(phi), whose trace is the compact Lap phi."""
+    return (c2 * (DU[0] + DU[2]) - hessian_form(DU, U, U)
+            - U.magnitude_sq() + 2.0 * c2)
 
 
 def residual_Q(law: GasLaw, phi: ScalarField, eps: float = 0.0,
@@ -175,9 +176,8 @@ def residual_Q(law: GasLaw, phi: ScalarField, eps: float = 0.0,
     grid = phi.grid
     gp = fld.gradient(phi)
     c2, _ = c2_of_phi(law, phi, gp, c2_floor=c2_floor)
-    hess = fld.hessian(phi)
-    r = (self_similar_operator(c2.values, gp, hess)
-         + eps * (hess[0].values + hess[2].values))
+    hess = tuple(f.values for f in fld.hessian(phi))
+    r = self_similar_operator(c2.values, gp, hess) + eps * (hess[0] + hess[2])
     if rhs is not None:
         r = r - rhs.values
     out = np.zeros(grid.shape)

@@ -18,8 +18,9 @@ quasi_state is the one evaluation of the closures (F1, Q1, N1, c^2 floored
 at the problem's c2_floor) and of U: every sweep reads it, and so do the
 returned state and the report of solve_quasi.
 
-Diagnostics reconstruct the untruncated rotational residuals (r1, r2); at a
-converged first-order state r1 = O(delta^2).
+Diagnostics reconstruct the untruncated rotational residuals (r1, r2).  r1
+is potential.self_similar_operator on the rotational U, of which N1 is the
+first-order part, so at a converged first-order state r1 = O(delta^2).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from . import field as fld, potential, vorticity
 from .errors import (CapExceeded, ConfigError, IndefiniteSystem,
-                     LinearStagnation, NonConvergence, SonicEncroachment)
+                     LinearStagnation, NonConvergence, SonicEncroachment,
+                     check_positive)
 from .field import ScalarField, VectorField
 from .gas import GasLaw
 from .hodge import _solve_poisson_dirichlet, integrability_residual, reconstruct_F
@@ -68,10 +70,12 @@ class QuasiConfig:
 
     def __post_init__(self):
         t = list(self.delta_targets)
-        if not t or any(d < 0 or d >= 1 for d in t) or t != sorted(t):
+        if not t or not all(0 <= d < 1 for d in t) or t != sorted(t):
             raise ConfigError("delta_targets must be ascending within [0, 1)")
-        if self.outer_tol <= 0 or self.outer_max_iters <= 0:
-            raise ConfigError("outer_tol and outer_max_iters must be positive")
+        check_positive(outer_tol=self.outer_tol,
+                       outer_max_iters=self.outer_max_iters)
+        if not 0 <= self.sonic_margin < 1:
+            raise ConfigError("sonic_margin must lie in [0, 1)")
         a = self.anchor
         if not (isinstance(a, (tuple, list)) and len(a) == 2
                 and all(isinstance(k, (int, np.integer))
@@ -91,56 +95,32 @@ def _lap_c(f: ScalarField) -> np.ndarray:
             + fld.diff2(f.values, g.hy, axis=0))
 
 
-def _hess_form(f: ScalarField, a1, a2, b1, b2):
-    """(D^2 f) a . b with the symmetric discrete Hessian."""
-    f11, f12, f22 = fld.hessian(f)
-    return (f11.values * a1 * b1 + f12.values * (a1 * b2 + a2 * b1)
-            + f22.values * a2 * b2)
-
-
-def _jac_perp_form(zeta: ScalarField, a1, a2, b1, b2):
-    """(D perp_grad zeta) a . b;  rows (-z12, -z22 ; z11, z12)."""
-    z11, z12, z22 = fld.hessian(zeta)
-    return (b1 * (-z12.values * a1 - z22.values * a2)
-            + b2 * (z11.values * a1 + z12.values * a2))
+def _sym_D_perp(zeta: ScalarField) -> tuple:
+    """Symmetric part (h11, h12, h22) of D perp_grad zeta, whose rows are
+    (-z12, -z22 ; z11, z12); its trace is zero."""
+    z11, z12, z22 = (f.values for f in fld.hessian(zeta))
+    return -z12, 0.5 * (z11 - z22), z12
 
 
 def compute_N1(psi: ScalarField, zeta: ScalarField,
                grad_psi=None, perp_zeta=None) -> ScalarField:
-    """First-order forcing, linear in zeta:
+    """First-order forcing: minus the part linear in zeta of the c^2-free
+    terms of potential.self_similar_operator on U = grad psi + perp_grad zeta:
 
     N1 = (D perp_grad zeta) grad psi . grad psi
          + 2 (D^2 psi) grad psi . perp_grad zeta
-         - 2 grad psi . perp_grad zeta.
+         + 2 grad psi . perp_grad zeta.
 
     grad_psi and perp_zeta, when given, are fld.gradient(psi) and
     fld.perp_gradient(zeta), reused instead of taken again.
     """
     gp = fld.gradient(psi) if grad_psi is None else grad_psi
     pz = fld.perp_gradient(zeta) if perp_zeta is None else perp_zeta
-    vals = (_jac_perp_form(zeta, gp.u, gp.v, gp.u, gp.v)
-            + 2.0 * _hess_form(psi, gp.u, gp.v, pz.u, pz.v)
-            - 2.0 * (gp.u * pz.u + gp.v * pz.v))
+    hp = tuple(f.values for f in fld.hessian(psi))
+    vals = (potential.hessian_form(_sym_D_perp(zeta), gp, gp)
+            + 2.0 * potential.hessian_form(hp, gp, pz)
+            + 2.0 * (gp.u * pz.u + gp.v * pz.v))
     return ScalarField(psi.grid, vals)
-
-
-def compute_N2(psi: ScalarField, zeta: ScalarField) -> ScalarField:
-    """Second-order remainder (used only in the rotational diagnostics)."""
-    gp = fld.gradient(psi)
-    pz = fld.perp_gradient(zeta)
-    gz = fld.gradient(zeta)
-    vals = (_hess_form(psi, pz.u, pz.v, pz.u, pz.v)
-            + _jac_perp_form(zeta, pz.u, pz.v, gp.u, gp.v)
-            + _jac_perp_form(zeta, gp.u, gp.v, pz.u, pz.v)
-            + gz.u ** 2 + gz.v ** 2)
-    return ScalarField(psi.grid, vals)
-
-
-def compute_N3(zeta: ScalarField) -> ScalarField:
-    """Cubic remainder (D perp_grad zeta) perp_grad zeta . perp_grad zeta."""
-    pz = fld.perp_gradient(zeta)
-    return ScalarField(zeta.grid,
-                       _jac_perp_form(zeta, pz.u, pz.v, pz.u, pz.v))
 
 
 def reconstruct_F1(psi: ScalarField, zeta: ScalarField,
@@ -368,9 +348,9 @@ def full_rotational_residual(psi: ScalarField, zeta: ScalarField, law: GasLaw,
     r1 uses the reconstructed Bernoulli closure: grad F =
     -Lap(zeta)(perp_grad psi + grad zeta) - perp_grad zeta, F anchored to 0
     at the anchor node, c^2 = (gamma - 1)(F - psi - |U|^2 / 2) (a^2 for the
-    isothermal law); then
-    r1 = [c^2 Lap psi - (D^2 psi) grad psi . grad psi - |grad psi|^2 + 2 c^2]
-         - N1 - N2 - N3.
+    isothermal law); then r1 is the self-similar operator on U,
+    r1 = c^2 div U - (DU) U . U - |U|^2 + 2 c^2, with DU = D^2 psi +
+    D perp_grad zeta from fld.hessian (div U is the compact Lap psi).
     r2 = Lap(zeta)(Lap(psi) + 1) + U . grad(Lap zeta).  Frame rings zeroed.
     """
     grid = psi.grid
@@ -386,10 +366,9 @@ def full_rotational_residual(psi: ScalarField, zeta: ScalarField, law: GasLaw,
     # the closure of c2_of_phi with the potential psi - F and velocity U
     c2, _ = potential.c2_of_phi(law, ScalarField(grid, psi.values - F.values),
                                 U, c2_floor=-np.inf)
-    r1 = (potential.self_similar_operator(c2.values, gp, fld.hessian(psi))
-          - compute_N1(psi, zeta).values
-          - compute_N2(psi, zeta).values
-          - compute_N3(zeta).values)
+    DU = tuple(p.values + z
+               for p, z in zip(fld.hessian(psi), _sym_D_perp(zeta)))
+    r1 = potential.self_similar_operator(c2.values, U, DU)
     glz = fld.gradient(ScalarField(grid, lz))
     r2 = lz * (_lap_c(psi) + 1.0) + U.u * glz.u + U.v * glz.v
     out1 = np.zeros(grid.shape)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _kernels, field as fld
-from .errors import ConfigError, UncoveredNodes
+from .errors import ConfigError, UncoveredNodes, check_positive
 from .field import Grid2D, ScalarField, VectorField
 from .hodge import _boundary_normals
 
@@ -78,6 +78,15 @@ def inflow_boundary(b: VectorField) -> InflowSet:
                      count=int(np.count_nonzero(mask)))
 
 
+def _step_and_length(grid: Grid2D, step, max_len) -> tuple:
+    """(step, max_len), None taking half the smaller cell side and twenty
+    diameters; ConfigError unless both are finite and positive."""
+    step = 0.5 * min(grid.hx, grid.hy) if step is None else step
+    max_len = 20.0 * grid.diam if max_len is None else max_len
+    check_positive(step=step, max_len=max_len)
+    return step, max_len
+
+
 def trace_characteristic(b: VectorField, start, step: float | None = None,
                          max_len: float | None = None,
                          forward: bool = True) -> CharacteristicTrace:
@@ -89,8 +98,7 @@ def trace_characteristic(b: VectorField, start, step: float | None = None,
     and div b are built once per call, so a path costs O(N + steps).
     """
     g = b.grid
-    step = step or 0.5 * min(g.hx, g.hy)
-    max_len = max_len or 20.0 * g.diam
+    step, max_len = _step_and_length(g, step, max_len)
     sgn = 1.0 if forward else -1.0
     x, y = float(start[0]), float(start[1])
     pts = [(x, y)]
@@ -236,10 +244,7 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     grid = b.grid
     if omega_b.grid != grid:
         raise ConfigError("omega_b must live on the drift grid")
-    step = step or 0.5 * min(grid.hx, grid.hy)
-    max_len = max_len or 20.0 * grid.diam
-    if step <= 0 or max_len <= 0:
-        raise ConfigError("step and max_len must be positive")
+    step, max_len = _step_and_length(grid, step, max_len)
     inflow = inflow_boundary(b)
     X, Y = grid.meshgrid()
     trace_mask = ~inflow.mask  # inflow frame nodes keep their data verbatim

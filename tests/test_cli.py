@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import selfsim as ss
-from selfsim import cli, field as fld, potential, quasipotential, regime
+from selfsim import (cli, field as fld, hodge, potential, quasipotential,
+                     regime)
 from selfsim.errors import LinearStagnation
 
 from conftest import quiescent_field
@@ -348,6 +349,45 @@ def test_exit_code_non_numeric_inflow_csv(tmp_path):
     assert _transport_with_inflow(tmp_path, spec) == 2
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_transport_bad_step_exits_2(tmp_path, capsys, step):
+    # 0 is not "no step given": it is refused like every step that is not
+    # finite and positive
+    grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 9, 9)
+    fld.write_field(ss.ScalarField.from_function(grid, lambda x, y: -x * x),
+                    tmp_path / "psi.f2d")
+    (tmp_path / "inflow.json").write_text(json.dumps({"right": 1.0}))
+    assert cli.main(["transport", "--psi", str(tmp_path / "psi.f2d"),
+                     "--inflow", str(tmp_path / "inflow.json"),
+                     "--out-dir", str(tmp_path), "--step", step]) == 2
+    assert "step must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "omega.f2d").exists()
+
+
+@pytest.mark.parametrize("lin_tol, bad", [
+    ("0", None), ("-1", None), ("nan", None),
+    ("1e-11", np.inf), ("1e-11", np.nan),
+])
+def test_decompose_input_errors_exit_2(tmp_path, capsys, monkeypatch,
+                                       lin_tol, bad):
+    # a bad tolerance or a non-finite U is an input error, raised before
+    # the Neumann LU is built
+    def no_solve(*args, **kwargs):
+        raise AssertionError("Neumann LU built for invalid input")
+
+    monkeypatch.setattr(hodge.spla, "splu", no_solve)
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 9, 9)
+    U = ss.VectorField.from_function(grid, lambda x, y: -y + x,
+                                     lambda x, y: x + y)
+    if bad is not None:
+        U.v[4, 5] = bad
+    fld.write_field(U, tmp_path / "U.f2d")
+    assert cli.main(["decompose", "--u", str(tmp_path / "U.f2d"),
+                     "--out-dir", str(tmp_path), "--lin-tol", lin_tol]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "decompose.json").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"solver": {"max_iters": "abc"}},
     {"grid": {**_QUASI_GRID, "nx": "x"}},
@@ -554,6 +594,41 @@ def test_solve_quasi_rejects_bad_anchor(tmp_path, monkeypatch, anchor):
     assert not (tmp_path / "report.json").exists()
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"solver": {"tol_fixed_point": _NAN}},
+    {"solver": {"lin_tol": _NAN}},
+    {"solver": {"cap_M": _NAN}},
+    {"solver": {"cap_M": _INF}},
+    {"solver": {"c2_floor": _NAN}},
+    {"solver": {"eps0": _INF}},
+    {"quasi": {"delta_targets": [_NAN]}},
+    {"quasi": {"outer_tol": _NAN}},
+    {"quasi": {"sonic_margin": _NAN}},
+    {"quasi": {"sonic_margin": -5.0}},
+    {"quasi": {"sonic_margin": 1.0}},
+], ids=lambda o: ",".join(f"{sec}.{k}={v}" for sec, d in o.items()
+                          for k, v in d.items()))
+def test_nan_or_out_of_range_setting_exits_2(tmp_path, monkeypatch,
+                                             overrides):
+    # each setting is checked on its own before any solve; json writes
+    # and reads NaN and Infinity
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started before the settings were checked")
+
+    monkeypatch.setattr(potential, "epsilon_continuation", no_solve)
+    quasi = {"delta_targets": [0.0], "anchor": [8, 8],
+             **overrides.get("quasi", {})}
+    solver = {"eps0": 0.1, "ratio": 0.25, "eps_min": 1e-4,
+              **overrides.get("solver", {})}
+    path = small_config(tmp_path, grid=_QUASI_GRID, quasi=quasi,
+                        solver=solver)
+    assert cli.main(["solve-quasi", "--config", str(path)]) == 2
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_readme_lists_every_subcommand():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
@@ -562,3 +637,16 @@ def test_readme_lists_every_subcommand():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert sorted(listed) == sorted(sub.choices)
+
+
+def test_readme_config_schema_names_every_key():
+    # the schema block is JSON with // comments; it names exactly the
+    # sections and keys that the config reader accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema (JSON)", 1)[1].split("```")[1]
+    body = block.split("\n", 1)[1]  # drop the jsonc fence tag
+    cfg = json.loads("\n".join(line.split("//")[0]
+                               for line in body.splitlines()))
+    assert set(cfg) == cli._KNOWN_SECTIONS
+    assert {k: set(v) for k, v in cfg.items()
+            if isinstance(v, dict)} == cli._KNOWN_KEYS

@@ -5,7 +5,8 @@ import pytest
 
 import selfsim as ss
 from selfsim import field as fld, hodge
-from selfsim.errors import LinearStagnation, NonSolenoidalInput, SolverError
+from selfsim.errors import (ConfigError, DomainError, LinearStagnation,
+                            NonSolenoidalInput, SolverError)
 
 
 @pytest.fixture
@@ -41,8 +42,12 @@ def test_decompose_preserves_rotation(grid):
 def test_decompose_rejects_nonfinite(grid):
     U = ss.VectorField.zeros(grid)
     U.u[3, 3] = np.nan
-    with pytest.raises(SolverError):
+    with pytest.raises(DomainError):
         hodge.decompose(U)
+    U.u[3, 3] = 0.0
+    for lin_tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            hodge.decompose(U, lin_tol=lin_tol)
 
 
 def _zero_mean_bordered_psi(U):

@@ -74,6 +74,8 @@ def test_epsilon_schedule():
         potential.EpsilonSchedule(eps0=1e-7, eps_min=1e-6)
     with pytest.raises(ConfigError):
         potential.EpsilonSchedule(ratio=1.5)
+    with pytest.raises(ConfigError):  # stages() would never reach eps_min
+        potential.EpsilonSchedule(eps0=np.inf)
 
 
 def test_params_validation():

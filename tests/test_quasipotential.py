@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import selfsim as ss
-from selfsim import field as fld, potential, quasipotential as qp
+from selfsim import field as fld, hodge, potential, quasipotential as qp
 from selfsim.errors import ConfigError, LinearStagnation
 
 from conftest import quiescent_field
@@ -30,24 +30,74 @@ def smooth(grid, seed=0):
 
 
 def test_N_terms_discrete_homogeneity(grid):
-    """N1, N2, N3 are exactly homogeneous of degree 1, 2, 3 in zeta."""
+    """N1 is exactly homogeneous of degree 1 in zeta."""
     psi = smooth(grid, 1)
     zeta = smooth(grid, 2)
     z2 = ss.ScalarField(grid, 2.0 * zeta.values)
-    for fn, deg in ((qp.compute_N1, 1), (qp.compute_N2, 2)):
-        a = fn(psi, z2).values
-        b = 2.0 ** deg * fn(psi, zeta).values
-        assert np.max(np.abs(a - b)) < 1e-10 * max(1.0, np.max(np.abs(b)))
-    a = qp.compute_N3(z2).values
-    assert np.max(np.abs(a - 8.0 * qp.compute_N3(zeta).values)) < 1e-10
+    a = qp.compute_N1(psi, z2).values
+    b = 2.0 * qp.compute_N1(psi, zeta).values
+    assert np.max(np.abs(a - b)) < 1e-10 * max(1.0, np.max(np.abs(b)))
 
 
 def test_N1_vanishes_for_zero_zeta(grid):
     psi = smooth(grid, 3)
     z0 = ss.ScalarField.zeros(grid)
     assert np.all(qp.compute_N1(psi, z0).values == 0.0)
-    assert np.all(qp.compute_N2(psi, z0).values == 0.0)
-    assert np.all(qp.compute_N3(z0).values == 0.0)
+
+
+def _sym_DU(psi, zeta, t=1.0):
+    """Symmetric part of DU for U = grad psi + t perp_grad zeta, from
+    fld.hessian: D perp_grad zeta has rows (-z12, -z22 ; z11, z12)."""
+    p11, p12, p22 = (f.values for f in fld.hessian(psi))
+    z11, z12, z22 = (f.values for f in fld.hessian(zeta))
+    return (p11 - t * z12, p12 + t * 0.5 * (z11 - z22), p22 + t * z12)
+
+
+def test_N1_is_the_first_order_part_of_the_operator(grid):
+    # N1 = -d/dt at t = 0 of the operator without its c^2 terms on
+    # U_t = grad psi + t perp_grad zeta; that is a cubic in t, so the
+    # 5-point difference is exact
+    psi = smooth(grid, 5)
+    zeta = smooth(grid, 6)
+    gp, pz = fld.gradient(psi), fld.perp_gradient(zeta)
+
+    def op(t):
+        U = ss.VectorField(grid, gp.u + t * pz.u, gp.v + t * pz.v)
+        return potential.self_similar_operator(0.0, U, _sym_DU(psi, zeta, t))
+
+    h = 0.5
+    deriv = (op(-2 * h) - 8 * op(-h) + 8 * op(h) - op(2 * h)) / (12 * h)
+    n1 = qp.compute_N1(psi, zeta).values
+    assert np.max(np.abs(n1 + deriv)) <= 1e-10 * np.max(np.abs(n1))
+
+
+def test_r1_is_the_operator_on_U(law, grid):
+    # r1 = c^2 Lap psi - U . (DU) U - |U|^2 + 2 c^2, written out here with
+    # the full (unsymmetrized) Jacobian DU and the Bernoulli closure c^2
+    psi = ss.ScalarField(grid, quiescent_field(grid).values
+                         + 0.05 * smooth(grid, 1).values)
+    zeta = ss.ScalarField(grid, 0.05 * smooth(grid, 2).values)
+    anchor = (16, 16)
+    gp, pp = fld.gradient(psi), fld.perp_gradient(psi)
+    gz, pz = fld.gradient(zeta), fld.perp_gradient(zeta)
+    p11, p12, p22 = (f.values for f in fld.hessian(psi))
+    z11, z12, z22 = (f.values for f in fld.hessian(zeta))
+    lz = z11 + z22
+    F = hodge.reconstruct_F(
+        ss.ScalarField(grid, -lz * (pp.u + gz.u) - pz.u),
+        ss.ScalarField(grid, -lz * (pp.v + gz.v) - pz.v), C=0.0,
+        anchor=anchor)
+    u, v = gp.u + pz.u, gp.v + pz.v
+    c2 = -(law.gamma - 1.0) * (psi.values - F.values + 0.5 * (u * u + v * v))
+    # DU[i][j] = d U_i / d xi_j
+    DU = ((p11 - z12, p12 - z22), (p12 + z11, p22 + z12))
+    quad = (u * (DU[0][0] * u + DU[0][1] * v)
+            + v * (DU[1][0] * u + DU[1][1] * v))
+    want = c2 * (p11 + p22) - quad - (u * u + v * v) + 2.0 * c2
+    r1, _ = qp.full_rotational_residual(psi, zeta, law, anchor=anchor)
+    inner = (slice(1, -1), slice(1, -1))
+    assert np.max(np.abs(r1.values[inner] - want[inner])) <= (
+        1e-12 * np.max(np.abs(want[inner])))
 
 
 def test_reconstruct_F1_harmonic_golden(grid):

@@ -290,6 +290,19 @@ def test_transport_validation():
                                   ss.ScalarField.zeros(grid), step=-1.0)
 
 
+@pytest.mark.parametrize("kw", [{"step": 0.0}, {"step": np.nan},
+                                {"step": -1.0}, {"max_len": 0.0},
+                                {"max_len": np.inf}])
+def test_step_and_max_len_must_be_finite_and_positive(kw):
+    # None takes the default; 0 is refused like any other bad value
+    grid = radial_grid(9)
+    b = radial_drift(grid)
+    with pytest.raises(ConfigError):
+        vorticity.trace_characteristic(b, (0.5, 0.5), **kw)
+    with pytest.raises(ConfigError):
+        vorticity.transport_omega(b, ss.ScalarField.zeros(grid), **kw)
+
+
 def test_trace_characteristic_builds_one_drift_table(monkeypatch):
     # the polyline equals one trace_all sub-step per recorded step, while
     # the O(N) corner table is built once per call, not once per step
