@@ -3,8 +3,9 @@
 Numerical library for 2-D self-similar isentropic flow of generalized
 polytropic gases: thermodynamic closures, finite-difference field calculus,
 mixed-type regime classification with an ellipticity audit, Hodge-Helmholtz
-decomposition and Bernoulli reconstruction, an epsilon-regularized damped
-Newton solver for the degenerate elliptic potential-flow equation,
+decomposition and Bernoulli reconstruction, a damped Newton solver for the
+degenerate elliptic potential-flow equation (epsilon-continuation as its
+fallback),
 characteristic vorticity transport, and a delta-continuation quasi-potential
 solver.
 """

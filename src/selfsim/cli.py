@@ -246,7 +246,7 @@ def cmd_solve_potential(args) -> int:
     cfg = load_config(args.config, strict=args.strict)
     problem, params, schedule = _solve_inputs(cfg)
     try:
-        phi, report = potential.epsilon_continuation(problem, schedule, params)
+        phi, report = potential.solve(problem, schedule, params)
     except NonConvergence as exc:
         print(f"solve-potential: {exc}", file=sys.stderr)
         return 1
@@ -295,6 +295,8 @@ def cmd_classify(args) -> int:
         raise ConfigError("classify expects a vector field U and scalar c2")
     if U.grid != c2.grid:
         raise ConfigError("U and c2 must share a grid")
+    if not np.all(np.isfinite(c2.values) & (c2.values > 0)):
+        raise DomainError("classify requires a finite, positive c2")
     rr = regime.classify(U, c2)
     base = args.out_dir
     os.makedirs(base, exist_ok=True)
@@ -367,6 +369,8 @@ def _inflow_field(spec_path: str, grid: Grid2D) -> ScalarField:
             vals[sl] = data
         else:
             raise ConfigError(f"side {side}: expected number or CSV path")
+        if not np.all(np.isfinite(vals[sl])):
+            raise ConfigError(f"side {side}: inflow values must be finite")
     return ScalarField(grid, vals)
 
 
@@ -402,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upgrade warnings (e.g. unknown config keys) to errors")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve-potential", help="epsilon-continuation solve")
+    sp = sub.add_parser("solve-potential",
+                        help="potential-flow solve: Newton at eps = 0, "
+                        "eps-continuation if it fails")
     sp.add_argument("--config", required=True)
     sp.set_defaults(fn=cmd_solve_potential)
 

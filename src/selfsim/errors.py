@@ -38,7 +38,10 @@ class DimensionMismatch(SelfsimError):
 
 
 class SolverError(SelfsimError):
-    """Generic solver failure."""
+    """Generic solver failure; report is the failed solve's report when the
+    raiser attaches one (picard_solve attaches its PicardReport)."""
+
+    report = None
 
 
 class NonSolenoidalInput(SolverError):

@@ -6,14 +6,17 @@ One definition, for every gamma, of the self-similar potential-flow operator
 on U = grad psi + perp_grad zeta), its closure c^2 = -(gamma - 1)(phi +
 |grad phi|^2/2), a^2 for the isothermal gamma = 1 (c2_of_phi), the
 coefficients of its linearization (linearization) and its regularization
-Q + eps Lap (residual_Q).  Damped Newton on Q_eps = rhs, with the Jacobian as a 9-point
-stencil system with Dirichlet frame data, and geometric epsilon-continuation
-solve Q = 0; the psi equation of quasipotential is the same Newton solve at
-eps = 0 with a forcing.  A stage keeps a Jacobian's LU while the steps it
-gives are full and contract by _CONTRACTION, and refactors otherwise
-(picard_solve).  FrozenSystem solved by solve_linear_dirichlet is the single
-Dirichlet operator path: the LU covers the interior unknowns only, and the
-Poisson solve of hodge uses it too.
+Q + eps Lap (residual_Q).  Damped Newton on Q_eps = rhs, with the Jacobian
+as a 9-point stencil system with Dirichlet frame data (picard_solve), solves
+Q = 0 (solve): Newton at eps = 0 from phi_b first, since Q is elliptic
+wherever the flow is pseudo-subsonic, and geometric epsilon-continuation
+(epsilon_continuation) only when that stage fails.  The psi equation of
+quasipotential is the same Newton solve at eps = 0 with a forcing.  A stage
+keeps a Jacobian's LU while the steps it gives are full and contract by
+_CONTRACTION, and refactors otherwise; it may start from the factored
+Jacobian of an earlier solve.  FrozenSystem solved by
+solve_linear_dirichlet is the single Dirichlet operator path: the LU covers
+the interior unknowns only, and the Poisson solve of hodge uses it too.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import scipy.sparse.linalg as spla
 
 from . import _kernels, field as fld, regime
 from .errors import (CapExceeded, ConfigError, IndefiniteSystem,
-                     LinearStagnation, NonConvergence, check_positive)
+                     LinearStagnation, NonConvergence, SolverError,
+                     check_positive)
 from .field import Grid2D, ScalarField, VectorField
 from .gas import GasLaw
 
@@ -94,8 +98,9 @@ class EpsilonSchedule:
 class PicardReport:
     """One damped Newton stage: iterations (= Jacobian factorizations),
     deltas (the sup norm of each accepted step; a stage reusing an LU takes
-    more steps than factorizations) and the final-iterate diagnostics: its
-    residual, its closure c2 floored at c2_floor and the clamped count."""
+    more steps than factorizations), the final-iterate diagnostics (its
+    residual, its closure c2 floored at c2_floor and the clamped count) and
+    system, the factored Jacobian of the last step."""
 
     iterations: int = 0
     converged: bool = False
@@ -103,11 +108,13 @@ class PicardReport:
     final_residual: float = float("nan")
     c2: ScalarField | None = dc_field(repr=False, default=None)
     clamped: int = 0
+    system: FrozenSystem | None = dc_field(repr=False, default=None)
 
 
 @dataclass
 class SolveReport:
     status: str = "Converged"
+    path: str = "continuation"  # or "direct": Newton at eps = 0 from phi_b
     stages: list = dc_field(default_factory=list)
     final_eps: float = float("nan")
     final_residual: float = float("nan")
@@ -119,15 +126,19 @@ class SolveReport:
     audit: str = ""
     audit_details: dict = dc_field(default_factory=dict)
     errors: list = dc_field(default_factory=list)
-    # the final state's floored c^2 and its L^2 = |U|^2 / c^2
+    # the final state's floored c^2 and its L^2 = |U|^2 / c^2, and the
+    # factored Jacobian of the last Newton step
     c2: ScalarField | None = dc_field(repr=False, default=None)
     L2: ScalarField | None = dc_field(repr=False, default=None)
+    system: FrozenSystem | None = dc_field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        """Every field but c2 and L2, as JSON writes it (a tuple becomes an
-        array)."""
-        return {k: v for k, v in dataclasses.asdict(self).items()
-                if k not in ("c2", "L2")}
+        """Every field but c2, L2 and system, as JSON writes it (a tuple
+        becomes an array)."""
+        fields = dataclasses.asdict(dataclasses.replace(
+            self, c2=None, L2=None, system=None))
+        return {k: v for k, v in fields.items()
+                if k not in ("c2", "L2", "system")}
 
 
 def c2_of_phi(law: GasLaw, phi: ScalarField,
@@ -422,12 +433,17 @@ _MAX_HALVINGS = 10
 # a reused-LU step keeps that LU for the next step only if it contracted:
 # |v_k|_inf <= _CONTRACTION |v_{k-1}|_inf
 _CONTRACTION = 0.25
+# failures of a Newton stage: solve falls back to the continuation, and the
+# continuation stops at the last converged stage
+_STAGE_ERRORS = (NonConvergence, IndefiniteSystem, LinearStagnation,
+                 CapExceeded)
 
 
 def picard_solve(problem: PotentialProblem, eps: float,
                  params: PicardParams | None = None,
                  w0: ScalarField | None = None,
-                 rhs: ScalarField | None = None
+                 rhs: ScalarField | None = None,
+                 system: FrozenSystem | None = None
                  ) -> tuple[ScalarField, PicardReport]:
     """Damped Newton solve of Q_eps[phi] = rhs with phi = phi_b on the frame,
     keeping each Jacobian's LU while the steps it gives contract.
@@ -435,16 +451,18 @@ def picard_solve(problem: PotentialProblem, eps: float,
     Each step solves J v = -R(w) with R = residual_Q(eps, rhs) under the
     unclamped closure and v = 0 on the frame.  J = assemble_frozen(w') is
     the Jacobian factored at the current or an earlier iterate w'.  A stage
-    starts with a fresh LU, and the LU is refactored at the current iterate
-    unless the last step was a full step (lam = 1) that either had a fresh
-    LU or contracted, |v_k|_inf <= _CONTRACTION |v_{k-1}|_inf.  A step
-    tries w + lam v from lam = 1 and takes the first trial that reduces
-    |R|_inf or has |lam v|_inf <= tol_fixed_point.  A fresh LU halves lam
-    at most _MAX_HALVINGS times before NonConvergence; a reused LU gets the
-    one trial lam = 1, and if that is not taken the step is discarded and
+    starts with a fresh LU, or with system, a factored Jacobian of an
+    earlier solve (PicardReport.system) taken as a reused LU.  The LU is
+    refactored at the current iterate unless the last step was a full step
+    (lam = 1) that had a fresh LU, was the first step on system, or
+    contracted, |v_k|_inf <= _CONTRACTION |v_{k-1}|_inf.  A step tries
+    w + lam v from lam = 1 and takes the first trial that reduces |R|_inf or
+    has |lam v|_inf <= tol_fixed_point.  A fresh LU halves lam at most
+    _MAX_HALVINGS times before NonConvergence; a reused LU gets the one
+    trial lam = 1, and if that is not taken the step is discarded and
     redone with a fresh LU at w.  So NonConvergence after the halvings
-    always comes from a fresh Jacobian.  Every iterate passes the
-    checks of assemble_frozen, CapExceeded and then an ellipticity margin > 0
+    always comes from a fresh Jacobian.  Every iterate passes the checks of
+    assemble_frozen, CapExceeded and then an ellipticity margin > 0
     (IndefiniteSystem), whether or not it is factored; the full Jacobian is
     assembled only to be factored.
 
@@ -452,9 +470,24 @@ def picard_solve(problem: PotentialProblem, eps: float,
     report.iterations counts the Jacobian factorizations and report.deltas
     holds the accepted steps, at most max_iters of them.  The final iterate
     must be finite with |phi|_inf <= cap_M (else CapExceeded) and have no
-    node clamped at c2_floor.
+    node clamped at c2_floor.  Every SolverError raised carries the report
+    as its report attribute.
     """
-    params = params or PicardParams()
+    report = PicardReport(system=system)
+    try:
+        return _newton_stage(problem, eps, params or PicardParams(), w0,
+                             rhs, report), report
+    except SolverError as exc:
+        exc.report = report
+        raise
+
+
+def _newton_stage(problem: PotentialProblem, eps: float,
+                  params: PicardParams, w0: ScalarField | None,
+                  rhs: ScalarField | None,
+                  report: PicardReport) -> ScalarField:
+    """The stage of picard_solve, filling report; starts on report.system
+    when it is set."""
     grid = problem.grid
     law = problem.law
     zero = ScalarField.zeros(grid)
@@ -468,8 +501,8 @@ def picard_solve(problem: PotentialProblem, eps: float,
     w[:, [0, -1]] = problem.phi_b.values[:, [0, -1]]
     r = residual(w)
     r_norm = float(np.max(np.abs(r)))
-    report = PicardReport()
-    reuse = False
+    system = report.system
+    reuse = system is not None
     while len(report.deltas) < params.max_iters:
         if reuse:
             _check_margin(_checked_principal_part(
@@ -477,6 +510,8 @@ def picard_solve(problem: PotentialProblem, eps: float,
         else:
             system = assemble_frozen(law, ScalarField(grid, w), eps,
                                      cap_M=problem.cap_M)
+            # counted once it passes the check, as it is then factored
+            _check_margin(system.lambda_min)
             report.iterations += 1
         v = solve_linear_dirichlet(system, ScalarField(grid, -r), zero,
                                    lin_tol=params.lin_tol).values
@@ -497,13 +532,15 @@ def picard_solve(problem: PotentialProblem, eps: float,
                 raise NonConvergence(
                     f"damped Newton step does not reduce |Q_eps|_inf = "
                     f"{r_norm:.3e} after {_MAX_HALVINGS} halvings",
-                    best=ScalarField(grid, w), report=report)
+                    best=ScalarField(grid, w))
             reuse = False  # discard the step and refactor at w
             continue
         reuse = lam == 1.0 and (
-            not reuse or step <= _CONTRACTION * report.deltas[-1])
+            not reuse or not report.deltas
+            or step <= _CONTRACTION * report.deltas[-1])
         w = trial
         report.deltas.append(step)
+        report.system = system
         if step <= params.tol_fixed_point:
             report.converged = True
             break
@@ -517,12 +554,42 @@ def picard_solve(problem: PotentialProblem, eps: float,
     if not report.converged:
         raise NonConvergence(
             f"no converged Newton step after {params.max_iters} steps "
-            f"(last step {report.deltas[-1]:.3e})",
-            best=phi, report=report)
+            f"(last step {report.deltas[-1]:.3e})", best=phi)
     if report.clamped > 0:
         raise NonConvergence(
             f"{report.clamped} nodes clamped at c2_floor in the final iterate",
-            best=phi, report=report)
+            best=phi)
+    return phi
+
+
+def solve(problem: PotentialProblem,
+          schedule: EpsilonSchedule | None = None,
+          params: PicardParams | None = None
+          ) -> tuple[ScalarField, SolveReport]:
+    """Solve Q[phi] = 0 with phi = phi_b on the frame.
+
+    Damped Newton at eps = 0 from phi_b comes first: where the flow stays
+    pseudo-subsonic Q is elliptic and needs no eps Lap regularization
+    (report.path "direct", one stage).  If that stage fails (any of
+    _STAGE_ERRORS), epsilon_continuation under schedule runs from phi_b
+    (report.path "continuation"); schedule acts only there.  When the
+    continuation fails too, NonConvergence names both failures.
+    """
+    try:
+        phi, prep = picard_solve(problem, 0.0, params)
+    except _STAGE_ERRORS as direct:
+        try:
+            return epsilon_continuation(problem, schedule, params)
+        except NonConvergence as exc:
+            cost = ("" if direct.report is None else
+                    f" ({direct.report.iterations} factorizations)")
+            raise NonConvergence(
+                f"direct eps=0 solve failed{cost}: {direct}; {exc}",
+                best=exc.best, report=exc.report) from exc
+    report = SolveReport(path="direct")
+    _add_stage(report, 0.0, prep)
+    _finalize_report(report, fld.gradient(phi), prep.c2, prep.clamped,
+                     prep.final_residual)
     return phi, report
 
 
@@ -545,8 +612,7 @@ def epsilon_continuation(problem: PotentialProblem,
     for eps in schedule.stages() + [0.0]:
         try:
             phi_e, prep = picard_solve(problem, eps, params, w0=w0)
-        except (NonConvergence, IndefiniteSystem, LinearStagnation,
-                CapExceeded) as exc:
+        except _STAGE_ERRORS as exc:
             report.errors.append(f"eps={eps:g}: {exc}")
             if phi is None:
                 raise NonConvergence(
@@ -556,14 +622,20 @@ def epsilon_continuation(problem: PotentialProblem,
             break
         phi = w0 = phi_e
         last = prep
-        report.stages.append({"eps": eps, "iterations": prep.iterations,
-                              "steps": len(prep.deltas),
-                              "delta": prep.deltas[-1],
-                              "residual": prep.final_residual})
-        report.final_eps = eps
+        _add_stage(report, eps, prep)
     _finalize_report(report, fld.gradient(phi), last.c2, last.clamped,
                      last.final_residual)
     return phi, report
+
+
+def _add_stage(report: SolveReport, eps: float, prep: PicardReport) -> None:
+    """Record a converged stage; its system is the solve's last system."""
+    report.stages.append({"eps": eps, "iterations": prep.iterations,
+                          "steps": len(prep.deltas),
+                          "delta": prep.deltas[-1],
+                          "residual": prep.final_residual})
+    report.final_eps = eps
+    report.system = prep.system
 
 
 def _finalize_report(report: SolveReport, U: VectorField, c2: ScalarField,

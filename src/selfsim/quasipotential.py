@@ -13,7 +13,10 @@ perp_grad zeta) and c^2 = c0^2 - delta Q1.  The solver runs block
 Gauss-Seidel sweeps (transport -> zeta -> closures -> psi) per delta target,
 warm-starting each stage; the psi solve of each sweep is the damped Newton
 solve of potential.picard_solve at eps = 0 with the forcing above, whose
-Jacobian is the linearized operator L (potential.linearization).
+Jacobian is the linearized operator L (potential.linearization).  Since psi
+moves by O(delta) between sweeps, one factored Jacobian is carried from the
+base solve through every sweep and stage, and is refactored only where its
+steps stop contracting.
 quasi_state is the one evaluation of the closures (F1, Q1, N1, c^2 floored
 at the problem's c2_floor) and of U: every sweep reads it, and so do the
 returned state and the report of solve_quasi.
@@ -233,10 +236,12 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
     returned on failure with status PartialContinuation.  A linear-solve
     failure in the first stage is raised as NonConvergence.  An anchor
     outside the grid raises ConfigError before any solve.  The base
-    potential is the epsilon_continuation of base under schedule.  The
-    report's top-level fields describe the returned state, quasi_state at
-    the last converged (psi, zeta~): its c^2, the audit of its U against
-    that c^2, and the residual of the psi equation, forcing included.
+    potential is potential.solve(base, schedule, params), whose path the
+    report keeps; its last factored Jacobian starts the first psi solve,
+    and each psi solve's last one starts the next.  The report's top-level
+    fields describe the returned state, quasi_state at the last converged
+    (psi, zeta~): its c^2, the audit of its U against that c^2, and the
+    residual of the psi equation, forcing included.
     """
     params = params or PicardParams()
     grid = base.grid
@@ -248,16 +253,18 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
         raise ConfigError(f"anchor {config.anchor} outside the "
                           f"{grid.nx} x {grid.ny} grid")
     omega_b = fld.laplacian(zeta_b)  # inflow data for the transported vorticity
-    report = SolveReport()
-    psi, prep = potential.epsilon_continuation(base, schedule, params)
+    psi, prep = potential.solve(base, schedule, params)
+    report = SolveReport(path=prep.path)
     if prep.status != "Converged":
         report.errors.extend(prep.errors)
     zt = zeta_b.copy()
     state = None
+    system = prep.system
     for delta in config.delta_targets:
         try:
-            psi_d, zt_d, stage = _solve_stage(
-                config, base, params, delta, psi, zt, zeta_b, omega_b)
+            psi_d, zt_d, stage, system = _solve_stage(
+                config, base, params, delta, psi, zt, zeta_b, omega_b,
+                system)
         except (NonConvergence, SonicEncroachment, *_LINEAR_ERRORS) as exc:
             report.errors.append(f"delta={delta:g}: {exc}")
             if state is None:
@@ -310,7 +317,11 @@ def _psi_forcing(state: QuasiState) -> ScalarField:
 def _solve_stage(config: QuasiConfig, base: PotentialProblem,
                  params: PicardParams, delta: float,
                  psi: ScalarField, zt: ScalarField,
-                 zeta_b: ScalarField, omega_b: ScalarField):
+                 zeta_b: ScalarField, omega_b: ScalarField,
+                 system: potential.FrozenSystem | None):
+    """The sweeps of one delta stage from (psi, zeta~); the psi solves start
+    on system, the factored Jacobian carried in.  Returns psi, zeta~, the
+    stage's report entry and the last psi solve's system."""
     grid = base.grid
     stage = {"delta": delta, "outer_iters": 0, "change": float("inf")}
     for it in range(1, config.outer_max_iters + 1):
@@ -322,15 +333,17 @@ def _solve_stage(config: QuasiConfig, base: PotentialProblem,
         if L2max >= 1.0 - config.sonic_margin:
             raise SonicEncroachment(
                 f"max pseudo-Mach^2 {L2max:.4f} >= {1 - config.sonic_margin}")
-        psi_new, _prep = potential.picard_solve(
-            base, 0.0, params, w0=psi, rhs=_psi_forcing(state))
+        psi_new, prep = potential.picard_solve(
+            base, 0.0, params, w0=psi, rhs=_psi_forcing(state),
+            system=system)
+        system = prep.system
         change = max(float(np.max(np.abs(psi_new.values - psi.values))),
                      float(np.max(np.abs(zt_new.values - zt.values))))
         psi, zt = psi_new, zt_new
         stage.update(outer_iters=it, change=change, max_L2=L2max,
                      curl_defect=state.curl_defect, uncovered=trep.uncovered)
         if change <= config.outer_tol:
-            return psi, zt, stage
+            return psi, zt, stage, system
     raise NonConvergence(
         f"outer loop: change {stage['change']:.3e} > {config.outer_tol:.3e} "
         f"after {config.outer_max_iters} sweeps", report=stage)

@@ -12,8 +12,8 @@ import pytest
 
 import selfsim as ss
 from selfsim import (cli, field as fld, hodge, potential, quasipotential,
-                     regime)
-from selfsim.errors import LinearStagnation
+                     regime, vorticity)
+from selfsim.errors import IndefiniteSystem, LinearStagnation
 
 from conftest import quiescent_field
 
@@ -48,16 +48,17 @@ def test_solve_potential_end_to_end(tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["report"]["status"] == "Converged"
     assert payload["report"]["audit"] == "Pass"
+    assert payload["report"]["path"] == "direct"
     assert list(payload) == ["report"]  # no wall-clock metadata
 
 
 def test_solve_potential_writes_the_solves_c2_and_L2(tmp_path, monkeypatch):
     # c2.f2d and L2.f2d are the report's fields, not a second evaluation
-    continuation = potential.epsilon_continuation
+    solve = potential.solve
     reports, calls = [], []
 
     def solve_then_spy(*args, **kwargs):
-        phi, report = continuation(*args, **kwargs)
+        phi, report = solve(*args, **kwargs)
         reports.append(report)
         for owner, name in ((fld, "gradient"), (potential, "c2_of_phi"),
                             (regime, "pseudo_mach_field")):
@@ -67,7 +68,7 @@ def test_solve_potential_writes_the_solves_c2_and_L2(tmp_path, monkeypatch):
             monkeypatch.setattr(owner, name, spy)
         return phi, report
 
-    monkeypatch.setattr(potential, "epsilon_continuation", solve_then_spy)
+    monkeypatch.setattr(potential, "solve", solve_then_spy)
     path = small_config(tmp_path)
     assert cli.main(["solve-potential", "--config", str(path)]) == 0
     monkeypatch.undo()
@@ -149,6 +150,30 @@ def test_solve_potential_failed_first_stage_exits_1(tmp_path, capsys):
     assert cli.main(["solve-potential", "--config", str(path)]) == 1
     assert ("first continuation stage failed: ellipticity margin "
             "-1.166e-01 <= 0") in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("n, direct, first", [
+    (17, "-2.693e-01", "-1.693e-01"),
+    (33, "-3.082e-01", "-2.082e-01"),
+])
+def test_solve_potential_both_paths_fail_exits_1(tmp_path, capsys, n,
+                                                 direct, first):
+    # gamma = 3 data with c^2 = 1 plus 0.06 sin(pi (xi1 + 2 xi2) + 0.3):
+    # phi_b is not elliptic, so the direct eps = 0 stage fails before its
+    # first LU, and so does the first eps stage of the fallback
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, n, n)
+    X, Y = grid.meshgrid()
+    table = quiescent_field(grid, -0.5).values + 0.06 * np.sin(
+        np.pi * (X + 2.0 * Y) + 0.3)
+    path = small_config(
+        tmp_path, gas={"a": 1.0, "gamma": 3.0},
+        grid={"x0": -0.5, "x1": 0.5, "y0": -0.5, "y1": 0.5, "nx": n, "ny": n},
+        boundary={"kind": "expression-table", "table": table.tolist()})
+    assert cli.main(["solve-potential", "--config", str(path)]) == 1
+    assert (f"direct eps=0 solve failed (0 factorizations): ellipticity "
+            f"margin {direct} <= 0; first continuation stage failed: "
+            f"ellipticity margin {first} <= 0") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
@@ -347,6 +372,44 @@ def test_exit_code_non_numeric_inflow_csv(tmp_path):
     (tmp_path / "right.csv").write_text("1.0\nabc\n" + "1.0\n" * 7)
     spec = json.dumps({"right": str(tmp_path / "right.csv")})
     assert _transport_with_inflow(tmp_path, spec) == 2
+
+
+def _no_work(monkeypatch, owner, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{name} ran on invalid input")
+    monkeypatch.setattr(owner, name, no_work)
+
+
+@pytest.mark.parametrize("inflow", [
+    '{"right": NaN, "top": 1.0}',
+    '{"right": 1.0, "top": -Infinity}',
+    "csv",
+])
+def test_non_finite_inflow_exits_2(tmp_path, capsys, monkeypatch, inflow):
+    # json reads NaN and Infinity, and loadtxt reads a "nan" line
+    _no_work(monkeypatch, vorticity, "transport_omega")
+    if inflow == "csv":
+        (tmp_path / "right.csv").write_text("1.0\nnan\n" + "1.0\n" * 7)
+        inflow = json.dumps({"right": str(tmp_path / "right.csv")})
+    assert _transport_with_inflow(tmp_path, inflow) == 2
+    assert "inflow values must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "omega.f2d").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf])
+def test_classify_bad_c2_exits_2(tmp_path, capsys, monkeypatch, bad):
+    _no_work(monkeypatch, regime, "classify")
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 9, 9)
+    U = ss.VectorField.from_function(grid, lambda x, y: -x, lambda x, y: -y)
+    c2 = ss.ScalarField.from_function(grid, lambda x, y: 1.0)
+    c2.values[4, 5] = bad
+    fld.write_field(U, tmp_path / "U.f2d")
+    fld.write_field(c2, tmp_path / "c2.f2d")
+    assert cli.main(["classify", "--u", str(tmp_path / "U.f2d"),
+                     "--c2", str(tmp_path / "c2.f2d"),
+                     "--out-dir", str(tmp_path)]) == 2
+    assert "finite, positive c2" in capsys.readouterr().err
+    assert not (tmp_path / "classify.json").exists()
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
@@ -549,21 +612,33 @@ def test_solve_quasi_closures_use_configured_c2_floor(tmp_path, monkeypatch):
 
 
 def test_solve_quasi_uses_configured_schedule(tmp_path, monkeypatch):
-    schedules = []
-    continuation = potential.epsilon_continuation
+    # the direct eps = 0 attempt (no w0) fails, so the base solve falls
+    # back to the continuation, which gets the configured schedule
+    schedules = {"solve": [], "epsilon_continuation": []}
+    for name, calls in schedules.items():
+        def spy(problem, schedule=None, params=None, _calls=calls,
+                _fn=getattr(potential, name)):
+            _calls.append(schedule)
+            return _fn(problem, schedule, params)
+        monkeypatch.setattr(potential, name, spy)
+    picard_solve = potential.picard_solve
 
-    def spy(problem, schedule=None, params=None):
-        schedules.append(schedule)
-        return continuation(problem, schedule, params)
+    def direct_fails(problem, eps, params=None, w0=None, **kwargs):
+        if w0 is None:
+            raise IndefiniteSystem("injected")
+        return picard_solve(problem, eps, params, w0, **kwargs)
 
-    monkeypatch.setattr(potential, "epsilon_continuation", spy)
+    monkeypatch.setattr(potential, "picard_solve", direct_fails)
     path = small_config(
         tmp_path,
         grid={"x0": 0.1, "x1": 0.6, "y0": 0.1, "y1": 0.6, "nx": 17, "ny": 17},
         solver={"eps0": 0.05, "ratio": 0.25, "eps_min": 1e-4},
         quasi={"delta_targets": [0.0], "anchor": [8, 8]})
     assert cli.main(["solve-quasi", "--config", str(path)]) == 0
-    assert [s.eps0 for s in schedules] == [0.05]
+    assert [[s.eps0 for s in calls] for calls in schedules.values()] == [
+        [0.05], [0.05]]
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["path"] == "continuation"
 
 
 def test_strict_key_only_checks_config_keys(tmp_path):
@@ -588,7 +663,7 @@ def test_solve_quasi_rejects_bad_anchor(tmp_path, monkeypatch, anchor):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve started before the anchor was checked")
 
-    monkeypatch.setattr(potential, "epsilon_continuation", no_solve)
+    monkeypatch.setattr(potential, "solve", no_solve)
     path = _quasi_config(tmp_path, [0.0], quasi={"anchor": anchor})
     assert cli.main(["solve-quasi", "--config", str(path)]) == 2
     assert not (tmp_path / "report.json").exists()
@@ -618,7 +693,7 @@ def test_nan_or_out_of_range_setting_exits_2(tmp_path, monkeypatch,
     def no_solve(*args, **kwargs):
         raise AssertionError("solve started before the settings were checked")
 
-    monkeypatch.setattr(potential, "epsilon_continuation", no_solve)
+    monkeypatch.setattr(potential, "solve", no_solve)
     quasi = {"delta_targets": [0.0], "anchor": [8, 8],
              **overrides.get("quasi", {})}
     solver = {"eps0": 0.1, "ratio": 0.25, "eps_min": 1e-4,

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import selfsim as ss
 from selfsim import field as fld, potential
 from selfsim.errors import (CapExceeded, ConfigError, IndefiniteSystem,
-                            NonConvergence)
+                            LinearStagnation, NonConvergence)
 
 from conftest import quiescent_field
 
@@ -185,15 +185,15 @@ def test_epsilon_continuation_isothermal_quiescent(grid):
 GAMMAS = (-1.0, -0.5, 0.5, 1.0, 1.4, 2.0, 3.0)
 
 
-def _gamma_problem(gamma, grid, amplitude):
+def _gamma_problem(gamma, grid, amplitude, phase=0.3):
     """Quiescent data with c^2 = 1 (K = -1/(gamma - 1); a = 1, K = -1 for
-    the isothermal law) plus amplitude * sin(pi (xi1 + 2 xi2) + 0.3)."""
+    the isothermal law) plus amplitude * sin(pi (xi1 + 2 xi2) + phase)."""
     law = ss.GasLaw(a=1.0, gamma=gamma, rho_floor=0.1 if gamma < 1 else 0.0)
     K = -1.0 if gamma == 1.0 else -1.0 / (gamma - 1.0)
     exact = quiescent_field(grid, K)
     X, Y = grid.meshgrid()
     phi_b = ss.ScalarField(grid, exact.values + amplitude * np.sin(
-        np.pi * (X + 2.0 * Y) + 0.3))
+        np.pi * (X + 2.0 * Y) + phase))
     return potential.PotentialProblem(law=law, grid=grid, phi_b=phi_b), exact
 
 
@@ -241,6 +241,132 @@ def test_continuation_factorization_count(monkeypatch):
     assert rep.status == "Converged"
     assert len(factors) == sum(s["iterations"] for s in rep.stages)
     assert len(factors) <= 25
+
+
+def test_solve_takes_the_direct_path(monkeypatch):
+    # the same input: Newton at eps = 0 from phi_b needs no continuation
+    # and lands on the continuation's phi
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    prob, _ = _gamma_problem(2.0, grid, 0.02, phase=0.0)
+    phi_c, _ = potential.epsilon_continuation(prob)
+    factors = _splu_spy(monkeypatch)
+    phi, rep = potential.solve(prob)
+    assert (rep.status, rep.path, rep.final_eps) == ("Converged", "direct",
+                                                     0.0)
+    assert len(rep.stages) == 1 and rep.errors == []
+    assert len(factors) == rep.stages[0]["iterations"] <= 3
+    assert np.max(np.abs(phi.values - phi_c.values)) <= 1e-10
+
+
+def test_solve_falls_back_where_phi_b_is_not_elliptic():
+    # phi_b itself fails the margin check at eps = 0; the first eps stage
+    # regularizes it, and the continuation converges
+    grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    prob, _ = _gamma_problem(2.0, grid, 0.065, phase=np.pi / 2)
+    with pytest.raises(IndefiniteSystem,
+                       match="ellipticity margin -3.477e-02 <= 0") as exc:
+        potential.picard_solve(prob, 0.0)
+    assert exc.value.report.iterations == 0
+    phi, rep = potential.solve(prob)
+    assert (rep.status, rep.path, rep.final_eps) == ("Converged",
+                                                     "continuation", 0.0)
+    assert rep.errors == []
+    phi_c, _ = potential.epsilon_continuation(prob)
+    assert np.array_equal(phi.values, phi_c.values)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_solve_quiescent_every_gamma(gamma, grid):
+    prob, exact = _gamma_problem(gamma, grid, 0.0)
+    phi, rep = potential.solve(prob)
+    assert (rep.status, rep.path) == ("Converged", "direct")
+    assert np.max(np.abs(phi.values - exact.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("call", [1, 2])
+def test_margin_failure_carries_the_report(grid, monkeypatch, call):
+    # the margin check fails at the first iterate (a fresh Jacobian,
+    # assembled but never factored) or at the second (a reused LU); the
+    # report counts only the factorizations that were made
+    prob, _ = _gamma_problem(2.0, grid, 0.02)
+    factors = _splu_spy(monkeypatch)
+    check = potential._checked_principal_part
+    calls = []
+
+    def indefinite_at_call(*args, **kwargs):
+        gp, principal, margin = check(*args, **kwargs)
+        calls.append(1)
+        return gp, principal, (-1.0 if len(calls) == call else margin)
+
+    monkeypatch.setattr(potential, "_checked_principal_part",
+                        indefinite_at_call)
+    with pytest.raises(IndefiniteSystem) as exc:
+        potential.picard_solve(prob, eps=0.1)
+    rep = exc.value.report
+    assert isinstance(rep, potential.PicardReport) and not rep.converged
+    assert rep.iterations == len(factors) == len(rep.deltas) == call - 1
+
+
+def test_linear_failure_carries_the_report(grid, monkeypatch):
+    prob, _ = _gamma_problem(2.0, grid, 0.02)
+    factors = _splu_spy(monkeypatch)
+    solve = potential.solve_linear_dirichlet
+    calls = []
+
+    def stagnates_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise LinearStagnation("injected")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "solve_linear_dirichlet",
+                        stagnates_second)
+    with pytest.raises(LinearStagnation) as exc:
+        potential.picard_solve(prob, eps=0.1)
+    assert exc.value.report.iterations == len(factors) == 1
+
+
+def _carried_lu_case(grid):
+    """A converged eps = 0 solve, and the same problem with a small
+    forcing, as a psi solve of quasipotential sees it between sweeps."""
+    prob, _ = _gamma_problem(2.0, grid, 0.02)
+    phi0, rep0 = potential.picard_solve(prob, 0.0)
+    X, Y = grid.meshgrid()
+    rhs = ss.ScalarField(grid, 1e-3 * np.cos(np.pi * X) * np.cos(np.pi * Y))
+    ref, _ = potential.picard_solve(prob, 0.0, w0=phi0, rhs=rhs)
+    return prob, phi0, rep0.system, rhs, ref
+
+
+def test_carried_lu_starts_the_next_solve(grid, monkeypatch):
+    prob, phi0, system, rhs, ref = _carried_lu_case(grid)
+    factors = _splu_spy(monkeypatch)
+    phi, rep = potential.picard_solve(prob, 0.0, w0=phi0, rhs=rhs,
+                                      system=system)
+    assert rep.converged and rep.iterations == len(factors) == 0
+    assert rep.system is system
+    assert np.max(np.abs(phi.values - ref.values)) <= 1e-12
+
+
+def test_carried_lu_that_stops_contracting_is_refactored(grid, monkeypatch):
+    # with no contraction allowed, the carried LU gives its first full step
+    # only; the next step counts as not contracting, and the stage
+    # refactors at the iterate after it
+    prob, phi0, system, rhs, ref = _carried_lu_case(grid)
+    monkeypatch.setattr(potential, "_CONTRACTION", 0.0)
+    factors = _splu_spy(monkeypatch)
+    calls = []
+    for name in ("assemble_frozen", "solve_linear_dirichlet"):
+        def logged(*args, _name=name, _fn=getattr(potential, name),
+                   **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(potential, name, logged)
+    phi, rep = potential.picard_solve(prob, 0.0, w0=phi0, rhs=rhs,
+                                      system=system)
+    assert rep.converged and rep.iterations == len(factors) >= 1
+    assert calls.index("assemble_frozen") == 2  # two steps on the carried LU
+    assert rep.system is not system
+    assert np.max(np.abs(phi.values - ref.values)) <= 1e-12
 
 
 def test_stage_reuses_lu_while_steps_contract(grid, monkeypatch):

@@ -237,6 +237,43 @@ def test_solve_quasi_delta_zero_reduces_to_potential(law):
     assert state.delta == 0.0
 
 
+def test_solve_quasi_carries_one_jacobian(law, monkeypatch):
+    # the criterion-11 patch with a rotational zeta_b: the base solve takes
+    # the direct path, and its factored Jacobian serves the psi solves of
+    # every sweep and stage, which give the psi of psi solves that each
+    # start on a fresh Jacobian
+    grid = ss.Grid2D(0.1, 0.6, 0.1, 0.6, 17, 17)
+    base = potential.PotentialProblem(law=law, grid=grid,
+                                      phi_b=quiescent_field(grid))
+    zeta_b = ss.ScalarField.from_function(
+        grid, lambda x, y: 0.5 * np.sin(np.pi * x) * np.cos(np.pi * y)
+        + 0.25 * x * y)
+    cfg = qp.QuasiConfig(delta_targets=[1e-3, 1e-2], zeta_b=zeta_b,
+                         anchor=(8, 8), outer_tol=1e-9)
+    picard_solve = potential.picard_solve
+
+    def fresh(*args, system=None, **kwargs):
+        return picard_solve(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "picard_solve", fresh)
+    ref, ref_rep = qp.solve_quasi(cfg, base)
+    monkeypatch.undo()
+    assembled = []
+    assemble = potential.assemble_frozen
+
+    def counted(*args, **kwargs):
+        assembled.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "assemble_frozen", counted)
+    state, rep = qp.solve_quasi(cfg, base)
+    sweeps = [s["outer_iters"] for s in rep.stages]
+    assert (rep.status, rep.path) == ("Converged", "direct")
+    assert sweeps == [s["outer_iters"] for s in ref_rep.stages]
+    assert len(assembled) <= 2 < 1 + sum(sweeps)
+    assert np.max(np.abs(state.psi.values - ref.psi.values)) <= 1e-12
+
+
 def test_full_rotational_residual_potential_limit(law):
     grid = ss.Grid2D(0.1, 0.6, 0.1, 0.6, 17, 17)
     base = potential.PotentialProblem(law=law, grid=grid,
