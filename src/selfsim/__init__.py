@@ -33,8 +33,7 @@ from .regime import (AuditVerdict, EigenTriple, RegimeReport, classify,
                      discriminant, eigen_self_similar, eigen_steady,
                      eigen_time_dependent, ellipticity_audit,
                      pseudo_mach_field)
-from .vorticity import (CharacteristicTrace, InflowSet, inflow_boundary,
-                        trace_characteristic, transport_omega,
+from .vorticity import (InflowSet, inflow_boundary, transport_omega,
                         transport_residual)
 
 __version__ = "0.1.0"

@@ -3,9 +3,8 @@
 ``apply_stencil`` applies the frozen-coefficient operator at interior
 nodes.  ``trace_all`` integrates characteristics of a bilinear drift from
 many start points at once (semi-Lagrangian vorticity transport), each until
-it reaches a foot point _REACH cells upstream or leaves the frame; it is
-drift_table then trace_table, which a caller tracing many times on one
-drift calls itself.  Both kernels are deterministic.
+it reaches a foot point _REACH cells upstream or leaves the frame.  Both
+kernels are deterministic.
 """
 
 from __future__ import annotations
@@ -61,21 +60,30 @@ def apply_stencil(coef, f):
 # makes the drift b = (gx, gy) only C0 across cell edges, so a higher order
 # gains nothing) and the trapezoid quadrature of (1 + div b) along the path;
 # the sample at a step's new point is the next step's k1, so a step takes two
-# samples.  A path ends on stagnation of |b|, at path length max_len, at a
-# foot point, or when a step leaves the frame: that sub-step is bisected 48
-# times onto the boundary and the hit point is snapped onto the closest
-# side.  A step's new point is a foot (TRACE_FOOT) when it lies at least
+# samples.  Each node takes its own r-step dt = step / |b(p0)|, so ``step`` is
+# the spatial length of a step at the start point and a slow node crosses its
+# _REACH cells in as few steps as a fast one (semi-Lagrangian practice takes
+# a trajectory's step from its local wind).  A path ends on stagnation of
+# |b| (at step 0 when |b(p0)| < stag_tol), at path length max_len, i.e. after
+# ceil(max_len / dt) steps, at a foot point, or when a step leaves the frame.
+# A step's new point is a foot (TRACE_FOOT) when it lies at least
 # _REACH * max(hx, hy) from the path's start (np.hypot) and in a cell whose
 # 4 x 4 cubic stencil fits inside the grid, cells 1 .. n - 3 on each axis;
 # the caller interpolates there from nodes it has already solved, so a path
 # takes O(1) steps, not O(1 / h).  Without the cell rule, a clamped stencil
 # next to the frame can hold the start node itself.
-# All live nodes march together, one full step at a time; a node whose step
+# All live nodes march together, one step each at a time; a node whose step
 # would leave the frame records its start point and leaves the march.  After
-# the march one batched bisection runs over all crossed nodes, so it runs
-# only for paths that reach the frame before a foot.  A bisection depends
-# only on the node's own start point, so each node sees the same arithmetic
-# as when bisected at the step it crossed.
+# the march one batched root find runs over all crossed nodes: regula falsi
+# with the Illinois modification on the frame gap g(t) = max(x0 - x, x - x1,
+# y0 - y, y - y1) of the RK2 point of sub-step t, bracketed by [0, dt], for
+# _EXIT_ITERS iterations, each keeping lo inside (g <= 0) and hi outside.
+# The point of sub-step lo is snapped onto the side that hi is farthest
+# out of, the side the path crosses: a path that runs along one side and
+# leaves through the next must land on the next, where the closest side
+# (the one it ran along, at distance 0) may not be inflow.  A root find
+# depends only on the node's own crossing step, so each node sees the same
+# arithmetic as when solved alone at the step it crossed.
 #
 # Samples gather from one corner table per call, holding for each cell's
 # lower-left node p the corners p, p + 1, p + nx, p + nx + 1 of (sgn gx,
@@ -84,6 +92,11 @@ def apply_stencil(coef, f):
 # bit for bit (an exactly cancelled zero may differ in sign only).  Cell
 # indices truncate and clamp at 0, which gives floor's index, so the tracer
 # matches its scalar reference (tests/scalar_tracer.py) bit for bit.
+
+# Illinois iterations of the exit root find: on the radial, spiral and
+# quasi-patch drifts of tests/test_kernels.py eight land within 1.3e-14 dt
+# of 48 halvings' crossing, six only within 8.4e-9 dt on the spiral
+_EXIT_ITERS = 8
 
 
 def _corners(fields, x0, y0, hx, hy, nx, ny):
@@ -113,7 +126,7 @@ def _sample(tab, pts, geom):
 
 
 def _rk2(tab, p, k1, dt, geom):
-    """Midpoint RK2 step of length dt from p (2, m); k1 = sgn * b(p)."""
+    """Midpoint RK2 step of length dt (m,) from p (2, m); k1 = sgn * b(p)."""
     return p + dt * _sample(tab, p + 0.5 * dt * k1, geom)
 
 
@@ -121,33 +134,29 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
               x0, x1, y0, y1, hx, hy, nx, ny):
     """Trace characteristics from every start point; see the comment above.
 
-    Returns (accumulated integral, hit x, hit y, status, path length) per
-    start point; the length is the march steps times ``step``, plus the
-    bisected sub-step of an exited path.  The status is TRACE_EXITED (hit
-    on the frame), TRACE_FOOT (hit at the first step point _REACH cells from
-    the start whose cell is 1 .. n - 3 on both axes), TRACE_STAGNATION or
-    TRACE_MAXLEN.
+    ``step`` is the spatial length of a node's RK2 step at its start point:
+    the node's r-step is dt = step / |b(p0)|.  Returns (accumulated
+    integral, hit x, hit y, status, path length) per start point; the length
+    is the node's march steps times its dt, plus the sub-step of an exited
+    path.  The status is TRACE_EXITED (hit on the frame), TRACE_FOOT (hit at
+    the first step point _REACH cells from the start whose cell is 1 .. n - 3
+    on both axes), TRACE_STAGNATION or TRACE_MAXLEN (after ceil(max_len /
+    dt) steps).
     """
-    return trace_table(drift_table(gx, gy, gdiv, sgn, x0, y0, hx, hy, nx, ny),
-                       xs, ys, step, max_len, stag_tol, x0, x1, y0, y1)
-
-
-def drift_table(gx, gy, gdiv, sgn, x0, y0, hx, hy, nx, ny):
-    """Corner table of (sgn gx, sgn gy, gdiv) and its grid, for trace_table."""
-    return _corners(np.stack([sgn * gx, sgn * gy, gdiv]),
-                    x0, y0, hx, hy, nx, ny)
-
-
-def trace_table(table, xs, ys, step, max_len, stag_tol, x0, x1, y0, y1):
-    """trace_all on the drift of a drift_table, built once for many calls."""
-    tab, geom = table
+    tab, geom = _corners(np.stack([sgn * gx, sgn * gy, gdiv]),
+                         x0, y0, hx, hy, nx, ny)
     txy, tdiv = tab[:8], tab[8:]
-    lo, h, top = geom[:3]
+    origin, h, top = geom[:3]
     reach = _REACH * h.max()
     frame_lo, frame_hi = np.array([[x0], [y0]]), np.array([[x1], [y1]])
 
     def inside(q):
         return ((frame_lo <= q) & (q <= frame_hi)).all(axis=0)
+
+    def gap(q):
+        # the frame gap and its side: 0 .. 3 for x0, y0, x1, y1
+        d = np.concatenate([frame_lo - q, q - frame_hi])
+        return d.max(axis=0), d.argmax(axis=0)
 
     n = xs.size
     acc = np.zeros(n)
@@ -155,68 +164,76 @@ def trace_table(table, xs, ys, step, max_len, stag_tol, x0, x1, y0, y1):
     hit = np.array([xs, ys], dtype=float)
     status = np.full(n, TRACE_MAXLEN, np.int8)
     # the march keeps only live nodes: ids, start points p0, points p, sums
-    # a, and the samples s = (sgn bx, sgn by, div b) at p, which the next
-    # step reuses
+    # a, r-steps dt, step budgets m, and the samples s = (sgn bx, sgn by,
+    # div b) at p, which the next step reuses
     ids, p0, p, a = np.arange(n), hit.copy(), hit.copy(), acc.copy()
     s = _sample(tab, p, geom)
-    crossed = []  # per step: ids, start points, sums, k1, g0, lengths
-    n_steps = int(np.ceil(max_len / step))
-    for steps in range(n_steps):
-        if not ids.size:
-            break
-        stag = np.hypot(s[0], s[1]) < stag_tol
+    # a node below stag_tol stagnates at step 0; the floor only keeps its
+    # dt finite
+    dt = step / np.maximum(np.hypot(s[0], s[1]), stag_tol)
+    m = np.ceil(max_len / dt)
+    # per step: ids, start points, sums, k1, g0, dt, lengths, gap and side
+    crossed = []
+    steps = 0
+    while ids.size:
+        end = m == steps
+        stop = end | (np.hypot(s[0], s[1]) < stag_tol)
         k1 = s[:2]
         g0 = 1.0 + s[2]
-        pn = _rk2(txy, p, k1, step, geom)
+        pn = _rk2(txy, p, k1, dt, geom)
         ok = inside(pn)
-        keep = ok & ~stag
+        keep = ok & ~stop
         if not keep.all():
-            hit[:, ids[stag]] = p[:, stag]
-            acc[ids[stag]] = a[stag]
-            length[ids[stag]] = steps * step
-            status[ids[stag]] = TRACE_STAGNATION
-            out = ~ok & ~stag
+            hit[:, ids[stop]] = p[:, stop]
+            acc[ids[stop]] = a[stop]
+            length[ids[stop]] = steps * dt[stop]
+            status[ids[stop]] = np.where(end[stop], TRACE_MAXLEN,
+                                         TRACE_STAGNATION)
+            out = ~ok & ~stop
             crossed.append((ids[out], p[:, out], a[out], k1[:, out], g0[out],
-                            np.full(np.count_nonzero(out), steps * step)))
-            ids, p0, pn, a, g0 = (ids[keep], p0[:, keep], pn[:, keep],
-                                  a[keep], g0[keep])
+                            dt[out], steps * dt[out], *gap(pn[:, out])))
+            ids, p0, pn, a, g0, dt, m = (ids[keep], p0[:, keep], pn[:, keep],
+                                         a[keep], g0[keep], dt[keep], m[keep])
         s = _sample(tab, pn, geom)
-        a = a + 0.5 * step * (g0 + (1.0 + s[2]))
+        a = a + 0.5 * dt * (g0 + (1.0 + s[2]))
         p = pn
+        steps += 1
         # points are inside the frame, so truncation is floor
-        c = ((p - lo) / h).astype(np.int64)
+        c = ((p - origin) / h).astype(np.int64)
         foot = ((np.hypot(p[0] - p0[0], p[1] - p0[1]) >= reach)
                 & ((1 <= c) & (c < top)).all(axis=0))
         if foot.any():
             hit[:, ids[foot]] = p[:, foot]
             acc[ids[foot]] = a[foot]
-            length[ids[foot]] = (steps + 1) * step
+            length[ids[foot]] = steps * dt[foot]
             status[ids[foot]] = TRACE_FOOT
             live = ~foot
-            ids, p0, p, a, s = (ids[live], p0[:, live], p[:, live], a[live],
-                                s[:, live])
-    hit[:, ids] = p
-    acc[ids] = a
-    length[ids] = n_steps * step
+            ids, p0, p, a, s, dt, m = (ids[live], p0[:, live], p[:, live],
+                                       a[live], s[:, live], dt[live], m[live])
     if crossed:
-        # one batched bisection of the crossing sub-step onto the boundary
-        ids, p, a, k1, g0, r = (np.concatenate(c, axis=-1)
-                                for c in zip(*crossed))
+        # one batched root find of the crossing sub-step on the frame gap
+        ids, p, a, k1, g0, hi, r, ghi, side = (np.concatenate(c, axis=-1)
+                                               for c in zip(*crossed))
         lo = np.zeros(ids.size)
-        hi = np.full(ids.size, step)
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            ok = inside(_rk2(txy, p, k1, mid, geom))
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
+        glo = gap(p)[0]
+        moved = np.zeros(ids.size)  # +1 (-1): the last point replaced hi (lo)
+        for _ in range(_EXIT_ITERS):
+            t = lo - glo * (hi - lo) / (ghi - glo)
+            g, gside = gap(_rk2(txy, p, k1, t, geom))
+            out = g > 0.0
+            # Illinois: halve the kept end's gap when the same end moves twice
+            ghi = np.where(~out & (moved < 0), 0.5 * ghi, ghi)
+            glo = np.where(out & (moved > 0), 0.5 * glo, glo)
+            lo, glo = np.where(out, lo, t), np.where(out, glo, g)
+            hi, ghi = np.where(out, t, hi), np.where(out, g, ghi)
+            side = np.where(out, gside, side)
+            moved = np.where(out, 1.0, -1.0)
         pb = _rk2(txy, p, k1, lo, geom)
         xb, yb = pb
         g1 = 1.0 + _sample(tdiv, pb, geom)[0]
         acc[ids] = a + 0.5 * lo * (g0 + g1)
         length[ids] = r + lo
-        # snap the closest bound onto the boundary
-        side = np.argmin(np.stack([xb - x0, x1 - xb, yb - y0, y1 - yb]), axis=0)
-        hit[0, ids] = np.where(side == 0, x0, np.where(side == 1, x1, xb))
-        hit[1, ids] = np.where(side == 2, y0, np.where(side == 3, y1, yb))
+        hit[0, ids] = np.where(side == 0, x0, np.where(side == 2, x1, xb))
+        hit[1, ids] = np.where(side == 1, y0, np.where(side == 3, y1, yb))
         status[ids] = TRACE_EXITED
     return acc, hit[0], hit[1], status, length

@@ -433,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--inflow", required=True,
                     help="JSON side->constant or CSV-path inflow data")
     st.add_argument("--out-dir", default=".")
-    st.add_argument("--step", type=float, default=None)
+    st.add_argument("--step", type=float, default=None,
+                    help="spatial length of an RK2 step of a characteristic "
+                         "(default 3/4 of the larger cell side)")
     st.set_defaults(fn=cmd_transport)
     return p
 

@@ -32,16 +32,10 @@ from .hodge import _boundary_normals
 _STAG_TOL = 1e-14
 # a frame point is inflow where b.nu < -_TOL_INFLOW (nu the outward normal)
 _TOL_INFLOW = 1e-12
-
-
-@dataclass
-class CharacteristicTrace:
-    """Recorded polyline of a single characteristic."""
-
-    points: np.ndarray = dc_field(repr=False)  # (n, 2) xi positions
-    r: np.ndarray = dc_field(repr=False)       # parameter values
-    accumulated: float = 0.0                   # int (1 + div b) ds
-    status: str = "exited"                     # exited | stagnation | maxlen
+# a foot's stencil entry with |weight| <= _TOL_WEIGHT is dropped: a foot on a
+# grid line has round-off weights on the nodes off the line, which must not
+# tie it to those nodes' coverage or order
+_TOL_WEIGHT = 1e-12
 
 
 @dataclass
@@ -79,53 +73,14 @@ def inflow_boundary(b: VectorField) -> InflowSet:
 
 
 def _step_and_length(grid: Grid2D, step, max_len) -> tuple:
-    """(step, max_len), None taking half the smaller cell side and twenty
-    diameters; ConfigError unless both are finite and positive."""
-    step = 0.5 * min(grid.hx, grid.hy) if step is None else step
+    """(step, max_len), None taking a quarter of the foot reach, 3/4 of the
+    larger cell side, and twenty diameters; ConfigError unless both are
+    finite and positive."""
+    if step is None:
+        step = 0.25 * _kernels._REACH * max(grid.hx, grid.hy)
     max_len = 20.0 * grid.diam if max_len is None else max_len
     check_positive(step=step, max_len=max_len)
     return step, max_len
-
-
-def trace_characteristic(b: VectorField, start, step: float | None = None,
-                         max_len: float | None = None,
-                         forward: bool = True) -> CharacteristicTrace:
-    """Record one characteristic polyline from ``start`` (diagnostic helper).
-
-    Re-traces step by step so intermediate points are kept; the heavy batch
-    path in transport_omega only keeps endpoints.  Runs the march-step
-    count of ``_kernels.trace_all``, ceil(max_len / step).  The drift table
-    and div b are built once per call, so a path costs O(N + steps).
-    """
-    g = b.grid
-    step, max_len = _step_and_length(g, step, max_len)
-    sgn = 1.0 if forward else -1.0
-    x, y = float(start[0]), float(start[1])
-    pts = [(x, y)]
-    rs = [0.0]
-    acc = 0.0
-    status = "maxlen"
-    r = 0.0
-    table = _kernels.drift_table(b.u, b.v, fld.divergence(b).values, sgn,
-                                 g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
-    for _ in range(int(np.ceil(max_len / step))):
-        # single sub-step: max_len = step gives ceil(1) = 1 march step
-        a1, h1x, h1y, st, dr = _kernels.trace_table(
-            table, np.array([x]), np.array([y]), step, step,
-            _STAG_TOL, g.x0, g.x1, g.y0, g.y1)
-        if st[0] == _kernels.TRACE_STAGNATION:
-            status = "stagnation"
-            break
-        x, y = float(h1x[0]), float(h1y[0])
-        acc += float(a1[0])
-        r += float(dr[0])
-        pts.append((x, y))
-        rs.append(r)
-        if st[0] == _kernels.TRACE_EXITED:
-            status = "exited"
-            break
-    return CharacteristicTrace(points=np.array(pts), r=np.array(rs),
-                               accumulated=acc, status=status)
 
 
 def _interp_frame(values: np.ndarray, grid: Grid2D, hx_, hy_):
@@ -180,11 +135,12 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     ``omega`` and ``total`` hold per grid node omega, NaN where uncovered,
     and the characteristic length.  A foot node takes the 4 x 4
     Lagrange-cubic interpolation of both at its foot (fx, fy), omega times
-    exp(-acc) and the length plus its segment's; a NaN anywhere in the
-    stencil, or a length beyond max_len, leaves it uncovered.  A node is
-    ready once no stencil node is a pending foot node; each level of ready
-    nodes is filled in one batch.  Returns the mask of nodes filled; the
-    rest sit in or behind a dependency cycle.
+    exp(-acc) and the length plus its segment's; a NaN at a stencil node,
+    or a length beyond max_len, leaves it uncovered.  Stencil entries with
+    |weight| <= _TOL_WEIGHT are dropped from the sums, the coverage and the
+    order.  A node is ready once no kept stencil node is a pending foot
+    node; each level of ready nodes is filled in one batch.  Returns the
+    mask of nodes filled; the rest sit in or behind a dependency cycle.
     """
     nx = grid.nx
     tx = (fx - grid.x0) / grid.hx
@@ -193,11 +149,13 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     cy = np.floor(ty).astype(np.int64)
     w = (_cubic_weights(ty - cy)[:, :, None]
          * _cubic_weights(tx - cx)[:, None, :]).reshape(-1, 16)
+    kept = np.abs(w) > _TOL_WEIGHT
+    w[~kept] = 0.0
     offsets = (np.arange(4)[:, None] * nx + np.arange(4)).ravel()
     stencil = ((cy - 1) * nx + cx - 1)[:, None] + offsets
     pending = np.zeros(omega.size, bool)
     pending[nodes] = True
-    indeg = np.count_nonzero(pending[stencil], axis=1)
+    indeg = np.count_nonzero(pending[stencil] & kept, axis=1)
     # a node s is in the stencil of the feet whose stencil base is s minus
     # an offset: group the feet by base, feet[first[c]:first[c + 1]] (the
     # bases run nearly in node order, which the stable sort takes fastest)
@@ -211,16 +169,21 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     while ready.size:
         st, wr, g = stencil[ready], w[ready], nodes[ready]
         t = length[ready] + (wr * total[st]).sum(axis=1)
-        omega[g] = np.where(t <= max_len, (wr * omega[st]).sum(axis=1)
+        om = np.where(kept[ready], omega[st], 0.0)
+        omega[g] = np.where(t <= max_len, (wr * om).sum(axis=1)
                             * np.exp(-acc[ready]), np.nan)
         total[g] = t
         filled[ready] = True
+        # g sits at stencil entry j of the feet whose base is g - offsets[j]
         cells = (g[:, None] - offsets).ravel()
-        cells = cells[cells >= 0]
+        entry = np.tile(np.arange(16), g.size)
+        valid = cells >= 0
+        cells, entry = cells[valid], entry[valid]
         n_out = first[cells + 1] - first[cells]
         ends = np.cumsum(n_out)
         deps = feet[np.repeat(first[cells] - ends + n_out, n_out)
                     + np.arange(ends[-1])]
+        deps = deps[kept[deps, np.repeat(entry, n_out)]]
         np.subtract.at(indeg, deps, 1)
         # a node reaching zero in-degree appears once per edge: keep one
         ready = deps[indeg[deps] == 0]
@@ -237,8 +200,10 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     """Backward semi-Lagrangian solve of div(omega b) + omega = 0.
 
     omega_b carries the boundary data on the frame of the same grid; only
-    inflow frame values are consulted.  ``step`` is the RK2 sub-step of
-    each segment and ``max_len`` bounds each whole characteristic.
+    inflow frame values are consulted.  ``step`` is the spatial length of
+    each node's RK2 step (its r-step is step / |b| at the node; default
+    3/4 of the larger cell side, four steps to a foot _REACH = 3 cells
+    upstream) and ``max_len`` bounds each whole characteristic in r.
     ``strict`` raises UncoveredNodes instead of zero-filling.
     """
     grid = b.grid

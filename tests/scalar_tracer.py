@@ -1,14 +1,17 @@
 """Scalar reference of ``selfsim._kernels.trace_all``: one node at a time.
 
-Plain Python loops over the same midpoint-RK2, bilinear-interpolation,
-foot-point and 48-step exit-bisection arithmetic as the batched numpy
-tracer, which must match it bit for bit (tests/test_kernels.py).
+Plain Python loops over the same per-node midpoint-RK2 step,
+bilinear-interpolation, foot-point and Illinois exit arithmetic as the
+batched numpy tracer, which must match it bit for bit
+(tests/test_kernels.py).  With ``bisect=True`` the exit is found by 48
+halvings of the crossing sub-step instead, the reference for the root
+find's accuracy.
 """
 
 import numpy as np
 
-from selfsim._kernels import (_REACH, TRACE_EXITED, TRACE_FOOT, TRACE_MAXLEN,
-                               TRACE_STAGNATION)
+from selfsim._kernels import (_EXIT_ITERS, _REACH, TRACE_EXITED, TRACE_FOOT,
+                               TRACE_MAXLEN, TRACE_STAGNATION)
 
 
 def _bilinear(field, x, y, x0, y0, hx, hy, nx, ny):
@@ -44,8 +47,16 @@ def _rk2_step(gx, gy, x, y, dt, sgn, x0, y0, hx, hy, nx, ny):
     return x + dt * k2x, y + dt * k2y
 
 
+def _gap(x, y, x0, x1, y0, y1):
+    """Largest signed distance outside the frame and its side, 0 .. 3 for
+    x0, y0, x1, y1 (the first of equal distances)."""
+    d = [x0 - x, y0 - y, x - x1, y - y1]
+    g = max(d)
+    return g, d.index(g)
+
+
 def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
-              x0, x1, y0, y1, hx, hy, nx, ny):
+              x0, x1, y0, y1, hx, hy, nx, ny, bisect=False):
     n = xs.size
     acc = np.zeros(n)
     hitx = np.empty(n)
@@ -53,66 +64,92 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     status = np.empty(n, np.int8)
     length = np.empty(n)
     reach = _REACH * max(hx, hy)
+    grid = (x0, y0, hx, hy, nx, ny)
     for k in range(n):
         x = xs[k]
         y = ys[k]
+        bx = _bilinear(gx, x, y, *grid)
+        by = _bilinear(gy, x, y, *grid)
+        dt = step / max(np.hypot(bx, by), stag_tol)
+        m = np.ceil(max_len / dt)
         r = 0.0
         a = 0.0
         st = TRACE_MAXLEN
-        for steps in range(int(np.ceil(max_len / step))):
-            bx = _bilinear(gx, x, y, x0, y0, hx, hy, nx, ny)
-            by = _bilinear(gy, x, y, x0, y0, hx, hy, nx, ny)
-            if np.sqrt(bx * bx + by * by) < stag_tol:
+        steps = 0
+        while steps < m:
+            bx = _bilinear(gx, x, y, *grid)
+            by = _bilinear(gy, x, y, *grid)
+            if np.hypot(bx, by) < stag_tol:
                 st = TRACE_STAGNATION
                 break
-            g0 = 1.0 + _bilinear(gdiv, x, y, x0, y0, hx, hy, nx, ny)
-            xn, yn = _rk2_step(gx, gy, x, y, step, sgn, x0, y0, hx, hy, nx, ny)
+            g0 = 1.0 + _bilinear(gdiv, x, y, *grid)
+            xn, yn = _rk2_step(gx, gy, x, y, dt, sgn, *grid)
             if x0 <= xn <= x1 and y0 <= yn <= y1:
-                g1 = 1.0 + _bilinear(gdiv, xn, yn, x0, y0, hx, hy, nx, ny)
-                a += 0.5 * step * (g0 + g1)
+                g1 = 1.0 + _bilinear(gdiv, xn, yn, *grid)
+                a += 0.5 * dt * (g0 + g1)
                 x = xn
                 y = yn
-                r = (steps + 1) * step
+                steps += 1
+                r = steps * dt
                 i = int(np.floor((x - x0) / hx))
                 j = int(np.floor((y - y0) / hy))
                 if (np.hypot(x - xs[k], y - ys[k]) >= reach
                         and 1 <= i <= nx - 3 and 1 <= j <= ny - 3):
                     st = TRACE_FOOT
                     break
-            else:
-                lo = 0.0
-                hi = step
+                continue
+            lo = 0.0
+            hi = dt
+            ghi, side = _gap(xn, yn, x0, x1, y0, y1)
+            if bisect:
                 for _ in range(48):
                     mid = 0.5 * (lo + hi)
-                    xm, ym = _rk2_step(gx, gy, x, y, mid, sgn,
-                                       x0, y0, hx, hy, nx, ny)
-                    if x0 <= xm <= x1 and y0 <= ym <= y1:
-                        lo = mid
-                    else:
+                    xm, ym = _rk2_step(gx, gy, x, y, mid, sgn, *grid)
+                    g, gside = _gap(xm, ym, x0, x1, y0, y1)
+                    if g > 0.0:
                         hi = mid
-                xn, yn = _rk2_step(gx, gy, x, y, lo, sgn,
-                                   x0, y0, hx, hy, nx, ny)
-                g1 = 1.0 + _bilinear(gdiv, xn, yn, x0, y0, hx, hy, nx, ny)
-                a += 0.5 * lo * (g0 + g1)
-                r = steps * step + lo
-                # snap the closest bound onto the boundary
-                dl = xn - x0
-                dr = x1 - xn
-                db = yn - y0
-                dt2 = y1 - yn
-                m = min(min(dl, dr), min(db, dt2))
-                if m == dl:
-                    xn = x0
-                elif m == dr:
-                    xn = x1
-                elif m == db:
-                    yn = y0
-                else:
-                    yn = y1
-                x = xn
-                y = yn
-                st = TRACE_EXITED
-                break
+                        side = gside
+                    else:
+                        lo = mid
+            else:
+                glo = _gap(x, y, x0, x1, y0, y1)[0]
+                moved = 0
+                for _ in range(_EXIT_ITERS):
+                    t = lo - glo * (hi - lo) / (ghi - glo)
+                    xm, ym = _rk2_step(gx, gy, x, y, t, sgn, *grid)
+                    g, gside = _gap(xm, ym, x0, x1, y0, y1)
+                    if g > 0.0:
+                        if moved > 0:
+                            glo = 0.5 * glo
+                        hi = t
+                        ghi = g
+                        side = gside
+                        moved = 1
+                    else:
+                        if moved < 0:
+                            ghi = 0.5 * ghi
+                        lo = t
+                        glo = g
+                        moved = -1
+            xn, yn = _rk2_step(gx, gy, x, y, lo, sgn, *grid)
+            g1 = 1.0 + _bilinear(gdiv, xn, yn, *grid)
+            a += 0.5 * lo * (g0 + g1)
+            r = steps * dt + lo
+            # snap onto the side that the step crosses
+            if side == 0:
+                xn = x0
+            elif side == 1:
+                yn = y0
+            elif side == 2:
+                xn = x1
+            else:
+                yn = y1
+            x = xn
+            y = yn
+            st = TRACE_EXITED
+            break
+        else:
+            r = steps * dt
         acc[k] = a
         hitx[k] = x
         hity[k] = y

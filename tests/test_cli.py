@@ -532,7 +532,7 @@ def test_solve_quasi_later_stage_linear_failure_is_partial(tmp_path,
 @pytest.mark.parametrize("quasi, message", [
     ({"sonic_margin": 0.99}, "max pseudo-Mach^2 0.7204 >= "),
     ({"outer_max_iters": 1, "outer_tol": 1e-14},
-     "outer loop: change 2.940e-01 > 1.000e-14 after 1 sweeps"),
+     "outer loop: change 2.941e-01 > 1.000e-14 after 1 sweeps"),
 ])
 def test_solve_quasi_solver_failure_exits_1(tmp_path, capsys, quasi,
                                             message):

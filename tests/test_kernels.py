@@ -9,61 +9,101 @@ import selfsim as ss
 from selfsim import _kernels, field as fld, vorticity
 
 import scalar_tracer
+from conftest import quiescent_field
 
 
-def _trace_both(b, max_len, sgn):
-    """Trace every node with the numpy and the scalar kernel."""
+def _args(b, max_len, sgn=-1.0):
+    """trace_all arguments for every node of b's grid at the default step."""
     g = b.grid
     X, Y = g.meshgrid()
-    args = (b.u, b.v, fld.divergence(b).values, X.ravel(), Y.ravel(), sgn,
-            0.5 * min(g.hx, g.hy), max_len, 1e-14,
-            g.x0, g.x1, g.y0, g.y1, g.hx, g.hy, g.nx, g.ny)
-    return _kernels.trace_all(*args), scalar_tracer.trace_all(*args)
+    step = vorticity._step_and_length(g, None, max_len)[0]
+    return (b.u, b.v, fld.divergence(b).values, X.ravel(), Y.ravel(), sgn,
+            step, max_len, 1e-14, g.x0, g.x1, g.y0, g.y1, g.hx, g.hy, g.nx,
+            g.ny)
+
+
+def _node_dt(args):
+    """Each start point's r-step, step / |b(p0)|, in the tracer's bits."""
+    tab, geom = _kernels._corners(args[5] * np.stack(args[:2]), args[9],
+                                  args[11], *args[13:])
+    s = _kernels._sample(tab, np.array(args[3:5]), geom)
+    return args[6] / np.maximum(np.hypot(s[0], s[1]), args[8])
 
 
 @pytest.mark.parametrize("case", ["radial", "spiral", "rotation",
-                                  "nonsquare", "forward"])
+                                  "nonsquare", "forward", "shear"])
 def test_numpy_tracer_matches_scalar_kernel(case):
     # the scalar reference, run as plain Python, on every node of a 9^2 grid
-    # (11^2 for the rotation, whose step 0.1 is not a power of two, so that
-    # summed steps round below max_len after ceil(max_len / step) steps);
-    # nonsquare has nx != ny and hx != hy, where a wrong corner index shows,
-    # and forward traces along +b, where a wrongly folded sign shows
+    # (11^2 for the rotation, 13 x 7 for nonsquare); nonsquare has nx != ny
+    # and hx != hy, where a wrong corner index shows, forward traces along
+    # +b, where a wrongly folded sign shows, and the shear b = (y, 0)
+    # stagnates on y = 0 and runs along the top and bottom sides, whose
+    # paths leave through the next side at a corner
     sgn = -1.0
     if case == "radial":
         grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -x,
                                          lambda x, y: -y)
-        max_len, counts = 20.0 * grid.diam, [56, 0, 0, 25]
+        max_len, counts = 20.0 * grid.diam, [58, 0, 0, 23]
     elif case == "rotation":
         grid = ss.Grid2D(-1, 1, -1, 1, 11, 11)
         b = ss.VectorField.from_function(grid, lambda x, y: -y,
                                          lambda x, y: x)
-        max_len, counts = 1.0, [36, 1, 44, 40]
+        max_len, counts = 1.0, [40, 1, 44, 36]
     elif case == "nonsquare":
         grid = ss.Grid2D(-1, 1, -0.5, 0.75, 13, 7)
         b = ss.VectorField.from_function(
             grid, lambda x, y: -y + 0.15 * x + 0.3 * x * y,
             lambda x, y: x + 0.15 * y - 0.2 * x * x)
-        max_len, counts = 1.0, [30, 0, 48, 13]
+        max_len, counts = 1.0, [32, 0, 39, 20]
+    elif case == "shear":
+        grid = ss.Grid2D(-1, 1, -1, 1, 9, 9)
+        b = ss.VectorField.from_function(grid, lambda x, y: y,
+                                         lambda x, y: 0.0 * y)
+        max_len, counts = 20.0, [50, 9, 0, 22]
     else:  # the spiral, traced backward or forward
         grid = ss.Grid2D(-1, 1, -1, 1, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -y + 0.15 * x,
                                          lambda x, y: x + 0.15 * y)
-        max_len, counts = 1.0, [20, 1, 52, 8]
+        max_len, counts = 1.0, [20, 1, 40, 20]
         if case == "forward":
-            counts, sgn = [40, 1, 32, 8], 1.0
-    fast, ref = _trace_both(b, max_len, sgn)
+            counts, sgn = [40, 1, 24, 16], 1.0
+    args = _args(b, max_len, sgn)
+    fast, ref = _kernels.trace_all(*args), scalar_tracer.trace_all(*args)
     # exited, stagnated, max-length and foot paths
     assert np.bincount(ref[3], minlength=4).tolist() == counts
     for a, r in zip(fast, ref):
         assert np.array_equal(a, r)
 
 
+def _radial(n, lo=0.25):
+    """The sink b = -xi on an n^2 grid over [lo, lo + 0.5]^2."""
+    grid = ss.Grid2D(lo, lo + 0.5, lo, lo + 0.5, n, n)
+    return ss.VectorField.from_function(grid, lambda x, y: -x,
+                                        lambda x, y: -y)
+
+
+def _trace_radial(n):
+    """Backward trace of b = -xi from every node of an n^2 grid on
+    [0.25, 0.75]^2 at the default step; returns the start points, each
+    node's r-step and the trace_all result."""
+    b = _radial(n)
+    args = _args(b, 20.0 * b.grid.diam)
+    return args[3], args[4], _node_dt(args), _kernels.trace_all(*args)
+
+
+def _full_steps(dt, status, length):
+    """March steps each path completed: length = steps * dt, plus the
+    sub-step (< dt) of an exited path."""
+    exited = status == _kernels.TRACE_EXITED
+    return np.where(exited, np.floor(length / dt),
+                    np.rint(length / dt)).astype(np.int64)
+
+
 def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
-    # the exit bisection (49 RK2 steps) runs once for all crossed nodes,
-    # not once per march step in which some node crosses; every other node
-    # stops at a foot and is interpolated
+    # the exit root find (_EXIT_ITERS + 1 RK2 steps) runs once for all
+    # crossed nodes, not once per march step in which some node crosses:
+    # one RK2 call per march step of the longest path, plus the root find
     calls = []
     rk2 = _kernels._rk2
 
@@ -72,30 +112,12 @@ def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
         return rk2(*args)
 
     monkeypatch.setattr(_kernels, "_rk2", counted)
-    grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 33, 33)
-    b = ss.VectorField.from_function(grid, lambda x, y: -x, lambda x, y: -y)
-    _, rep = vorticity.transport_omega(b, ss.ScalarField.zeros(grid))
-    assert rep.exited + rep.interpolated == rep.traced
-    assert rep.exited > 0 and rep.interpolated > 0
-    # backward paths grow as xi0 * e^r and leave [0.25, 0.75]^2 by r = ln 3
-    march_steps = int(np.ceil(np.log(3.0) / (0.5 * grid.hx)))
-    assert len(calls) <= march_steps + 49
-
-
-def _trace_radial(n):
-    """Backward trace of b = -xi from every node of an n^2 grid on
-    [0.25, 0.75]^2 at the default step; returns the start points, the step
-    and the trace_all result."""
-    grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, n, n)
-    b = ss.VectorField.from_function(grid, lambda x, y: -x, lambda x, y: -y)
-    X, Y = grid.meshgrid()
-    xs, ys = X.ravel(), Y.ravel()
-    step = 0.5 * min(grid.hx, grid.hy)
-    out = _kernels.trace_all(
-        b.u, b.v, fld.divergence(b).values, xs, ys, -1.0, step,
-        20.0 * grid.diam, 1e-14, grid.x0, grid.x1, grid.y0, grid.y1,
-        grid.hx, grid.hy, grid.nx, grid.ny)
-    return xs, ys, step, out
+    _, _, dt, (_, _, _, status, length) = _trace_radial(33)
+    exited = status == _kernels.TRACE_EXITED
+    assert exited.any() and (status[~exited] == _kernels.TRACE_FOOT).all()
+    # an exited path also takes its crossing step
+    march_steps = (_full_steps(dt, status, length) + exited).max()
+    assert len(calls) == march_steps + _kernels._EXIT_ITERS + 1
 
 
 def test_tracer_converges_to_the_exact_radial_characteristics():
@@ -121,7 +143,7 @@ def test_tracer_converges_to_the_exact_radial_characteristics():
         assert (np.hypot(hx - xs, hy - ys)[foot] >= 3 * h).all()
         for t in ((hx[foot] - 0.25) / h, (hy[foot] - 0.25) / h):
             assert ((1 <= np.floor(t)) & (np.floor(t) <= n - 3)).all()
-    assert max(errs[0]) <= 1e-6
+    assert max(errs[0]) <= 1.5e-5
     for coarse, fine in zip(*errs):
         assert 6.8 <= coarse / fine <= 9.2
 
@@ -130,8 +152,8 @@ def test_tracer_takes_two_samples_per_march_step(monkeypatch):
     # a node samples the drift at its start point and twice per march step
     # it completes: at the half step and at the new point, the next step's
     # k1.  A foot node takes nothing more; an exited node samples the
-    # midpoint of its crossing step and then 50 in the bisection: 48
-    # halvings, the final step and div b at the hit point
+    # midpoint of its crossing step and then _EXIT_ITERS + 2 in the root
+    # find: one per iteration, the final step and div b at the hit point
     points = []
     sample = _kernels._sample
 
@@ -140,15 +162,62 @@ def test_tracer_takes_two_samples_per_march_step(monkeypatch):
         return sample(tab, pts, geom)
 
     monkeypatch.setattr(_kernels, "_sample", counted)
-    xs, _, step, (_, _, _, status, length) = _trace_radial(33)
+    xs, _, dt, (_, _, _, status, length) = _trace_radial(33)
     exited = status == _kernels.TRACE_EXITED
-    # length = full steps * step, plus the bisected part of a crossing step
-    full_steps = np.where(exited, np.floor(length / step),
-                          np.rint(length / step)).astype(np.int64)
+    full_steps = _full_steps(dt, status, length)
     assert (status[~exited] == _kernels.TRACE_FOOT).all()
-    assert np.array_equal(full_steps[~exited] * step, length[~exited])
-    assert sum(points) == (xs.size + 2 * full_steps.sum()
-                           + 51 * np.count_nonzero(exited))
+    assert np.array_equal(full_steps[~exited] * dt[~exited], length[~exited])
+    # _trace_radial's own _node_dt samples every start point once more
+    assert sum(points) == (2 * xs.size + 2 * full_steps.sum()
+                           + (_kernels._EXIT_ITERS + 3)
+                           * np.count_nonzero(exited))
+
+
+@pytest.mark.parametrize("case", ["radial", "spiral", "quasi-patch"])
+def test_exit_root_find_matches_a_bisection(case):
+    # the Illinois root find lands where 48 halvings of the crossing
+    # sub-step do: the march is the same, so only the exits may differ
+    if case == "radial":
+        b = _radial(33)
+    elif case == "spiral":
+        grid = ss.Grid2D(-1, 1, -1, 1, 17, 17)
+        b = ss.VectorField.from_function(grid, lambda x, y: -x - 0.4 * y,
+                                         lambda x, y: -y + 0.4 * x)
+    else:  # the first sweep's drift on the criterion-11 patch
+        b = fld.gradient(quiescent_field(ss.Grid2D(0.1, 0.6, 0.1, 0.6,
+                                                   33, 33)))
+    args = _args(b, 20.0 * b.grid.diam)
+    acc, hx, hy, status, length = _kernels.trace_all(*args)
+    ref = scalar_tracer.trace_all(*args, bisect=True)
+    assert np.array_equal(status, ref[3])
+    exited = status == _kernels.TRACE_EXITED
+    assert np.count_nonzero(exited) >= 10
+    tol = 1e-13 * _node_dt(args)[exited]
+    assert (np.abs(length - ref[4])[exited] <= tol).all()
+    speed = np.hypot(b.u, b.v).max()
+    assert (np.hypot(hx - ref[1], hy - ref[2])[exited] <= speed * tol).all()
+    for a, r in zip((acc, hx, hy, length), ref[:3] + ref[4:]):
+        assert np.array_equal(a[~exited], r[~exited])
+
+
+def test_slow_node_ends_after_its_step_budget():
+    # a node's r-step is step / |b(p0)|, so on a slow uniform drift it still
+    # moves `step` per step and ends as TRACE_MAXLEN after ceil(max_len / dt)
+    # steps
+    grid = ss.Grid2D(0.0, 1.0, 0.0, 1.0, 17, 17)
+    b = ss.VectorField(grid, np.full(grid.shape, 1e-3), np.zeros(grid.shape))
+    step = 0.75 * grid.hx
+    max_len = 2.5 * step / 1e-3
+    args = (b.u, b.v, fld.divergence(b).values, np.array([0.5]),
+            np.array([0.5]), -1.0, step, max_len, 1e-14, grid.x0, grid.x1,
+            grid.y0, grid.y1, grid.hx, grid.hy, grid.nx, grid.ny)
+    dt = _node_dt(args)
+    _, hx, hy, status, length = _kernels.trace_all(*args)
+    assert status[0] == _kernels.TRACE_MAXLEN
+    assert np.ceil(max_len / dt[0]) == 3
+    assert length[0] == 3 * dt[0]
+    assert hx[0] == pytest.approx(0.5 - 3 * step, rel=1e-12)
+    assert hy[0] == 0.5
 
 
 def test_benchmark_hooks_keep_their_names():
