@@ -63,9 +63,13 @@ def apply_stencil(coef, f):
 # samples.  Each node takes its own r-step dt = step / |b(p0)|, so ``step`` is
 # the spatial length of a step at the start point and a slow node crosses its
 # _REACH cells in as few steps as a fast one (semi-Lagrangian practice takes
-# a trajectory's step from its local wind).  A path ends on stagnation of
-# |b| (at step 0 when |b(p0)| < stag_tol), at path length max_len, i.e. after
-# ceil(max_len / dt) steps, at a foot point, or when a step leaves the frame.
+# a trajectory's step from its local wind).  The speed is floored at
+# lip * reach, lip a Lipschitz bound of the bilinear drift: a slower node
+# may lie within its reach of a stagnation point, where |b| changes on the
+# scale of a step, and the floor keeps dt * lip <= step / reach.  A path
+# ends on stagnation of |b| (at step 0 when |b(p0)| < stag_tol), at path
+# length max_len, i.e. after ceil(max_len / dt) steps, at a foot point, or
+# when a step leaves the frame.
 # A step's new point is a foot (TRACE_FOOT) when it lies at least
 # _REACH * max(hx, hy) from the path's start (np.hypot) and in a cell whose
 # 4 x 4 cubic stencil fits inside the grid, cells 1 .. n - 3 on each axis;
@@ -75,15 +79,14 @@ def apply_stencil(coef, f):
 # All live nodes march together, one step each at a time; a node whose step
 # would leave the frame records its start point and leaves the march.  After
 # the march one batched root find runs over all crossed nodes: regula falsi
-# with the Illinois modification on the frame gap g(t) = max(x0 - x, x - x1,
-# y0 - y, y - y1) of the RK2 point of sub-step t, bracketed by [0, dt], for
-# _EXIT_ITERS iterations, each keeping lo inside (g <= 0) and hi outside.
-# The point of sub-step lo is snapped onto the side that hi is farthest
-# out of, the side the path crosses: a path that runs along one side and
-# leaves through the next must land on the next, where the closest side
-# (the one it ran along, at distance 0) may not be inflow.  A root find
-# depends only on the node's own crossing step, so each node sees the same
-# arithmetic as when solved alone at the step it crossed.
+# with the Illinois modification, bracketed by [0, dt], for _EXIT_ITERS
+# iterations, each keeping lo inside the frame and hi outside.  The secant
+# runs on the signed distance outside the side that hi is farthest out of,
+# the side the path crosses (on a path along a side the frame gap is 0 at
+# lo, where a secant on it stalls), and the point of sub-step lo is snapped
+# onto that side: the closest one (the one it ran along) may not be inflow.
+# A root find depends only on the node's own crossing step, so each node
+# sees the same arithmetic as when solved alone at the step it crossed.
 #
 # Samples gather from one corner table per call, holding for each cell's
 # lower-left node p the corners p, p + 1, p + nx, p + nx + 1 of (sgn gx,
@@ -93,9 +96,10 @@ def apply_stencil(coef, f):
 # indices truncate and clamp at 0, which gives floor's index, so the tracer
 # matches its scalar reference (tests/scalar_tracer.py) bit for bit.
 
-# Illinois iterations of the exit root find: on the radial, spiral and
-# quasi-patch drifts of tests/test_kernels.py eight land within 1.3e-14 dt
-# of 48 halvings' crossing, six only within 8.4e-9 dt on the spiral
+# Illinois iterations of the exit root find: on the radial, spiral,
+# quasi-patch and shear drifts of tests/test_kernels.py eight land within
+# 1.2e-14 dt of 48 halvings' crossing, six only within 8.7e-13 dt on the
+# spiral
 _EXIT_ITERS = 8
 
 
@@ -135,13 +139,14 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     """Trace characteristics from every start point; see the comment above.
 
     ``step`` is the spatial length of a node's RK2 step at its start point:
-    the node's r-step is dt = step / |b(p0)|.  Returns (accumulated
-    integral, hit x, hit y, status, path length) per start point; the length
-    is the node's march steps times its dt, plus the sub-step of an exited
-    path.  The status is TRACE_EXITED (hit on the frame), TRACE_FOOT (hit at
-    the first step point _REACH cells from the start whose cell is 1 .. n - 3
-    on both axes), TRACE_STAGNATION or TRACE_MAXLEN (after ceil(max_len /
-    dt) steps).
+    the node's r-step is dt = step / |b(p0)|, with |b(p0)| floored near a
+    stagnation point (see above).  Returns (accumulated integral, hit x,
+    hit y, status, path length) per start point; the length is the node's
+    march steps times its dt, plus the sub-step of an exited path.  The
+    status is TRACE_EXITED (hit on the frame), TRACE_FOOT (hit at the first
+    step point _REACH cells from the start whose cell is 1 .. n - 3 on both
+    axes), TRACE_STAGNATION or TRACE_MAXLEN (after ceil(max_len / dt)
+    steps).
     """
     tab, geom = _corners(np.stack([sgn * gx, sgn * gy, gdiv]),
                          x0, y0, hx, hy, nx, ny)
@@ -153,10 +158,9 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     def inside(q):
         return ((frame_lo <= q) & (q <= frame_hi)).all(axis=0)
 
-    def gap(q):
-        # the frame gap and its side: 0 .. 3 for x0, y0, x1, y1
-        d = np.concatenate([frame_lo - q, q - frame_hi])
-        return d.max(axis=0), d.argmax(axis=0)
+    def dist(q):
+        # signed distances outside the four sides: 0 .. 3 for x0, y0, x1, y1
+        return np.concatenate([frame_lo - q, q - frame_hi])
 
     n = xs.size
     acc = np.zeros(n)
@@ -168,9 +172,10 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     # div b) at p, which the next step reuses
     ids, p0, p, a = np.arange(n), hit.copy(), hit.copy(), acc.copy()
     s = _sample(tab, p, geom)
-    # a node below stag_tol stagnates at step 0; the floor only keeps its
-    # dt finite
-    dt = step / np.maximum(np.hypot(s[0], s[1]), stag_tol)
+    # stag_tol only keeps the dt of a node that stagnates at step 0 finite
+    lip = np.sqrt(sum((np.abs(np.diff(f, axis=ax)) / hh).max(initial=0.0)
+                      ** 2 for f in (gx, gy) for ax, hh in ((1, hx), (0, hy))))
+    dt = step / np.maximum(np.hypot(s[0], s[1]), max(lip * reach, stag_tol))
     m = np.ceil(max_len / dt)
     # per step: ids, start points, sums, k1, g0, dt, lengths, gap and side
     crossed = []
@@ -190,8 +195,10 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
             status[ids[stop]] = np.where(end[stop], TRACE_MAXLEN,
                                          TRACE_STAGNATION)
             out = ~ok & ~stop
+            d = dist(pn[:, out])
             crossed.append((ids[out], p[:, out], a[out], k1[:, out], g0[out],
-                            dt[out], steps * dt[out], *gap(pn[:, out])))
+                            dt[out], steps * dt[out], d.max(axis=0),
+                            d.argmax(axis=0)))
             ids, p0, pn, a, g0, dt, m = (ids[keep], p0[:, keep], pn[:, keep],
                                          a[keep], g0[keep], dt[keep], m[keep])
         s = _sample(tab, pn, geom)
@@ -211,21 +218,28 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
             ids, p0, p, a, s, dt, m = (ids[live], p0[:, live], p[:, live],
                                        a[live], s[:, live], dt[live], m[live])
     if crossed:
-        # one batched root find of the crossing sub-step on the frame gap
-        ids, p, a, k1, g0, hi, r, ghi, side = (np.concatenate(c, axis=-1)
+        # one batched root find of the crossing sub-step on the signed
+        # distance f = d[side] outside the side that hi is farthest out of
+        ids, p, a, k1, g0, hi, r, fhi, side = (np.concatenate(c, axis=-1)
                                                for c in zip(*crossed))
+        col = np.arange(ids.size)
         lo = np.zeros(ids.size)
-        glo = gap(p)[0]
+        dlo = dist(p)
+        flo = dlo[side, col]
         moved = np.zeros(ids.size)  # +1 (-1): the last point replaced hi (lo)
         for _ in range(_EXIT_ITERS):
-            t = lo - glo * (hi - lo) / (ghi - glo)
-            g, gside = gap(_rk2(txy, p, k1, t, geom))
+            t = lo - flo * (hi - lo) / (fhi - flo)
+            d = dist(_rk2(txy, p, k1, t, geom))
+            g, gside = d.max(axis=0), d.argmax(axis=0)
             out = g > 0.0
-            # Illinois: halve the kept end's gap when the same end moves twice
-            ghi = np.where(~out & (moved < 0), 0.5 * ghi, ghi)
-            glo = np.where(out & (moved > 0), 0.5 * glo, glo)
-            lo, glo = np.where(out, lo, t), np.where(out, glo, g)
-            hi, ghi = np.where(out, t, hi), np.where(out, g, ghi)
+            # Illinois: halve the kept end's f when the same end moves twice
+            fhi = np.where(~out & (moved < 0), 0.5 * fhi, fhi)
+            flo = np.where(out & (moved > 0), 0.5 * flo, flo)
+            # a new hi on another side starts that side's f afresh
+            flo = np.where(out, np.where(gside == side, flo, dlo[gside, col]),
+                           d[side, col])
+            lo, dlo = np.where(out, lo, t), np.where(out, dlo, d)
+            hi, fhi = np.where(out, t, hi), np.where(out, g, fhi)
             side = np.where(out, gside, side)
             moved = np.where(out, 1.0, -1.0)
         pb = _rk2(txy, p, k1, lo, geom)

@@ -201,9 +201,10 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
 
     omega_b carries the boundary data on the frame of the same grid; only
     inflow frame values are consulted.  ``step`` is the spatial length of
-    each node's RK2 step (its r-step is step / |b| at the node; default
-    3/4 of the larger cell side, four steps to a foot _REACH = 3 cells
-    upstream) and ``max_len`` bounds each whole characteristic in r.
+    each node's RK2 step (its r-step is step / |b| at the node, shorter
+    next to a stagnation point; default 3/4 of the larger cell side, four
+    steps to a foot _REACH = 3 cells upstream) and ``max_len`` bounds each
+    whole characteristic in r.
     ``strict`` raises UncoveredNodes instead of zero-filling.
     """
     grid = b.grid

@@ -47,12 +47,25 @@ def _rk2_step(gx, gy, x, y, dt, sgn, x0, y0, hx, hy, nx, ny):
     return x + dt * k2x, y + dt * k2y
 
 
-def _gap(x, y, x0, x1, y0, y1):
-    """Largest signed distance outside the frame and its side, 0 .. 3 for
-    x0, y0, x1, y1 (the first of equal distances)."""
-    d = [x0 - x, y0 - y, x - x1, y - y1]
+def _dist(x, y, x0, x1, y0, y1):
+    """Signed distances outside the four sides, 0 .. 3 for x0, y0, x1, y1."""
+    return [x0 - x, y0 - y, x - x1, y - y1]
+
+
+def _gap(d):
+    """Largest signed distance outside the frame and its side (the first of
+    equal distances)."""
     g = max(d)
     return g, d.index(g)
+
+
+def _lipschitz(gx, gy, hx, hy):
+    """Bound on |b(q) - b(p)| / |q - p| of the bilinear drift."""
+    total = 0.0
+    for f in (gx, gy):
+        total += (np.abs(np.diff(f, axis=1)) / hx).max(initial=0.0) ** 2
+        total += (np.abs(np.diff(f, axis=0)) / hy).max(initial=0.0) ** 2
+    return np.sqrt(total)
 
 
 def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
@@ -65,12 +78,13 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     length = np.empty(n)
     reach = _REACH * max(hx, hy)
     grid = (x0, y0, hx, hy, nx, ny)
+    floor = max(_lipschitz(gx, gy, hx, hy) * reach, stag_tol)
     for k in range(n):
         x = xs[k]
         y = ys[k]
         bx = _bilinear(gx, x, y, *grid)
         by = _bilinear(gy, x, y, *grid)
-        dt = step / max(np.hypot(bx, by), stag_tol)
+        dt = step / max(np.hypot(bx, by), floor)
         m = np.ceil(max_len / dt)
         r = 0.0
         a = 0.0
@@ -100,36 +114,42 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
                 continue
             lo = 0.0
             hi = dt
-            ghi, side = _gap(xn, yn, x0, x1, y0, y1)
+            fhi, side = _gap(_dist(xn, yn, x0, x1, y0, y1))
             if bisect:
                 for _ in range(48):
                     mid = 0.5 * (lo + hi)
                     xm, ym = _rk2_step(gx, gy, x, y, mid, sgn, *grid)
-                    g, gside = _gap(xm, ym, x0, x1, y0, y1)
+                    g, gside = _gap(_dist(xm, ym, x0, x1, y0, y1))
                     if g > 0.0:
                         hi = mid
                         side = gside
                     else:
                         lo = mid
             else:
-                glo = _gap(x, y, x0, x1, y0, y1)[0]
+                # regula falsi on the distance outside the side crossed
+                dlo = _dist(x, y, x0, x1, y0, y1)
+                flo = dlo[side]
                 moved = 0
                 for _ in range(_EXIT_ITERS):
-                    t = lo - glo * (hi - lo) / (ghi - glo)
+                    t = lo - flo * (hi - lo) / (fhi - flo)
                     xm, ym = _rk2_step(gx, gy, x, y, t, sgn, *grid)
-                    g, gside = _gap(xm, ym, x0, x1, y0, y1)
+                    d = _dist(xm, ym, x0, x1, y0, y1)
+                    g, gside = _gap(d)
                     if g > 0.0:
                         if moved > 0:
-                            glo = 0.5 * glo
+                            flo = 0.5 * flo
+                        if gside != side:
+                            flo = dlo[gside]
                         hi = t
-                        ghi = g
+                        fhi = g
                         side = gside
                         moved = 1
                     else:
                         if moved < 0:
-                            ghi = 0.5 * ghi
+                            fhi = 0.5 * fhi
                         lo = t
-                        glo = g
+                        dlo = d
+                        flo = d[side]
                         moved = -1
             xn, yn = _rk2_step(gx, gy, x, y, lo, sgn, *grid)
             g1 = 1.0 + _bilinear(gdiv, xn, yn, *grid)

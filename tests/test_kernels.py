@@ -49,13 +49,13 @@ def test_numpy_tracer_matches_scalar_kernel(case):
         grid = ss.Grid2D(-1, 1, -1, 1, 11, 11)
         b = ss.VectorField.from_function(grid, lambda x, y: -y,
                                          lambda x, y: x)
-        max_len, counts = 1.0, [40, 1, 44, 36]
+        max_len, counts = 1.0, [40, 1, 40, 40]
     elif case == "nonsquare":
         grid = ss.Grid2D(-1, 1, -0.5, 0.75, 13, 7)
         b = ss.VectorField.from_function(
             grid, lambda x, y: -y + 0.15 * x + 0.3 * x * y,
             lambda x, y: x + 0.15 * y - 0.2 * x * x)
-        max_len, counts = 1.0, [32, 0, 39, 20]
+        max_len, counts = 1.0, [31, 0, 46, 14]
     elif case == "shear":
         grid = ss.Grid2D(-1, 1, -1, 1, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: y,
@@ -65,9 +65,9 @@ def test_numpy_tracer_matches_scalar_kernel(case):
         grid = ss.Grid2D(-1, 1, -1, 1, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -y + 0.15 * x,
                                          lambda x, y: x + 0.15 * y)
-        max_len, counts = 1.0, [20, 1, 40, 20]
+        max_len, counts = 1.0, [20, 1, 52, 8]
         if case == "forward":
-            counts, sgn = [40, 1, 24, 16], 1.0
+            counts, sgn = [40, 1, 36, 4], 1.0
     args = _args(b, max_len, sgn)
     fast, ref = _kernels.trace_all(*args), scalar_tracer.trace_all(*args)
     # exited, stagnated, max-length and foot paths
@@ -83,12 +83,14 @@ def _radial(n, lo=0.25):
                                         lambda x, y: -y)
 
 
-def _trace_radial(n):
+def _trace_radial(n, step=None):
     """Backward trace of b = -xi from every node of an n^2 grid on
-    [0.25, 0.75]^2 at the default step; returns the start points, each
-    node's r-step and the trace_all result."""
+    [0.25, 0.75]^2 at ``step`` (None: the default step); returns the start
+    points, each node's r-step and the trace_all result."""
     b = _radial(n)
     args = _args(b, 20.0 * b.grid.diam)
+    if step is not None:
+        args = args[:6] + (step,) + args[7:]
     return args[3], args[4], _node_dt(args), _kernels.trace_all(*args)
 
 
@@ -120,15 +122,21 @@ def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
     assert len(calls) == march_steps + _kernels._EXIT_ITERS + 1
 
 
-def test_tracer_converges_to_the_exact_radial_characteristics():
-    # bilinear interpolation is exact for the linear drift b = -xi, so only
-    # the integrator's error shows: the backward path is xi0 e^r, it leaves
-    # [0.25, 0.75]^2 at r = ln(0.75 / max(xi0)), and 1 + div b = -1 makes
-    # the integral -r.  A path stops at a foot 3 cells out or at the frame,
-    # so it is O(h) long and midpoint RK2 errs by O(h^3) on it
+def _radial_errors(cells):
+    """Largest 33^2 and 65^2 errors (exit hit, foot hit, exit integral) of
+    the backward trace of b = -xi at a step of ``cells`` cells (None: the
+    default step), with the checks of the exact paths on the way.
+
+    Bilinear interpolation is exact for the linear drift b = -xi, so only
+    the integrator's error shows: the backward path is xi0 e^r, it leaves
+    [0.25, 0.75]^2 at r = ln(0.75 / max(xi0)), and 1 + div b = -1 makes the
+    integral -r.
+    """
     errs = []
     for n in (33, 65):
-        xs, ys, _, (acc, hx, hy, status, length) = _trace_radial(n)
+        h = 0.5 / (n - 1)
+        xs, ys, _, (acc, hx, hy, status, length) = _trace_radial(
+            n, None if cells is None else cells * h)
         exited = status == _kernels.TRACE_EXITED
         foot = status == _kernels.TRACE_FOOT
         assert (exited | foot).all() and exited.any() and foot.any()
@@ -139,10 +147,27 @@ def test_tracer_converges_to_the_exact_radial_characteristics():
         errs.append((hit[exited].max(), hit[foot].max(),
                      exit_integral[exited].max()))
         # a foot is 3 cells from its start, in a cell 1 .. n - 3
-        h = 0.5 / (n - 1)
         assert (np.hypot(hx - xs, hy - ys)[foot] >= 3 * h).all()
         for t in ((hx[foot] - 0.25) / h, (hy[foot] - 0.25) / h):
             assert ((1 <= np.floor(t)) & (np.floor(t) <= n - 3)).all()
+    return errs
+
+
+def test_tracer_converges_to_the_exact_radial_characteristics():
+    # a path stops at a foot 3 cells out or at the frame, so it is O(h)
+    # long and midpoint RK2 errs by O(h^3) on it; at a step of 0.2 cells
+    # the 33^2 errors stay under 1e-6 (measured 6.9e-7)
+    errs = _radial_errors(0.2)
+    assert max(errs[0]) <= 1e-6
+    for coarse, fine in zip(*errs):
+        assert 6.8 <= coarse / fine <= 9.2
+
+
+def test_default_step_error_on_the_radial_characteristics():
+    # the default step, 0.75 cells, takes about a quarter of the steps of
+    # 0.2 cells and errs 14 times more: measured 9.6e-6 at 33^2, 17 times the
+    # 5.7e-7 of the fixed r-step 0.5 min(hx, hy) that it replaced
+    errs = _radial_errors(None)
     assert max(errs[0]) <= 1.5e-5
     for coarse, fine in zip(*errs):
         assert 6.8 <= coarse / fine <= 9.2
@@ -173,16 +198,24 @@ def test_tracer_takes_two_samples_per_march_step(monkeypatch):
                            * np.count_nonzero(exited))
 
 
-@pytest.mark.parametrize("case", ["radial", "spiral", "quasi-patch"])
+@pytest.mark.parametrize("case", ["radial", "spiral", "quasi-patch",
+                                  "shear"])
 def test_exit_root_find_matches_a_bisection(case):
     # the Illinois root find lands where 48 halvings of the crossing
-    # sub-step do: the march is the same, so only the exits may differ
+    # sub-step do: the march is the same, so only the exits may differ.
+    # The shear b = (y, 0) runs its top and bottom rows along the frame, so
+    # their crossing steps start on a side (frame gap 0) and leave through
+    # the next one at a corner
     if case == "radial":
         b = _radial(33)
     elif case == "spiral":
         grid = ss.Grid2D(-1, 1, -1, 1, 17, 17)
         b = ss.VectorField.from_function(grid, lambda x, y: -x - 0.4 * y,
                                          lambda x, y: -y + 0.4 * x)
+    elif case == "shear":
+        grid = ss.Grid2D(-1, 1, -1, 1, 33, 33)
+        b = ss.VectorField.from_function(grid, lambda x, y: y,
+                                         lambda x, y: 0.0 * y)
     else:  # the first sweep's drift on the criterion-11 patch
         b = fld.gradient(quiescent_field(ss.Grid2D(0.1, 0.6, 0.1, 0.6,
                                                    33, 33)))
