@@ -133,23 +133,23 @@ class VectorField:
 
 def diff1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """First derivative: centered interior, one-sided second order at the ends."""
-    f = np.moveaxis(values, axis, 0)
+    f = values.swapaxes(axis, 0)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second derivative: compact 3-point; one-sided at the ends."""
-    f = np.moveaxis(values, axis, 0)
+    f = values.swapaxes(axis, 0)
     out = np.empty_like(f)
     h2 = h * h
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
     out[0] = (f[0] - 2.0 * f[1] + f[2]) / h2
     out[-1] = (f[-1] - 2.0 * f[-2] + f[-3]) / h2
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -200,12 +200,14 @@ def write_field(field, path):
     head = "F2D %d %d %s %s %s %s %s" % (
         g.nx, g.ny, _FMT % g.x0, _FMT % g.x1, _FMT % g.y0, _FMT % g.y1, kind)
     if kind == "scalar":
-        body = map(_FMT.__mod__, field.values.ravel().tolist())
-    else:
-        body = map((_FMT + " " + _FMT).__mod__,
-                   zip(field.u.ravel().tolist(), field.v.ravel().tolist()))
+        line, values = _FMT + "\n", field.values.ravel()
+    else:  # u and v interleaved, one node per line
+        line = _FMT + " " + _FMT + "\n"
+        values = np.stack([field.u.ravel(), field.v.ravel()], axis=1).ravel()
+    # one % operation formats the whole body
+    body = (line * g.nx * g.ny) % tuple(values.tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join([head, *body]) + "\n")
+        fh.write(head + "\n" + body)
 
 
 def _parse_rows(lines, first_lineno: int, want: int) -> np.ndarray:

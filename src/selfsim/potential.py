@@ -379,16 +379,23 @@ def norm2(v: np.ndarray) -> float:
 
 
 def refine(residual, correct, scale, lin_tol: float) -> float:
-    """Iterative refinement: up to three rounds of r = residual(), stopping
-    once |r| / scale() <= 0.01 lin_tol or is not finite, else correct(r),
-    which updates the unknowns in place.  Returns the last |r| / scale()."""
-    rel = np.inf
+    """Iterative refinement: r = residual(), then up to three rounds of
+    correct(r), which updates the unknowns in place, each measured by a new
+    r = residual().  Stops once |r| / scale() <= 0.01 lin_tol or is not
+    finite, or once a correction does not reduce |r|.  Returns |r| / scale()
+    of the unknowns as they are left."""
+    r = residual()
+    r_norm = norm2(r)
+    rel = r_norm / scale()
     for _ in range(3):
-        r = residual()
-        rel = norm2(r) / scale()
         if not np.isfinite(rel) or rel <= 0.01 * lin_tol:
             break
         correct(r)
+        r = residual()
+        r_norm, last = norm2(r), r_norm
+        rel = r_norm / scale()
+        if not r_norm < last:
+            break
     return rel
 
 

@@ -10,13 +10,16 @@ with Q the potential-flow operator of the potential module and its closure
 c0^2 = -(gamma - 1)(psi + |grad psi|^2 / 2) (a^2 for gamma = 1), grad(F1) =
 Lap(zeta) perp_grad(psi) + perp_grad(zeta), Q1 = (gamma - 1)(F1 + grad psi .
 perp_grad zeta) and c^2 = c0^2 - delta Q1.  The solver runs block
-Gauss-Seidel sweeps (transport -> zeta -> closures -> psi) per delta target,
-warm-starting each stage; the psi solve of each sweep is the damped Newton
-solve of potential.picard_solve at eps = 0 with the forcing above, whose
-Jacobian is the linearized operator L (potential.linearization).  Since psi
-moves by O(delta) between sweeps, one factored Jacobian is carried from the
-base solve through every sweep and stage, and is refactored only where its
-steps stop contracting.
+Gauss-Seidel sweeps (transport -> zeta -> closures -> psi) per delta target.
+Each stage after the first starts psi from the secant predictor in delta
+through the last two converged psi (the base potential is the one at
+delta = 0), which saves about one sweep per stage, and zeta~ from its last
+converged value, which the first transport recomputes anyway.  The psi
+solve of each sweep is the damped Newton solve of potential.picard_solve at
+eps = 0 with the forcing above, whose Jacobian is the linearized operator L
+(potential.linearization).  Since psi moves by O(delta) between sweeps, one
+factored Jacobian is carried from the base solve through every sweep and
+stage, and is refactored only where its steps stop contracting.
 quasi_state is the one evaluation of the closures (F1, Q1, N1, c^2 floored
 at the problem's c2_floor) and of U: every sweep reads it, and so do the
 returned state and the report of solve_quasi.
@@ -231,11 +234,14 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
 
     Per delta target (ascending): block Gauss-Seidel sweeps of transport ->
     zeta-recovery -> quasi_state (F1, Q1, N1, c^2) -> psi solve, until the
-    joint sup-norm change of (psi, zeta~) drops below outer_tol.  Stages
-    warm-start from the previous delta; the last converged stage is
-    returned on failure with status PartialContinuation.  A linear-solve
-    failure in the first stage is raised as NonConvergence.  An anchor
-    outside the grid raises ConfigError before any solve.  The base
+    joint sup-norm change of (psi, zeta~) drops below outer_tol.  A stage
+    starts from zeta~ of the previous delta and from the secant prediction
+    psi_{k-1} + (delta_k - delta_{k-1}) / (delta_{k-1} - delta_{k-2})
+    (psi_{k-1} - psi_{k-2}), with delta_0 = 0 and psi_0 the base potential,
+    or from psi_{k-1} where delta_{k-1} = delta_{k-2}.  The last converged
+    stage is returned on failure with status PartialContinuation.  A
+    linear-solve failure in the first stage is raised as NonConvergence.  An
+    anchor outside the grid raises ConfigError before any solve.  The base
     potential is potential.solve(base, schedule, params), whose path the
     report keeps; its last factored Jacobian starts the first psi solve,
     and each psi solve's last one starts the next.  The report's top-level
@@ -260,10 +266,18 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
     zt = zeta_b.copy()
     state = None
     system = prep.system
+    # delta of the last converged stage, and delta and psi of the one
+    # before it; the base potential is the stage at delta = 0
+    d_last, d_prev, psi_prev = 0.0, 0.0, psi
     for delta in config.delta_targets:
+        psi0 = psi
+        if d_last != d_prev:  # secant predictor in delta
+            s = (delta - d_last) / (d_last - d_prev)
+            psi0 = ScalarField(grid, psi.values
+                               + s * (psi.values - psi_prev.values))
         try:
             psi_d, zt_d, stage, system = _solve_stage(
-                config, base, params, delta, psi, zt, zeta_b, omega_b,
+                config, base, params, delta, psi0, zt, zeta_b, omega_b,
                 system)
         except (NonConvergence, SonicEncroachment, *_LINEAR_ERRORS) as exc:
             report.errors.append(f"delta={delta:g}: {exc}")
@@ -274,6 +288,7 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
                 raise
             report.status = "PartialContinuation"
             break
+        d_last, d_prev, psi_prev = delta, d_last, psi
         psi, zt = psi_d, zt_d
         report.stages.append(stage)
         state = quasi_state(config, base, delta, psi, zt)

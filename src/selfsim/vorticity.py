@@ -226,7 +226,10 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     omega = np.where(inflow.mask, omega_b.values, np.nan).ravel()
     total = np.zeros(omega.size)
     total[traced] = length
-    exited = np.flatnonzero(status == _kernels.TRACE_EXITED)
+    # an exit past max_len (the last r-step may overrun it) is truncated,
+    # as a foot is in _fill_feet
+    exited = np.flatnonzero((status == _kernels.TRACE_EXITED)
+                            & (length <= max_len))
     landed = exited[_hit_is_inflow(b, hx_[exited], hy_[exited])]
     omega[traced[landed]] = (_interp_frame(omega_b.values, grid,
                                            hx_[landed], hy_[landed])

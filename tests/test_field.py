@@ -51,6 +51,30 @@ def test_diff_stencils_exact_on_quadratics(grid):
     assert np.max(np.abs(d2y - 2.0)) < 1e-11
 
 
+@pytest.mark.parametrize("diff", [fld.diff1, fld.diff2])
+def test_diff_stencils_match_a_moveaxis_reference(diff):
+    # the stencils swap the differenced axis to the front; the reference
+    # moves it there with np.moveaxis, as the stencils did before
+    def reference(values, h, axis):
+        f = np.moveaxis(values, axis, 0)
+        out = np.empty_like(f)
+        if diff is fld.diff1:
+            out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+            out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+            out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+        else:
+            out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
+            out[0] = (f[0] - 2.0 * f[1] + f[2]) / (h * h)
+            out[-1] = (f[-1] - 2.0 * f[-2] + f[-3]) / (h * h)
+        return np.moveaxis(out, 0, axis)
+
+    values = np.random.default_rng(3).normal(size=(7, 11))
+    for axis, h in ((0, 0.3), (1, 0.07)):
+        got, want = diff(values, h, axis), reference(values, h, axis)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_hessian_cross_term(grid):
     f = ss.ScalarField.from_function(grid, lambda x, y: x * x * y)
     f11, f12, f22 = fld.hessian(f)
@@ -130,6 +154,28 @@ def test_f2d_special_values_round_trip(tmp_path):
                  else [(back.u, field.u), (back.v, field.v)])
         for got, want in pairs:  # bit for bit: -0.0 and nan included
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_f2d_writer_matches_the_per_value_join(tmp_path):
+    # the body is one % operation on the interleaved values; its bytes are
+    # those of a "%.17g" join value by value, u before v on each line
+    grid = ss.Grid2D(0.0, 1.0, 0.0, 2.0, 5, 4)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 1e-300,
+               -1e-300]
+    vals = np.concatenate([special, np.random.default_rng(4).normal(
+        size=grid.nx * grid.ny - len(special))])
+    for field in (ss.ScalarField(grid, vals),
+                  ss.VectorField(grid, vals, -vals[::-1])):
+        p = tmp_path / "f.f2d"
+        fld.write_field(field, p)
+        g = field.grid
+        kind = "scalar" if isinstance(field, ss.ScalarField) else "vector"
+        cols = ([field.values] if kind == "scalar"
+                else [field.u, field.v])
+        lines = ["F2D 5 4 0 1 0 2 " + kind] + [
+            " ".join("%.17g" % c.flat[k] for c in cols)
+            for k in range(g.nx * g.ny)]
+        assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_f2d_comments_and_blank_lines(tmp_path, monkeypatch):

@@ -124,6 +124,28 @@ def test_linear_solve_recovers_manufactured(law, grid):
     assert np.max(np.abs(got.values - target.values)) < 1e-10
 
 
+@pytest.mark.parametrize("norms, corrections, rel", [
+    # the 129^2 decompose: the second correction raises |r|, and it stops
+    ([6.9e-13, 4.7e-13, 4.9e-13], 2, 4.9e-13),
+    # three corrections, each measured, the last one included
+    ([1.0, 0.5, 0.25, 0.125], 3, 0.125),
+    ([1e-14], 0, 1e-14),             # on target before any correction
+    ([1.0, 1e-14], 1, 1e-14),
+    ([1.0, np.nan], 1, np.nan)])
+def test_refine_measures_every_correction(norms, corrections, rel):
+    # residual() returns the scripted norms one at a time; the target is
+    # 0.01 lin_tol = 1e-13
+    script = iter(norms)
+    corrected = []
+    got = potential.refine(lambda: np.array([next(script)]),
+                           corrected.append, lambda: 1.0, lin_tol=1e-11)
+    assert len(corrected) == corrections
+    assert next(script, None) is None  # every residual was measured
+    assert got == rel or (np.isnan(rel) and np.isnan(got))
+    # each correction gets the residual measured just before it
+    assert [c[0] for c in corrected] == norms[:corrections]
+
+
 def test_linear_solve_rejects_indefinite(law, grid):
     # |grad w| >> c^2 makes the frozen principal part indefinite
     w = ss.ScalarField.from_function(grid, lambda x, y: 3.0 * x)

@@ -274,6 +274,68 @@ def test_solve_quasi_carries_one_jacobian(law, monkeypatch):
     assert np.max(np.abs(state.psi.values - ref.psi.values)) <= 1e-12
 
 
+def _bench_quasi(law, targets):
+    """solve_quasi on the solve-quasi-17 inputs of the benchmark's seed 0:
+    the criterion-11 patch at 17^2 with zeta_b scaled by (c1, c2)."""
+    grid = ss.Grid2D(0.1, 0.6, 0.1, 0.6, 17, 17)
+    c1, c2 = 0.832329615669275, 0.9609751167974349
+    base = potential.PotentialProblem(law=law, grid=grid,
+                                      phi_b=quiescent_field(grid))
+    zeta_b = ss.ScalarField.from_function(
+        grid, lambda x, y: 0.5 * c1 * np.sin(np.pi * x) * np.cos(np.pi * y)
+        + 0.25 * c2 * x * y)
+    cfg = qp.QuasiConfig(delta_targets=targets, zeta_b=zeta_b,
+                         anchor=(8, 8), outer_tol=1e-9)
+    return qp.solve_quasi(cfg, base)
+
+
+@pytest.mark.parametrize("targets, status, most, error", [
+    # sweeps per stage without the secant predictor, which each stage
+    # after the first with a nonzero step behind it saves one of
+    ([1e-3, 0.1], "Converged", [4, 11], None),
+    ([0.01, 0.05, 0.1, 0.2], "Converged", [5, 7, 10, 20], None),
+    ([0.0, 0.01, 0.02], "Converged", [2, 5, 6], None),
+    ([1e-3, 0.3], "PartialContinuation", [4], "after 50 sweeps"),
+    ([0.05, 0.3, 0.6], "PartialContinuation", [7], "after 50 sweeps"),
+    ([1e-4, 0.5], "PartialContinuation", [3], "ellipticity margin")])
+def test_delta_schedules_keep_their_status(law, targets, status, most,
+                                           error):
+    _, rep = _bench_quasi(law, targets)
+    sweeps = [s["outer_iters"] for s in rep.stages]
+    assert rep.status == status
+    assert len(sweeps) == len(most)
+    assert all(s <= m for s, m in zip(sweeps, most))
+    if error:
+        assert len(rep.errors) == 1 and error in rep.errors[0]
+    else:
+        assert sum(sweeps) < sum(most)
+
+
+def test_secant_predictor_saves_a_sweep(law, monkeypatch):
+    # with the predictor patched out (each stage starts from the last
+    # converged psi) the stages take [4, 5] sweeps; the predicted second
+    # stage takes 4 and ends on the same psi and zeta
+    stage = qp._solve_stage
+    last = []
+
+    def unpredicted(config, base, params, delta, psi, *args):
+        out = stage(config, base, params, delta,
+                    last[-1] if last else psi, *args)
+        last.append(out[0])
+        return out
+
+    monkeypatch.setattr(qp, "_solve_stage", unpredicted)
+    ref, ref_rep = _bench_quasi(law, [1e-3, 1e-2])
+    monkeypatch.undo()
+    state, rep = _bench_quasi(law, [1e-3, 1e-2])
+    assert [s["outer_iters"] for s in ref_rep.stages] == [4, 5]
+    assert [s["outer_iters"] for s in rep.stages] == [4, 4]
+    assert all(s["change"] <= 1e-9 for s in rep.stages)
+    assert rep.status == "Converged"
+    for got, want in ((state.psi, ref.psi), (state.zeta, ref.zeta)):
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+
 def test_full_rotational_residual_potential_limit(law):
     grid = ss.Grid2D(0.1, 0.6, 0.1, 0.6, 17, 17)
     base = potential.PotentialProblem(law=law, grid=grid,

@@ -145,6 +145,24 @@ def test_transport_counts_partition_traced_nodes():
             assert np.array_equal(omega.values == 0.0, too_long)
 
 
+def test_exit_past_max_len_is_truncated():
+    # on the slow drift b = (1e-3, 0) a node next to the inflow side x = 0
+    # exits at r = hx / 1e-3 = 62.5, inside its budget of ceil(max_len / dt)
+    # steps of dt = 0.75 hx / 1e-3 = 46.9: past max_len 60 the path is
+    # truncated and its node uncovered, like a foot past max_len; with
+    # max_len 65 it lands on the inflow data
+    grid = ss.Grid2D(0.0, 1.0, 0.0, 1.0, 17, 17)
+    b = ss.VectorField(grid, np.full(grid.shape, 1e-3), np.zeros(grid.shape))
+    ones = ss.ScalarField(grid, np.ones(grid.shape))
+    for max_len, exited in ((60.0, 0), (65.0, grid.ny)):
+        omega, rep = vorticity.transport_omega(b, ones, max_len=max_len)
+        assert rep.exited == exited
+        assert _statuses_sum(rep) == rep.traced
+        assert rep.uncovered == rep.traced - exited
+        assert np.all((omega.values[:, 1] > 0.0) == bool(exited))
+        assert np.all(omega.values[:, 2:] == 0.0)
+
+
 def _lagrange(a, m):
     """Weight of node m in -1 .. 2 of the cubic through those nodes."""
     w = 1.0
@@ -171,7 +189,7 @@ def _loop_transport(b, omega_b, max_len):
     feet = {}
     for i, k in enumerate(nodes):
         hit = hx_[i:i + 1], hy_[i:i + 1]
-        if (st[i] == _kernels.TRACE_EXITED
+        if (st[i] == _kernels.TRACE_EXITED and length[i] <= max_len
                 and vorticity._hit_is_inflow(b, *hit)[0]):
             omega[k] = (vorticity._interp_frame(omega_b.values, g, *hit)[0]
                         * np.exp(-acc[i]))
