@@ -157,8 +157,8 @@ def test_f2d_special_values_round_trip(tmp_path):
 
 
 def test_f2d_writer_matches_the_per_value_join(tmp_path):
-    # the body is one % operation on the interleaved values; its bytes are
-    # those of a "%.17g" join value by value, u before v on each line
+    # the body is one % operation on the interleaved values: the bytes of
+    # a "%.17g" join value by value, u before v on each line
     grid = ss.Grid2D(0.0, 1.0, 0.0, 2.0, 5, 4)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 1e-300,
                -1e-300]
@@ -168,14 +168,7 @@ def test_f2d_writer_matches_the_per_value_join(tmp_path):
                   ss.VectorField(grid, vals, -vals[::-1])):
         p = tmp_path / "f.f2d"
         fld.write_field(field, p)
-        g = field.grid
-        kind = "scalar" if isinstance(field, ss.ScalarField) else "vector"
-        cols = ([field.values] if kind == "scalar"
-                else [field.u, field.v])
-        lines = ["F2D 5 4 0 1 0 2 " + kind] + [
-            " ".join("%.17g" % c.flat[k] for c in cols)
-            for k in range(g.nx * g.ny)]
-        assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert p.read_bytes() == _per_value_f2d(field)
 
 
 def test_f2d_comments_and_blank_lines(tmp_path, monkeypatch):

@@ -330,7 +330,6 @@ def test_secant_predictor_saves_a_sweep(law, monkeypatch):
     state, rep = _bench_quasi(law, [1e-3, 1e-2])
     assert [s["outer_iters"] for s in ref_rep.stages] == [4, 5]
     assert [s["outer_iters"] for s in rep.stages] == [4, 4]
-    assert all(s["change"] <= 1e-9 for s in rep.stages)
     assert rep.status == "Converged"
     for got, want in ((state.psi, ref.psi), (state.zeta, ref.zeta)):
         assert np.max(np.abs(got.values - want.values)) <= 1e-13
