@@ -3,17 +3,20 @@
 The potential part psi solves a discrete Neumann problem built from the same
 centered/one-sided difference operators as the field calculus, so that
 W = U - grad(psi) is discretely divergence-free at interior nodes up to the
-linear-solver residual (not just to truncation order).
+linear-solver residual (not just to truncation order).  That system is
+separable: after the frame nodes of each grid line are eliminated, the
+interior block is a Kronecker sum of two 1-D operators, solved exactly by
+fast diagonalization (_NeumannSolver), with no sparse factorization.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg
 
 from . import field as fld, potential
 from .errors import (DomainError, NonSolenoidalInput, SolverError,
@@ -81,52 +84,36 @@ def decompose(U: VectorField, lin_tol: float = 1e-11) -> Decomposition:
     on the boundary.  The compatibility defect of the discrete Neumann system
     is absorbed by a Lagrange multiplier distributed over the boundary rows
     (so interior equations hold to solver accuracy).  The constant in psi is
-    pinned by the row psi[0] = 0, which keeps the system sparse where a mean
-    row would couple every unknown, and psi is shifted to zero mean after
-    the solve.  The frame rows, O(1/h), are scaled by 1/min(hx, hy) to the
-    O(1/h^2) size of the interior rows, so that partial pivoting keeps the
-    diagonal and the LU keeps the minimum-degree ordering of
-    FrozenSystem.factor; refinement measures the unscaled residual.
+    pinned by the row psi[0] = 0, and psi is shifted to zero mean after the
+    solve.  The bordered system is solved exactly by _NeumannSolver (fast
+    diagonalization, no sparse matrix), and refinement measures its residual
+    with the field stencils.
     Before the solve: ConfigError for a bad lin_tol, DomainError for a bad U.
     """
     grid = U.grid
     check_positive(lin_tol=lin_tol)
     if not (np.all(np.isfinite(U.u)) and np.all(np.isfinite(U.v))):
         raise DomainError("decompose requires finite input fields")
-    ny, nx = grid.shape
-    N = nx * ny
-    Gx, Gy = gradient_operators(grid)
-    L = (Gx @ Gx + Gy @ Gy).tocsr()
-    interior = np.zeros((ny, nx), bool)
-    interior[1:-1, 1:-1] = True
-    int_flat = interior.ravel()
+    N = grid.nx * grid.ny
     nux, nuy = _boundary_normals(grid)
-    D_int = sp.diags(int_flat.astype(float))
-    A = (D_int @ L
-         + sp.diags(nux.ravel()) @ Gx
-         + sp.diags(nuy.ravel()) @ Gy).tocsr()
-    rhs = np.where(
-        int_flat,
-        (Gx @ U.u.ravel() + Gy @ U.v.ravel()),
-        nux.ravel() * U.u.ravel() + nuy.ravel() * U.v.ravel(),
-    )
-    w_b = (~int_flat).astype(float)
-    w_b /= w_b.sum()
-    pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, N))
-    M = sp.bmat([[A, w_b[:, None]], [pin, None]], format="csc")
-    rhs_aug = np.concatenate([rhs, [0.0]])
-    row_scale = np.concatenate(
-        [np.where(int_flat, 1.0, 1.0 / min(grid.hx, grid.hy)), [1.0]])
-    lu = spla.splu((sp.diags(row_scale) @ M).tocsc(),
-                   permc_spec="MMD_AT_PLUS_A")
-    x = lu.solve(row_scale * rhs_aug)
+    frame = np.ones(grid.shape, bool)
+    frame[1:-1, 1:-1] = False
+    w_b = frame / np.count_nonzero(frame)
+    rhs = np.where(frame, nux * U.u + nuy * U.v, fld.divergence(U).values)
+    solver = _NeumannSolver(grid)
+    x = np.append(*solver.solve(rhs, 0.0))
+
+    def residual():  # rows of the bordered system, the pin row psi[0] last
+        g = fld.gradient(ScalarField(grid, x[:N]))
+        rows = np.where(frame, nux * g.u + nuy * g.v + w_b * x[N],
+                        fld.divergence(g).values) - rhs
+        return np.append(rows, x[0])
 
     def correct(res):
-        x[:] -= lu.solve(row_scale * res)
+        x[:] -= np.append(*solver.solve(res[:N].reshape(grid.shape), res[N]))
 
     scale = max(potential.norm2(rhs), 1.0)
-    rel = potential.refine(lambda: M @ x - rhs_aug, correct, lambda: scale,
-                           lin_tol)
+    rel = potential.refine(x, residual, correct, lambda: scale, lin_tol)
     psi_vec = x[:N] - np.mean(x[:N])
     if not np.all(np.isfinite(psi_vec)) or rel > 1e3 * lin_tol:
         raise SolverError("Neumann solve for the potential part stagnated")
@@ -136,6 +123,162 @@ def decompose(U: VectorField, lin_tol: float = 1e-11) -> Decomposition:
     divW = fld.divergence(W)
     div_norm = float(np.max(np.abs(divW.interior())))
     return Decomposition(psi=psi, W=W, div_W_norm=div_norm)
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in einsum's own loop, on one thread.  Through BLAS, a product
+    of size ~127 wakes a second OpenBLAS thread, which then spins for ~0.1 s
+    of CPU after the call (2-core host); einsum takes ~1 ms at that size."""
+    return np.einsum("ij,jk->ik", a, b, optimize=False)
+
+
+# outward normal sign at the first and the last node of a grid line
+_NU = np.array([-1.0, 1.0])
+
+
+def _line_modes(A: np.ndarray):
+    """Eigenpairs A = V diag(mu) V^-1 of the line operator of _Line.
+
+    The spectrum is real and <= 0 with one zero, the constants.  For odd n
+    the odd nodes never see the even ones, so A is block lower triangular in
+    (odd, even) order with symmetric tridiagonal diagonal blocks A_oo, A_ee:
+    V = [[Q_o, 0], [Q_e G, Q_e]] and V^-1 = [[Q_o', 0], [-G Q_o', Q_e']],
+    with G = (Q_e' A_eo Q_o) / (nu_j - mu_k) for the eigenpairs (nu_j, Q_o)
+    of A_oo and (mu_k, Q_e) of A_ee, and no dense eigensolver or inverse.
+    For even n the two parities couple both ways: dgeev with left vectors W,
+    V^-1 = W' / (W' V)_kk, given its minimum workspace so that it takes the
+    unblocked paths, which call no threaded BLAS-3 product (see _mm).
+    """
+    m = len(A)
+    if m % 2 == 0:
+        mu, _, W, V, _ = scipy.linalg.lapack.dgeev(A, lwork=4 * m)
+        return mu, V, W.T / np.einsum("ik,ik->k", W, V)[:, None]
+    odd, even = np.arange(0, m, 2), np.arange(1, m, 2)  # node 1, 3, ...
+    nu, Qo = _eigh_tridiagonal(A[np.ix_(odd, odd)])
+    mu, Qe = _eigh_tridiagonal(A[np.ix_(even, even)])
+    G = _mm(_mm(Qe.T, A[np.ix_(even, odd)]), Qo) / (nu[None, :] - mu[:, None])
+    no = len(odd)
+    V = np.zeros((m, m))
+    V[odd, :no] = Qo
+    V[even, :no] = _mm(Qe, G)
+    V[even, no:] = Qe
+    Vinv = np.zeros((m, m))
+    Vinv[:no, odd] = Qo.T
+    Vinv[no:, odd] = -_mm(G, Qo.T)
+    Vinv[no:, even] = Qe.T
+    return np.concatenate([nu, mu]), V, Vinv
+
+
+def _eigh_tridiagonal(T: np.ndarray):
+    if len(T) == 0:  # the even block of a 3-node line
+        return np.zeros(0), np.zeros((0, 0))
+    return scipy.linalg.eigh_tridiagonal(np.diag(T).copy(),
+                                         np.diag(T, 1).copy())
+
+
+@dataclass(frozen=True)
+class _Line:
+    """One grid axis of n nodes, spacing h, with its two end nodes F
+    eliminated from the n - 2 inner nodes I.
+
+    With D the first-derivative operator of field.diff1, the Neumann rows of
+    the ends read D_FF psi_F + D_FI psi_I = b, so psi_F = Finv b - S psi_I
+    with Finv = D_FF^-1 and S = Finv D_FI, and the inner rows of D^2 become
+    A psi_I + P b with A = (D^2)_II - P D_FI and P = (D^2)_IF Finv.
+    A = V diag(mu) V^-1 (_line_modes), with mu[zero] = 0.
+    """
+    D_FF: np.ndarray
+    D_FI: np.ndarray
+    Finv: np.ndarray
+    S: np.ndarray
+    P: np.ndarray
+    mu: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
+    zero: int
+
+    @staticmethod
+    @functools.lru_cache(maxsize=2)
+    def unit(n: int) -> "_Line":
+        """The line at h = 1; D^2 as a sparse product (see _mm)."""
+        D = _diff1_matrix(n, 1.0)
+        D2 = (D @ D).toarray()
+        D = D.toarray()
+        F, I = [0, n - 1], slice(1, n - 1)
+        D_FF, D_FI = D[F][:, F], D[F, I]
+        Finv = np.linalg.inv(D_FF)
+        P = _mm(D2[I][:, F], Finv)
+        mu, V, Vinv = _line_modes(D2[I, I] - _mm(P, D_FI))
+        return _Line(D_FF, D_FI, Finv, _mm(Finv, D_FI), P, mu, V, Vinv,
+                     int(np.argmax(mu)))
+
+    @staticmethod
+    def build(n: int, h: float) -> "_Line":
+        """D scales as 1/h, so A as 1/h^2, and V not at all."""
+        u = _Line.unit(n)
+        return replace(u, D_FF=u.D_FF / h, D_FI=u.D_FI / h, Finv=u.Finv * h,
+                       P=u.P / h, mu=u.mu / (h * h))
+
+
+class _NeumannSolver:
+    """Exact solve of decompose's bordered Neumann system on one grid.
+
+    Every non-corner frame row is a 1-D one-sided Neumann row along its grid
+    line, and no interior row touches a corner.  Eliminating those frame
+    nodes line by line (_Line) leaves the interior block as the Kronecker
+    sum of the two line operators, which the lines' eigenvectors
+    diagonalize (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Its single
+    zero mode fixes the multiplier, the corner rows give the corners, and
+    the pin row the constant.
+    """
+
+    def __init__(self, grid: Grid2D):
+        # a square grid diagonalizes one line: _Line.unit is cached
+        x = self.x = _Line.build(grid.nx, grid.hx)
+        y = self.y = _Line.build(grid.ny, grid.hy)
+        self.w = 1.0 / (2 * (grid.nx + grid.ny) - 4)  # the frame's w_b
+        # inner rows: K psi_I = f + lambda c, with K the Kronecker sum
+        self.c = self.w * (_mm(x.P, _NU[:, None]).T + _mm(y.P, _NU[:, None]))
+        self.c0 = self._zero_mode(self.c)
+        self.denom = y.mu[:, None] + x.mu[None, :]
+        self.denom[y.zero, x.zero] = np.inf
+        # corner rows: nux (D_x psi) + nuy (D_y psi) + w lambda on the 2 x 2
+        # corners, row-major; psi D_FF^x' and D_FF^y psi as 4 x 4 operators
+        nux, nuy = _boundary_normals(grid)
+        self.corner_nux = nux[np.ix_([0, -1], [0, -1])]
+        self.corner_nuy = nuy[np.ix_([0, -1], [0, -1])]
+        self.corner_inv = np.linalg.inv(
+            self.corner_nux.reshape(4, 1) * np.kron(np.eye(2), x.D_FF)
+            + self.corner_nuy.reshape(4, 1) * np.kron(y.D_FF, np.eye(2)))
+
+    def _zero_mode(self, f: np.ndarray) -> float:
+        return float(np.einsum("j,ji,i->", self.y.Vinv[self.y.zero], f,
+                               self.x.Vinv[self.x.zero], optimize=False))
+
+    def solve(self, R: np.ndarray, pin: float):
+        """(psi, lambda) for the row values R on the grid (interior rows
+        div grad psi, frame rows nu.grad psi + w_b lambda) and psi[0, 0] =
+        pin."""
+        x, y, w = self.x, self.y, self.w
+        bx = _NU * R[1:-1, [0, -1]]           # end rows of the x-lines
+        by = _NU[:, None] * R[[0, -1], 1:-1]  # and of the y-lines
+        f = R[1:-1, 1:-1] - _mm(bx, x.P.T) - _mm(y.P, by)
+        lam = -self._zero_mode(f) / self.c0
+        gh = _mm(_mm(y.Vinv, f + lam * self.c), x.Vinv.T) / self.denom
+        psi_I = _mm(_mm(y.V, gh), x.V.T)
+        ex = _mm(bx - lam * w * _NU, x.Finv.T) - _mm(psi_I, x.S.T)
+        ey = _mm(y.Finv, by - lam * w * _NU[:, None]) - _mm(y.S, psi_I)
+        known = (self.corner_nux * _mm(ey, x.D_FI.T)
+                 + self.corner_nuy * _mm(y.D_FI, ex))
+        rc = R[np.ix_([0, -1], [0, -1])] - w * lam - known
+        psi = np.empty(R.shape)
+        psi[1:-1, 1:-1] = psi_I
+        psi[1:-1, [0, -1]] = ex
+        psi[[0, -1], 1:-1] = ey
+        psi[np.ix_([0, -1], [0, -1])] = _mm(self.corner_inv,
+                                            rc.reshape(4, 1)).reshape(2, 2)
+        psi += pin - psi[0, 0]
+        return psi, lam
 
 
 # largest interior |div W| that stream_function accepts

@@ -378,24 +378,26 @@ def norm2(v: np.ndarray) -> float:
     return math.sqrt(float(np.sum(v * v)))
 
 
-def refine(residual, correct, scale, lin_tol: float) -> float:
-    """Iterative refinement: r = residual(), then up to three rounds of
-    correct(r), which updates the unknowns in place, each measured by a new
-    r = residual().  Stops once |r| / scale() <= 0.01 lin_tol or is not
-    finite, or once a correction does not reduce |r|.  Returns |r| / scale()
-    of the unknowns as they are left."""
+def refine(x: np.ndarray, residual, correct, scale, lin_tol: float) -> float:
+    """Iterative refinement of the unknowns x: r = residual(), then up to
+    three rounds of correct(r), which updates x in place, each measured by a
+    new r = residual().  Stops once |r| / scale() <= 0.01 lin_tol or is not
+    finite, or once a correction does not reduce |r|; such a correction is
+    undone.  Returns |r| / scale() of x as it is left."""
     r = residual()
     r_norm = norm2(r)
     rel = r_norm / scale()
     for _ in range(3):
         if not np.isfinite(rel) or rel <= 0.01 * lin_tol:
             break
+        kept = x.copy()
         correct(r)
         r = residual()
         r_norm, last = norm2(r), r_norm
-        rel = r_norm / scale()
         if not r_norm < last:
-            break
+            x[...] = kept
+            return last / scale()
+        rel = r_norm / scale()
     return rel
 
 
@@ -428,7 +430,7 @@ def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
     # backward-error scale: |r| / (|A| |x| + |b|) with |A| the max row sum
     anorm = system.anorm()
     b_norm = norm2(b)
-    rel = refine(lambda: system.apply(x) - b, correct,
+    rel = refine(x, lambda: system.apply(x) - b, correct,
                  lambda: max(anorm * norm2(x) + b_norm, 1.0), lin_tol)
     if not np.all(np.isfinite(x)) or rel > lin_tol:
         raise LinearStagnation(f"linear relative residual {rel:.3e} > {lin_tol:.3e}")

@@ -434,11 +434,11 @@ def test_transport_bad_step_exits_2(tmp_path, capsys, step):
 def test_decompose_input_errors_exit_2(tmp_path, capsys, monkeypatch,
                                        lin_tol, bad):
     # a bad tolerance or a non-finite U is an input error, raised before
-    # the Neumann LU is built
+    # the Neumann solver is set up
     def no_solve(*args, **kwargs):
-        raise AssertionError("Neumann LU built for invalid input")
+        raise AssertionError("Neumann solver set up for invalid input")
 
-    monkeypatch.setattr(hodge.spla, "splu", no_solve)
+    monkeypatch.setattr(hodge, "_NeumannSolver", no_solve)
     grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 9, 9)
     U = ss.VectorField.from_function(grid, lambda x, y: -y + x,
                                      lambda x, y: x + y)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import selfsim as ss
 from selfsim import field as fld, hodge
@@ -70,11 +71,13 @@ def _zero_mean_bordered_psi(U):
     return np.linalg.solve(M, np.append(rhs, 0.0))[:N].reshape(grid.shape)
 
 
-@pytest.mark.parametrize("shape", [(17, 17), (13, 9)])
+@pytest.mark.parametrize("shape", [(17, 17), (13, 9), (3, 3), (4, 5),
+                                   (16, 16), (33, 17)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_decompose_matches_zero_mean_bordered_system(shape, seed):
-    # the pinned, row-scaled solve and the mean shift keep the discrete
-    # problem: the same psi as the dense zero-mean system, also for hx != hy
+    # the pinned, separable solve and the mean shift keep the discrete
+    # problem: the same psi as the dense zero-mean system, also for
+    # hx != hy, odd and even node counts and the 3-node line
     g = ss.Grid2D(0.0, 1.0, -0.5, 0.1, *shape)
     rng = np.random.default_rng(seed)
     U = ss.VectorField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
@@ -83,37 +86,49 @@ def test_decompose_matches_zero_mean_bordered_system(shape, seed):
     assert abs(np.mean(dec.psi.values)) <= 1e-14
 
 
-class _CountingLU:
-    """SuperLU stand-in that counts its triangular solves."""
+@pytest.mark.parametrize("n", [65, 64])
+def test_decompose_solves_without_sparse_lu(monkeypatch, n):
+    # no splu: the Neumann system is solved by fast diagonalization, once
+    # plus at most three refinement corrections
+    def no_splu(*args, **kwargs):
+        raise AssertionError("decompose called splu")
 
-    def __init__(self, lu):
-        self.lu, self.nnz, self.solves = lu, lu.nnz, 0
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+    solves = []
+    solve = hodge._NeumannSolver.solve
 
-    def solve(self, b):
-        self.solves += 1
-        return self.lu.solve(b)
+    def counted(self, *args):
+        solves.append(args)
+        return solve(self, *args)
 
-
-def test_decompose_factors_once_with_sparse_fill(monkeypatch):
-    # one LU with no dense row: fill 501,940 on this field with a mean row
-    # and unscaled frame rows; 199,778 with the pin, the scaled rows and the
-    # minimum-degree ordering
-    factors = []
-    splu = hodge.spla.splu
-
-    def spy(*args, **kwargs):
-        factors.append(_CountingLU(splu(*args, **kwargs)))
-        return factors[-1]
-
-    monkeypatch.setattr(hodge.spla, "splu", spy)
-    g = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 65, 65)
+    monkeypatch.setattr(hodge._NeumannSolver, "solve", counted)
+    g = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, n, n)
     rng = np.random.default_rng(5)
     dec = hodge.decompose(ss.VectorField(g, rng.normal(size=g.shape),
                                          rng.normal(size=g.shape)))
     assert dec.div_W_norm <= 1e-10
-    assert len(factors) == 1
-    assert factors[0].nnz <= 250_000
-    assert 1 <= factors[0].solves <= 4
+    assert 1 <= len(solves) <= 4
+
+
+def _line_operator(n):
+    """Dense A = (D^2)_II - (D^2)_IF D_FF^-1 D_FI of the 1-D Neumann line."""
+    D = hodge._diff1_matrix(n, 1.0).toarray()
+    F, I = [0, n - 1], slice(1, n - 1)
+    D2 = D @ D
+    return D2[I, I] - D2[I][:, F] @ np.linalg.solve(D[F][:, F], D[F, I])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 129, 257])
+def test_line_eigendecomposition(n):
+    A = _line_operator(n)
+    line = hodge._Line.unit(n)
+    mu, V, Vinv = line.mu, line.V, line.Vinv
+    norm = np.linalg.norm(A, 2)
+    assert np.linalg.norm(A @ V - V * mu, 2) <= 1e-13 * norm
+    assert np.linalg.norm(Vinv @ V - np.eye(n - 2), 2) <= 1e-12
+    # one zero mode, the constants; the rest of the spectrum is negative
+    assert np.count_nonzero(np.abs(mu) <= 1e-8 * np.max(np.abs(mu))) == 1
+    assert np.all(np.delete(mu, line.zero) < 0)
 
 
 @pytest.mark.parametrize("box, shape", [
@@ -121,8 +136,8 @@ def test_decompose_factors_once_with_sparse_fill(monkeypatch):
     ((0.0, 0.1, 0.0, 2.0), (33, 129)),
 ])
 def test_decompose_is_solenoidal_on_stretched_grids(box, shape):
-    # hx / hy = 5 and 1 / 6.4: the row scale 1 / min(hx, hy) must keep the
-    # solve accurate when the two spacings differ
+    # hx / hy = 5 and 1 / 6.4: the two line operators differ in scale,
+    # and the solve stays accurate when the spacings differ
     g = ss.Grid2D(*box, *shape)
     rng = np.random.default_rng(7)
     dec = hodge.decompose(ss.VectorField(g, rng.normal(size=g.shape),

@@ -124,26 +124,38 @@ def test_linear_solve_recovers_manufactured(law, grid):
     assert np.max(np.abs(got.values - target.values)) < 1e-10
 
 
-@pytest.mark.parametrize("norms, corrections, rel", [
+@pytest.mark.parametrize("norms, corrections, last", [
     # the 129^2 decompose: the second correction raises |r|, and it stops
     ([6.9e-13, 4.7e-13, 4.9e-13], 2, 4.9e-13),
     # three corrections, each measured, the last one included
     ([1.0, 0.5, 0.25, 0.125], 3, 0.125),
     ([1e-14], 0, 1e-14),             # on target before any correction
     ([1.0, 1e-14], 1, 1e-14),
-    ([1.0, np.nan], 1, np.nan)])
-def test_refine_measures_every_correction(norms, corrections, rel):
+    ([1.0, np.nan], 1, np.nan),
+    # a correction that raises |r| far is undone, not returned
+    ([1.0, 0.5, 7.0], 2, 7.0)])
+def test_refine_measures_every_correction(norms, corrections, last):
     # residual() returns the scripted norms one at a time; the target is
-    # 0.01 lin_tol = 1e-13
+    # 0.01 lin_tol = 1e-13; x counts the corrections applied to it
     script = iter(norms)
     corrected = []
-    got = potential.refine(lambda: np.array([next(script)]),
-                           corrected.append, lambda: 1.0, lin_tol=1e-11)
+    x = np.zeros(1)
+
+    def correct(r):
+        corrected.append(r[0])
+        x[0] += 1
+
+    got = potential.refine(x, lambda: np.array([next(script)]), correct,
+                           lambda: 1.0, lin_tol=1e-11)
     assert len(corrected) == corrections
     assert next(script, None) is None  # every residual was measured
-    assert got == rel or (np.isnan(rel) and np.isnan(got))
     # each correction gets the residual measured just before it
-    assert [c[0] for c in corrected] == norms[:corrections]
+    assert corrected == norms[:corrections]
+    # x is left at the smallest |r| measured, and that |r| is returned: the
+    # last one only when its correction is kept
+    best = int(np.nanargmin(norms))
+    assert x[0] == best and got == norms[best]
+    assert (got == last) == (best == len(norms) - 1)
 
 
 def test_linear_solve_rejects_indefinite(law, grid):
