@@ -12,6 +12,12 @@ use the compact 3-point stencil (one-sided at the ring, exact on quadratics).
 identities rot(grad f) = 0 and div(perp_grad z) = 0 hold exactly at interior
 nodes; the compact 5-point Laplacian used by the Poisson solvers lives in the
 modules that assemble linear systems.
+
+``write_field`` writes the body of an F2D file byte for byte as the
+per-value "%.17g" join.  It formats the values of "%.17g"'s fixed-notation
+range (1e-4 <= |v| < 1e17) exactly with array arithmetic and the rest (0,
+nan, inf and the values outside that range) with "%"; the comment above it
+gives the exactness argument.
 """
 
 from __future__ import annotations
@@ -189,25 +195,160 @@ def perp_gradient(z: ScalarField) -> VectorField:
 
 # ---------------------------------------------------------------------------
 # F2D text format
+#
+# The body of an F2D file is exactly the "%.17g" join of its values, one node
+# per line (u, a space, then v for a vector).  numpy has no such formatter,
+# so write_field builds the text of the values that "%.17g" prints in fixed
+# notation (decimal exponent d in [-4, 16]) with array arithmetic, and formats
+# the rest (0, nan, inf, |v| < 1e-4, |v| >= 1e17) with one "%" call per block.
+#
+# Exact digits.  For 10**d <= |v| < 10**(d+1) let k = 16 - d, in [0, 20], so
+# that 10**k is a double and |v| 10**k lies in [1e16, 1e17).  Dekker's product
+# (T. J. Dekker, Numer. Math. 18, 1971; the Veltkamp split stands in for the
+# fma numpy lacks) gives it exactly as hi + lo.  Doubles in [1e16, 1e17] are
+# even integers, so N = hi + rint(lo) is |v| 10**k rounded half to even: the
+# 17 significant digits "%.17g" prints.  d is exact too: |v| is compared with
+# the smallest double >= 10**j, not taken from log10.  N = 10**17 (a carry
+# into the next decade) would need a double within half a unit of the 17th
+# digit below 10**(d+1); doubles are spaced wider than that, and 10**(d+1) is
+# one or, for d < -1, farther than that from one.  Such a value would go to
+# the "%" call all the same.
+#
+# Text.  Each value becomes a row of 11 little-endian uint32 words whose NUL
+# bytes are dropped at the end: words 0-4 hold the sign, "0." when d < 0 and
+# the integer digits; words 5-9 the point (or the zeros after "0.") and the
+# fraction digits, trailing zeros stripped; word 10 the line's end.  Both
+# halves are the same 17 digits, 4 per word from a table, cut by a mask that
+# depends only on d and the count of trailing zeros.
 
 _FMT = "%.17g"
+_BLOCK = 4096    # values formatted at a time; bounds the temporaries
+_WORDS = 11      # uint32 words per value, see above
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for doubles
+
+
+def _split(a):
+    """a = hi + lo exactly, each with at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = 10.0 ** np.arange(21)  # exact
+# 10**j at j + 4, rounded to nearest: exact for j >= 0, and for j < 0 the
+# nearest double lies above 10**j, so a double x >= 10**j iff x >= it
+_DECADE = np.array([float(f"1e{j}") for j in range(-4, 18)])
+_LE32 = np.dtype("<u4")
+_ASCII = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+# the ASCII digits of 0000-9999 one word each, and of 0-9 in byte 3
+_DIGITS4 = np.stack(np.meshgrid(*[_ASCII] * 4, indexing="ij"),
+                    axis=-1).view(_LE32).ravel()
+_DIGIT1 = _ASCII.astype(_LE32) << 24
+_ZEROS4 = np.zeros(10000, np.int8)  # the trailing zeros of 0000-9999
+for _t in range(1, 5):
+    _ZEROS4[::10 ** _t] += 1
+
+
+def _row_tables():
+    """Masks and fixed bytes of a row for class c = 17 (d + 4) + tz, where
+    tz is the count of trailing zeros of N and kept = 17 - tz its digits:
+    - _MASK[:, c] (10 words): digits 0..d in words 0-4 (the integer part),
+      digits d+1..kept-1 in words 5-9 (the fraction, from digit 0 if d < 0);
+    - _WORD0[2 c + negative]: the sign, and "0." if d < 0;
+    - _WORD5[c]: the point if a fraction digit is kept, or for d < 0 the
+      zeros between "0." and the first digit."""
+    d, tz = np.meshgrid(np.arange(-4, 17), np.arange(17), indexing="ij")
+    kept = 17 - tz
+    first = np.array([0, 1, 5, 9, 13])  # index of the first digit of a word
+    width = np.array([1, 4, 4, 4, 4])
+    lead = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], _LE32)
+    whole = lead[np.clip(d[..., None] + 1 - first, 0, width)]
+    frac = lead[np.clip(kept[..., None] - first, 0, width)] & ~whole
+    whole[..., 0] <<= 24  # the digit of word 0 is its byte 3
+    frac[..., 0] <<= 24
+    mask = np.concatenate([whole, frac], axis=2).reshape(-1, 10).T.copy()
+    point = np.where(d < 0, 0x2E3000, 0)  # "0." in bytes 1-2
+    word0 = np.stack([point, point | ord("-")], axis=2)
+    word5 = np.where(d < 0, lead[np.clip(-d - 1, 0, 3)] & 0x303030,
+                     np.where(kept > d + 1, ord("."), 0))
+    return mask, word0.ravel().astype(_LE32), word5.ravel().astype(_LE32)
+
+
+_MASK, _WORD0, _WORD5 = _row_tables()
+
+
+def _format_block(values, end, words):
+    """Fill words (11, n) with the rows of "%.17g" % v, each ended by end."""
+    a = np.abs(values)
+    fixed = (a >= _DECADE[0]) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)
+    e = np.frexp(a)[1]
+    # 78913 / 2**18 ~ log10 2: floor((e - 1) log10 2), which is d or d - 1
+    d = ((e - 1) * 78913) >> 18
+    d += a >= _DECADE[d + 5]
+    p = _POW10[16 - d]
+    ph, pl = _split(p)
+    ah, al = _split(a)
+    hi = a * p
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fixed &= n < 10 ** 17
+    # the 17 digits of n: d1, then 4-digit groups qh ql rh rl
+    q = n // 10 ** 8
+    r = n - q * 10 ** 8
+    d1 = q // 10 ** 8
+    qh = q // 10 ** 4
+    ql = q - qh * 10 ** 4
+    qh -= d1 * 10 ** 4
+    rh = r // 10 ** 4
+    rl = r - rh * 10 ** 4
+    digits = np.empty((5, values.size), _LE32)
+    np.take(_DIGIT1, d1, out=digits[0])
+    for word, group in zip(digits[1:], (qh, ql, rh, rl)):
+        np.take(_DIGITS4, group, out=word)
+    tz = _ZEROS4[rl] + (rl == 0) * (
+        _ZEROS4[rh] + (rh == 0) * (_ZEROS4[ql] + (ql == 0) * _ZEROS4[qh]))
+    c = (d + 4) * 17 + tz
+    mask = np.take(_MASK, c, axis=1)
+    np.bitwise_and(digits, mask[:5], out=words[:5])
+    np.bitwise_and(digits, mask[5:], out=words[5:10])
+    words[0] |= _WORD0[2 * c + (values < 0)]
+    words[5] |= _WORD5[c]
+    words[10] = end
+    if not fixed.all():
+        # "%.17g" gives at most 24 characters; the padding becomes NUL
+        rest = np.flatnonzero(~fixed)
+        text = ("%-24.17g" * rest.size) % tuple(values[rest].tolist())
+        raw = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+        words[:6, rest] = (raw * (raw != ord(" "))).view(_LE32).T
+        words[6:10, rest] = 0
 
 
 def write_field(field, path):
-    """Serialize a Scalar/VectorField in the F2D text format (17 sig. digits)."""
+    """Serialize a Scalar/VectorField in the F2D text format.
+
+    The header is formatted with "%.17g"; the body is byte for byte the
+    per-value "%.17g" join, one node per line, "u v" for a vector.  Values
+    in "%.17g"'s fixed-notation range are formatted exactly by array
+    arithmetic (see the comment above), the rest by one "%" call per block.
+    """
     g = field.grid
-    kind = "scalar" if isinstance(field, ScalarField) else "vector"
-    head = "F2D %d %d %s %s %s %s %s" % (
+    if isinstance(field, ScalarField):
+        kind, comps, ends = "scalar", [field.values], b"\n"
+    else:  # u and v on one line
+        kind, comps, ends = "vector", [field.u, field.v], b" \n"
+    head = "F2D %d %d %s %s %s %s %s\n" % (
         g.nx, g.ny, _FMT % g.x0, _FMT % g.x1, _FMT % g.y0, _FMT % g.y1, kind)
-    if kind == "scalar":
-        line, values = _FMT + "\n", field.values.ravel()
-    else:  # u and v interleaved, one node per line
-        line = _FMT + " " + _FMT + "\n"
-        values = np.stack([field.u.ravel(), field.v.ravel()], axis=1).ravel()
-    # one % operation formats the whole body
-    body = (line * g.nx * g.ny) % tuple(values.tolist())
-    with open(path, "w") as fh:
-        fh.write(head + "\n" + body)
+    comps = [np.asarray(c, dtype=float).ravel() for c in comps]
+    size, step = comps[0].size, _BLOCK // len(comps)
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        for start in range(0, size, step):
+            rows = np.empty((len(comps), _WORDS, min(step, size - start)),
+                            _LE32)
+            for words, comp, end in zip(rows, comps, ends):
+                _format_block(comp[start:start + step], end, words)
+            fh.write(rows.transpose(2, 0, 1).tobytes().translate(None, b"\0"))
 
 
 def _parse_rows(lines, first_lineno: int, want: int) -> np.ndarray:

@@ -382,8 +382,10 @@ def refine(x: np.ndarray, residual, correct, scale, lin_tol: float) -> float:
     """Iterative refinement of the unknowns x: r = residual(), then up to
     three rounds of correct(r), which updates x in place, each measured by a
     new r = residual().  Stops once |r| / scale() <= 0.01 lin_tol or is not
-    finite, or once a correction does not reduce |r|; such a correction is
-    undone.  Returns |r| / scale() of x as it is left."""
+    finite, once a correction does not reduce |r| (it is undone), or once
+    |r| / scale() <= lin_tol after a correction that did not halve |r| (it
+    is kept): past that point a correction meets the residual floor of the
+    solve and buys little.  Returns |r| / scale() of x as it is left."""
     r = residual()
     r_norm = norm2(r)
     rel = r_norm / scale()
@@ -398,6 +400,8 @@ def refine(x: np.ndarray, residual, correct, scale, lin_tol: float) -> float:
             x[...] = kept
             return last / scale()
         rel = r_norm / scale()
+        if rel <= lin_tol and r_norm > 0.5 * last:
+            break
     return rel
 
 

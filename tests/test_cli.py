@@ -15,7 +15,7 @@ from selfsim import (cli, field as fld, hodge, potential, quasipotential,
                      regime, vorticity)
 from selfsim.errors import IndefiniteSystem, LinearStagnation
 
-from conftest import quiescent_field
+from conftest import per_value_f2d, quiescent_field
 
 
 _QUASI_GRID = {"x0": 0.1, "x1": 0.6, "y0": 0.1, "y1": 0.6, "nx": 17, "ny": 17}
@@ -197,6 +197,45 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, command):
         runs.append(_all_files(d))
     assert "report.json" in runs[0] and len(runs[0]) > 1
     assert runs[0] == runs[1]
+
+
+def test_every_written_f2d_is_the_per_value_join(tmp_path):
+    # each command's F2D files are byte for byte the "%.17g" join of the
+    # values read back from them (17 digits round-trip exactly)
+    inp, pot, quasi, out = (tmp_path / d for d in ("in", "pot", "quasi",
+                                                   "out"))
+    for d in (inp, pot, quasi):
+        d.mkdir()
+    grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 17, 17)
+    U = ss.VectorField.from_function(grid, lambda x, y: -x - 0.1 * y * y,
+                                     lambda x, y: -y + 0.1 * np.sin(5 * x))
+    fld.write_field(U, inp / "U.f2d")
+    fld.write_field(ss.ScalarField.from_function(grid, lambda x, y: 1.0),
+                    inp / "c2.f2d")
+    fld.write_field(quiescent_field(grid, 0.0), inp / "psi.f2d")
+    (inp / "inflow.json").write_text('{"top": 1.0, "right": 1.0}')
+    quasi_cfg = small_config(quasi, grid=_QUASI_GRID, quasi={
+        "delta_targets": [0.0, 1e-3], "anchor": [8, 8]})
+    for argv in (["solve-potential", "--config", str(small_config(pot))],
+                 ["solve-quasi", "--config", str(quasi_cfg)],
+                 ["classify", "--u", str(inp / "U.f2d"),
+                  "--c2", str(inp / "c2.f2d"), "--out-dir", str(out)],
+                 ["decompose", "--u", str(inp / "U.f2d"),
+                  "--out-dir", str(out)],
+                 ["transport", "--psi", str(inp / "psi.f2d"),
+                  "--inflow", str(inp / "inflow.json"),
+                  "--out-dir", str(out)]):
+        assert cli.main(argv) == 0
+    written = [p for d in (pot, quasi, out) for p in sorted(d.glob("*.f2d"))]
+    assert sorted(p.name for p in written) == sorted([
+        "phi.f2d", "c2.f2d", "L2.f2d",                    # solve-potential
+        "psi.f2d", "zeta.f2d", "omega_tilde.f2d", "c2.f2d",  # solve-quasi
+        "F1.f2d", "N1.f2d",
+        "L2.f2d", "discriminant.f2d",                     # classify
+        "psi.f2d", "W.f2d", "F.f2d",                      # decompose
+        "omega.f2d"])                                     # transport
+    for path in written:
+        assert path.read_bytes() == per_value_f2d(fld.read_field(path))
 
 
 def test_boundary_table_kind(tmp_path):

@@ -9,6 +9,8 @@ import selfsim as ss
 from selfsim import field as fld
 from selfsim.errors import DimensionMismatch, DomainError, FormatError
 
+from conftest import per_value_f2d
+
 
 @pytest.fixture
 def grid():
@@ -123,21 +125,6 @@ def test_f2d_vector_round_trip(tmp_path, grid):
     assert np.array_equal(W.u, V.u) and np.array_equal(W.v, V.v)
 
 
-def _per_value_f2d(field):
-    """F2D text formatted one numpy value at a time (the reference)."""
-    g = field.grid
-    kind = "scalar" if isinstance(field, ss.ScalarField) else "vector"
-    lines = ["F2D %d %d %.17g %.17g %.17g %.17g %s" % (
-        g.nx, g.ny, g.x0, g.x1, g.y0, g.y1, kind)]
-    for j in range(g.ny):
-        for i in range(g.nx):
-            if kind == "scalar":
-                lines.append("%.17g" % field.values[j, i])
-            else:
-                lines.append("%.17g %.17g" % (field.u[j, i], field.v[j, i]))
-    return ("\n".join(lines) + "\n").encode()
-
-
 def test_f2d_special_values_round_trip(tmp_path):
     grid = ss.Grid2D(-1.0, 1.0, -0.5, 0.5, 4, 3)
     special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308]
@@ -147,7 +134,7 @@ def test_f2d_special_values_round_trip(tmp_path):
                   ss.VectorField(grid, vals, vals[::-1])):
         p = tmp_path / "s.f2d"
         fld.write_field(field, p)
-        assert p.read_bytes() == _per_value_f2d(field)
+        assert p.read_bytes() == per_value_f2d(field)
         back = fld.read_field(p)
         pairs = ([(back.values, field.values)]
                  if isinstance(field, ss.ScalarField)
@@ -157,8 +144,8 @@ def test_f2d_special_values_round_trip(tmp_path):
 
 
 def test_f2d_writer_matches_the_per_value_join(tmp_path):
-    # the body is one % operation on the interleaved values: the bytes of
-    # a "%.17g" join value by value, u before v on each line
+    # the body is byte for byte a "%.17g" join value by value, u before v
+    # on each line
     grid = ss.Grid2D(0.0, 1.0, 0.0, 2.0, 5, 4)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 1e-300,
                -1e-300]
@@ -168,7 +155,84 @@ def test_f2d_writer_matches_the_per_value_join(tmp_path):
                   ss.VectorField(grid, vals, -vals[::-1])):
         p = tmp_path / "f.f2d"
         fld.write_field(field, p)
-        assert p.read_bytes() == _per_value_f2d(field)
+        assert p.read_bytes() == per_value_f2d(field)
+
+
+def _signed(x):
+    return np.concatenate([x, -x])
+
+
+def _neighbours(x):
+    """x with the doubles 1 ulp below and above it."""
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x, np.nextafter(x, -np.inf),
+                           np.nextafter(x, np.inf)])
+
+
+def _decades():
+    # 1e-330 (0) ... 1e308 with their neighbours, and a random significand
+    # in every decade
+    tens = np.array([float(f"1e{p}") for p in range(-330, 309)])
+    mant = np.random.default_rng(11).uniform(1.0, 10.0, tens.size)
+    mant[-1] = 1.5  # below the largest double
+    return _signed(np.concatenate([_neighbours(tens), mant * tens]))
+
+
+def _near_fixed_range():
+    # 1e-25 ... 1e25 (the fixed-notation range is 1e-4 <= |v| < 1e17) and
+    # the doubles up to 2 ulp from each, where the decimal exponent turns
+    tens = np.array([float(f"1e{p}") for p in range(-25, 26)])
+    return _signed(_neighbours(_neighbours(tens)))
+
+
+def _ties():
+    # exact decimals of 18 significant digits ending in 5, half-way between
+    # two 17-digit values: 1 + j/2**17 (131073/131072 prints as
+    # 1.0000076293945312) and m + k/8 with 15 integer digits
+    odd = np.arange(1, 2 ** 17, 2)
+    m = np.random.default_rng(12).integers(10 ** 14, 2 ** 47, 2000)
+    return _signed(np.concatenate([1 + odd / 2 ** 17,
+                                   m + (2 * (m % 4) + 1) / 8]))
+
+
+def _specials():
+    return _signed(np.array([
+        0.0, np.nan, np.inf, 5e-324, 2.2250738585072009e-308,
+        2.2250738585072014e-308, 1.7976931348623157e308, 1e-4,
+        9.9999999999999991e-5, 1e17, 99999999999999984.0]))
+
+
+_VALUE_SETS = {
+    "bit-patterns": lambda rng: rng.integers(
+        0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64),
+    "decades": lambda rng: _decades(),
+    "near-fixed-range": lambda rng: _near_fixed_range(),
+    "ties": lambda rng: _ties(),
+    "specials": lambda rng: _specials(),
+    # every value is outside the fixed-notation range, and none is
+    "all-fallback": lambda rng: _signed(rng.uniform(1.0, 10.0, 500) * 10.0
+                                        ** rng.choice([-300, -6, -5, 17, 300],
+                                                      500)),
+    "no-fallback": lambda rng: _signed(rng.uniform(1.0, 10.0, 500) * 10.0
+                                       ** rng.integers(-4, 17, 500)),
+    # 3 blocks of 4096 values and a part, scalar; 6 blocks and a part, vector
+    "block-seams": lambda rng: rng.normal(size=3 * 4096 + 17),
+}
+
+
+@pytest.mark.parametrize("name", _VALUE_SETS)
+def test_f2d_writer_is_the_per_value_join_on_every_value(tmp_path, name):
+    rng = np.random.default_rng(10)
+    values = _VALUE_SETS[name](rng)
+    nx = 97
+    ny = max(3, -(-values.size // nx))
+    values = np.resize(values, nx * ny)  # repeats values to fill the grid
+    grid = ss.Grid2D(-1.0, 1.0, 0.0, 3.0, nx, ny)
+    for field in (ss.ScalarField(grid, values),
+                  ss.VectorField(grid, values, rng.permutation(values))):
+        p = tmp_path / "f.f2d"
+        fld.write_field(field, p)
+        assert p.read_bytes() == per_value_f2d(field)
 
 
 def test_f2d_comments_and_blank_lines(tmp_path, monkeypatch):

@@ -125,18 +125,26 @@ def test_linear_solve_recovers_manufactured(law, grid):
 
 
 @pytest.mark.parametrize("norms, corrections, last", [
-    # the 129^2 decompose: the second correction raises |r|, and it stops
-    ([6.9e-13, 4.7e-13, 4.9e-13], 2, 4.9e-13),
+    # the 129^2 decompose: within lin_tol, the first correction does not
+    # halve |r|, and it stops there
+    ([6.9e-13, 4.7e-13], 1, 4.7e-13),
     # three corrections, each measured, the last one included
     ([1.0, 0.5, 0.25, 0.125], 3, 0.125),
     ([1e-14], 0, 1e-14),             # on target before any correction
     ([1.0, 1e-14], 1, 1e-14),
     ([1.0, np.nan], 1, np.nan),
     # a correction that raises |r| far is undone, not returned
-    ([1.0, 0.5, 7.0], 2, 7.0)])
+    ([1.0, 0.5, 7.0], 2, 7.0),
+    # above lin_tol a correction that does not halve |r| is followed by more
+    ([1.0, 0.9, 0.8, 0.7], 3, 0.7),
+    # within lin_tol: halving goes on, the first correction short of it
+    # is kept and ends the refinement
+    ([5e-12, 4e-12], 1, 4e-12),
+    ([5e-12, 2e-12, 1.5e-12], 2, 1.5e-12)])
 def test_refine_measures_every_correction(norms, corrections, last):
     # residual() returns the scripted norms one at a time; the target is
-    # 0.01 lin_tol = 1e-13; x counts the corrections applied to it
+    # 0.01 lin_tol = 1e-13 with lin_tol = 1e-11; x counts the corrections
+    # applied to it
     script = iter(norms)
     corrected = []
     x = np.zeros(1)
