@@ -6,7 +6,9 @@ W = U - grad(psi) is discretely divergence-free at interior nodes up to the
 linear-solver residual (not just to truncation order).  That system is
 separable: after the frame nodes of each grid line are eliminated, the
 interior block is a Kronecker sum of two 1-D operators, solved exactly by
-fast diagonalization (_NeumannSolver), with no sparse factorization.
+fast diagonalization (_NeumannSolver).  The Dirichlet Poisson solve
+(_solve_poisson_dirichlet) is diagonalized by the sine transform of each
+axis (_SineLaplacian).  Neither builds a sparse matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.linalg
 
 from . import field as fld, potential
@@ -23,26 +24,6 @@ from .errors import (DomainError, NonSolenoidalInput, SolverError,
                      check_positive)
 from .field import Grid2D, ScalarField, VectorField
 from .gas import GasLaw, enthalpy
-
-
-def _diff1_matrix(n: int, h: float) -> sp.csr_matrix:
-    """1-D first-derivative operator matching field.diff1."""
-    one_sided = sp.csr_matrix(([-3.0, 4.0, -1.0, 1.0, -4.0, 3.0],
-                               ([0, 0, 0, 1, 1, 1],
-                                [0, 1, 2, n - 3, n - 2, n - 1])),
-                              shape=(2, n))
-    centered = sp.diags([-1.0, 1.0], [0, 2], shape=(n - 2, n))
-    D = sp.vstack([one_sided[0], centered, one_sided[1]])
-    return (D / (2.0 * h)).tocsr()
-
-
-def gradient_operators(grid: Grid2D):
-    """Sparse (Gx, Gy) acting on row-major flattened fields."""
-    Dx = _diff1_matrix(grid.nx, grid.hx)
-    Dy = _diff1_matrix(grid.ny, grid.hy)
-    Gx = sp.kron(sp.identity(grid.ny, format="csr"), Dx, format="csr")
-    Gy = sp.kron(Dy, sp.identity(grid.nx, format="csr"), format="csr")
-    return Gx, Gy
 
 
 def _boundary_normals(grid: Grid2D):
@@ -200,10 +181,9 @@ class _Line:
     @staticmethod
     @functools.lru_cache(maxsize=2)
     def unit(n: int) -> "_Line":
-        """The line at h = 1; D^2 as a sparse product (see _mm)."""
-        D = _diff1_matrix(n, 1.0)
-        D2 = (D @ D).toarray()
-        D = D.toarray()
+        """The line at h = 1; D and D^2 by field.diff1, with no product."""
+        D = fld.diff1(np.eye(n), 1.0, axis=0)
+        D2 = fld.diff1(D, 1.0, axis=0)
         F, I = [0, n - 1], slice(1, n - 1)
         D_FF, D_FI = D[F][:, F], D[F, I]
         Finv = np.linalg.inv(D_FF)
@@ -308,23 +288,45 @@ def stream_function(W: VectorField) -> tuple[ScalarField, float]:
 def _solve_poisson_dirichlet(grid: Grid2D, rhs: np.ndarray,
                              boundary: np.ndarray) -> np.ndarray:
     """Compact 5-point Laplacian with Dirichlet frame data."""
+    coef = potential.stencil_coefficients(grid, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    laplacian = _SineLaplacian(grid, tuple(np.broadcast_to(c, grid.shape)
+                                           for c in coef), lambda_min=1.0)
     return potential.solve_linear_dirichlet(
-        _laplacian(grid), ScalarField(grid, rhs),
-        ScalarField(grid, boundary)).values
+        laplacian, ScalarField(grid, rhs), ScalarField(grid, boundary)).values
 
 
-@functools.lru_cache(maxsize=1)
-def _laplacian(grid: Grid2D) -> potential.FrozenSystem:
+def _dst(a: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis, an involution.  The rfft of
+    (0, a) zero-padded to 2(m + 1) has -i times the sine sums as its modes
+    1 .. m: half those of the odd extension (0, a, 0, -reversed a)."""
+    m = a.shape[-1]
+    ext = np.zeros(a.shape[:-1] + (m + 1,))
+    ext[..., 1:] = a
+    return np.fft.rfft(ext, 2 * m + 2).imag[..., 1:-1] * -np.sqrt(2 / (m + 1))
+
+
+class _SineLaplacian(potential.FrozenSystem):
     """diff2_x + diff2_y as a Dirichlet stencil operator (margin 1).
 
-    Cached per grid, so its LU is factored once for every Poisson solve on
-    that grid.
+    apply and anorm use its 5-point stencil.  Its interior block is the
+    Kronecker sum of the compact diff2 of each axis with zero end values,
+    which the orthonormal DST-I of that axis diagonalizes (Buzbee, Golub &
+    Nielson, SIAM J. Numer. Anal. 7, 1970), with the eigenvalues
+    (2 cos(pi k / (n - 1)) - 2) / h^2, k = 1 .. n - 2, of a line of n nodes.
+    So factor() is the transform solve itself: no LU, no cache.
     """
-    one, zero = np.ones(grid.shape), np.zeros(grid.shape)
-    return potential.FrozenSystem(
-        grid,
-        potential.stencil_coefficients(grid, one, zero, one, zero, zero, 0.0),
-        lambda_min=1.0)
+
+    def factor(self) -> "_SineLaplacian":
+        return self
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The interior unknowns, row-major, like the solve of an LU."""
+        g = self.grid
+        ky, kx = np.ogrid[1:g.ny - 1, 1:g.nx - 1]
+        eig = ((2.0 * np.cos(np.pi * ky / (g.ny - 1)) - 2.0) / (g.hy * g.hy)
+               + (2.0 * np.cos(np.pi * kx / (g.nx - 1)) - 2.0) / (g.hx * g.hx))
+        f = _dst(_dst(b.reshape(eig.shape)).T).T / eig
+        return _dst(_dst(f).T).T.ravel()
 
 
 def bernoulli_GH(U: VectorField, W: VectorField,

@@ -16,7 +16,8 @@ keeps a Jacobian's LU while the steps it gives are full and contract by
 _CONTRACTION, and refactors otherwise; it may start from the factored
 Jacobian of an earlier solve.  FrozenSystem solved by
 solve_linear_dirichlet is the single Dirichlet operator path: the LU covers
-the interior unknowns only, and the Poisson solve of hodge uses it too.
+the interior unknowns only.  The Poisson solve of hodge uses it too, with a
+sine transform as its factor.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class EpsilonSchedule:
     def stages(self) -> list[float]:
         out = []
         eps = self.eps0
-        while eps > self.eps_min and not np.isclose(eps, self.eps_min):
+        while eps > self.eps_min * (1.0 + 1e-5):  # relative, for any eps_min
             out.append(eps)
             eps *= self.ratio
         out.append(self.eps_min)
@@ -246,18 +247,17 @@ _OFFSETS = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0),
 
 
 @functools.lru_cache(maxsize=8)
-def _interior_pattern(shape: tuple, used: tuple) -> tuple:
+def _interior_pattern(shape: tuple) -> tuple:
     """CSC pattern (take, indices, indptr) of the interior stencil block.
 
-    used flags the coefficient arrays that store entries; the matrix data
-    are the interior values of those arrays, concatenated, indexed by take.
+    The matrix data are the interior values of the nine coefficient arrays,
+    concatenated, indexed by take.
     """
     ny, nx = shape
     mx, my = nx - 2, ny - 2
     J, I = np.mgrid[0:my, 0:mx]
     rows, cols, src = [], [], []
-    offsets = [o for o, u in zip(_OFFSETS, used) if u]
-    for k, (dj, di) in enumerate(offsets):
+    for k, (dj, di) in enumerate(_OFFSETS):
         jj, ii = J + dj, I + di
         inner = (jj >= 0) & (jj < my) & (ii >= 0) & (ii < mx)
         rows.append((J * mx + I)[inner])
@@ -299,15 +299,11 @@ class FrozenSystem:
 
         Entries that couple to a frame node are left out: the frame values
         are known, and solve_linear_dirichlet moves them to the right-hand
-        side.  A coefficient array zero on the whole interior stores no
-        entries, so a 5-point operator keeps its 5-point pattern.
+        side.
         """
         if self._matrix is None:
-            inner = [cf[1:-1, 1:-1] for cf in self.coef]
-            used = tuple(bool(vals.any()) for vals in inner)
-            take, indices, indptr = _interior_pattern(self.grid.shape, used)
-            data = np.concatenate([vals.ravel() for vals, u in zip(inner, used)
-                                   if u])
+            take, indices, indptr = _interior_pattern(self.grid.shape)
+            data = np.concatenate([cf[1:-1, 1:-1].ravel() for cf in self.coef])
             self._matrix = sp.csc_matrix((data[take], indices, indptr),
                                          shape=(indptr.size - 1,) * 2)
         return self._matrix
@@ -410,9 +406,10 @@ def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
                            lin_tol: float = 1e-11) -> ScalarField:
     """Solve L_eps phi = rhs (interior) with phi = phi_b on the frame.
 
-    Direct sparse LU of the interior block (FrozenSystem.matrix), with the
-    frame data on the right-hand side, then iterative refinement against
-    the full stencil (apply); deterministic for fixed inputs.  Raises
+    Direct solve of the interior block by system.factor() (the sparse LU of
+    FrozenSystem.matrix, or a subclass's own), with the frame data on the
+    right-hand side, then iterative refinement against the full stencil
+    (apply); deterministic for fixed inputs.  Raises
     IndefiniteSystem when nodewise ellipticity fails and LinearStagnation
     when the relative residual exceeds lin_tol.
     """
@@ -427,7 +424,7 @@ def solve_linear_dirichlet(system: FrozenSystem, rhs: ScalarField | None,
         b[inner] = rhs.values[inner]
     lu = system.factor()
 
-    def correct(resid):  # interior LU solve; resid is zero on the frame
+    def correct(resid):  # interior solve; resid is zero on the frame
         x[inner] -= lu.solve(resid[inner].ravel()).reshape(x[inner].shape)
 
     correct(system.apply(x) - b)

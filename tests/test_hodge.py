@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import selfsim as ss
@@ -51,12 +52,33 @@ def test_decompose_rejects_nonfinite(grid):
             hodge.decompose(U, lin_tol=lin_tol)
 
 
+def _diff1_matrix(n, h):
+    """Sparse 1-D first-derivative operator, written out from the stencil
+    of field.diff1: centered inside, one-sided second order at the ends."""
+    one_sided = sp.csr_matrix(([-3.0, 4.0, -1.0, 1.0, -4.0, 3.0],
+                               ([0, 0, 0, 1, 1, 1],
+                                [0, 1, 2, n - 3, n - 2, n - 1])),
+                              shape=(2, n))
+    centered = sp.diags([-1.0, 1.0], [0, 2], shape=(n - 2, n))
+    D = sp.vstack([one_sided[0], centered, one_sided[1]])
+    return (D / (2.0 * h)).tocsr()
+
+
+def gradient_operators(grid):
+    """Sparse (Gx, Gy) acting on row-major flattened fields."""
+    Dx = _diff1_matrix(grid.nx, grid.hx)
+    Dy = _diff1_matrix(grid.ny, grid.hy)
+    Gx = sp.kron(sp.identity(grid.ny, format="csr"), Dx, format="csr")
+    Gy = sp.kron(Dy, sp.identity(grid.nx, format="csr"), format="csr")
+    return Gx, Gy
+
+
 def _zero_mean_bordered_psi(U):
     """Reference psi: a dense solve of the Neumann system bordered by the
     boundary multiplier column and the row mean(psi) = 0."""
     grid = U.grid
     N = grid.nx * grid.ny
-    Gx, Gy = hodge.gradient_operators(grid)
+    Gx, Gy = gradient_operators(grid)
     interior = np.zeros(grid.shape, bool)
     interior[1:-1, 1:-1] = True
     interior = interior.ravel()
@@ -112,7 +134,7 @@ def test_decompose_solves_without_sparse_lu(monkeypatch, n):
 
 def _line_operator(n):
     """Dense A = (D^2)_II - (D^2)_IF D_FF^-1 D_FI of the 1-D Neumann line."""
-    D = hodge._diff1_matrix(n, 1.0).toarray()
+    D = _diff1_matrix(n, 1.0).toarray()
     F, I = [0, n - 1], slice(1, n - 1)
     D2 = D @ D
     return D2[I, I] - D2[I][:, F] @ np.linalg.solve(D[F][:, F], D[F, I])
@@ -232,22 +254,38 @@ def test_bernoulli_fields_bundle(grid):
 def test_gradient_operators_match_field_gradient(grid):
     rng = np.random.default_rng(11)
     f = ss.ScalarField(grid, rng.normal(size=grid.shape))
-    Gx, Gy = hodge.gradient_operators(grid)
+    Gx, Gy = gradient_operators(grid)
     g = fld.gradient(f)
     assert np.max(np.abs(Gx @ f.values.ravel() - g.u.ravel())) <= 1e-12
     assert np.max(np.abs(Gy @ f.values.ravel() - g.v.ravel())) <= 1e-12
 
 
-def test_laplacian_matrix_is_5_point(grid):
-    # interior unknowns only: 5 entries per row less the frame neighbours
-    A = hodge._laplacian(grid).matrix()
-    n = (grid.ny - 2) * (grid.nx - 2)
-    assert A.shape == (n, n)
-    per_row = np.diff(A.tocsr().indptr).reshape(grid.ny - 2, grid.nx - 2)
-    assert np.all(per_row[1:-1, 1:-1] == 5)
-    assert np.all(per_row[0, 1:-1] == 4) and np.all(per_row[-1, 1:-1] == 4)
-    assert np.all(per_row[1:-1, 0] == 4) and np.all(per_row[1:-1, -1] == 4)
-    assert np.all(per_row[[0, 0, -1, -1], [0, -1, 0, -1]] == 3)
+@pytest.mark.parametrize("shape", [(3, 3), (4, 5), (16, 16), (17, 17),
+                                   (33, 17)])
+def test_poisson_dirichlet_matches_dense_5_point(monkeypatch, shape):
+    # the sine-transform solve is the discrete problem: the dense solve of
+    # the interior 5-point rows and the identity frame rows, for hx != hy,
+    # odd and even node counts and a single inner node; it factors no LU
+    def no_splu(*args, **kwargs):
+        raise AssertionError("the Poisson solve called splu")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+    g = ss.Grid2D(0.0, 1.0, -0.5, 0.1, *shape)
+    rng = np.random.default_rng(sum(shape))
+    rhs, frame = rng.normal(size=g.shape), rng.normal(size=g.shape)
+    ny, nx = g.shape
+    A = np.eye(nx * ny)
+    for j in range(1, ny - 1):
+        for i in range(1, nx - 1):
+            k = j * nx + i
+            A[k, k] = -2.0 / g.hx ** 2 - 2.0 / g.hy ** 2
+            A[k, [k - 1, k + 1]] = 1.0 / g.hx ** 2
+            A[k, [k - nx, k + nx]] = 1.0 / g.hy ** 2
+    b = frame.copy()
+    b[1:-1, 1:-1] = rhs[1:-1, 1:-1]
+    ref = np.linalg.solve(A, b.ravel()).reshape(g.shape)
+    zeta = hodge._solve_poisson_dirichlet(g, rhs, frame)
+    assert np.max(np.abs(zeta - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_poisson_dirichlet_rejects_non_finite_rhs(grid):

@@ -78,6 +78,16 @@ def test_epsilon_schedule():
         potential.EpsilonSchedule(eps0=np.inf)
 
 
+@pytest.mark.parametrize("eps_min", [1e-9, 1e-12])
+def test_epsilon_schedule_keeps_its_ratio_down_to_a_small_eps_min(eps_min):
+    # eps_min is reached by steps no larger than ratio: a tolerance absolute
+    # in eps, of the size of eps_min, must not jump the last stages
+    s = potential.EpsilonSchedule(eps0=0.1, ratio=0.5, eps_min=eps_min)
+    stages = np.array(s.stages())
+    assert stages[-1] == eps_min and stages[-2] > eps_min
+    assert np.all(stages[1:] / stages[:-1] >= 0.5)
+
+
 def test_params_validation():
     with pytest.raises(ConfigError):
         potential.PicardParams(tol_fixed_point=-1.0)

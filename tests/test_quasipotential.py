@@ -3,6 +3,7 @@ linearized operator, coupled solver reduction and rotational diagnostics."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import selfsim as ss
 from selfsim import field as fld, hodge, potential, quasipotential as qp
@@ -251,26 +252,33 @@ def test_solve_quasi_carries_one_jacobian(law, monkeypatch):
     cfg = qp.QuasiConfig(delta_targets=[1e-3, 1e-2], zeta_b=zeta_b,
                          anchor=(8, 8), outer_tol=1e-9)
     picard_solve = potential.picard_solve
+    assemble, splu = potential.assemble_frozen, scipy.sparse.linalg.splu
+    assembled, factored = [], []
 
     def fresh(*args, system=None, **kwargs):
         return picard_solve(*args, **kwargs)
 
+    def counted(calls, fn):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(potential, "assemble_frozen",
+                        counted(assembled, assemble))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted(factored, splu))
     monkeypatch.setattr(potential, "picard_solve", fresh)
     ref, ref_rep = qp.solve_quasi(cfg, base)
-    monkeypatch.undo()
-    assembled = []
-    assemble = potential.assemble_frozen
-
-    def counted(*args, **kwargs):
-        assembled.append(1)
-        return assemble(*args, **kwargs)
-
-    monkeypatch.setattr(potential, "assemble_frozen", counted)
+    # every LU is a Jacobian's: the zeta~ Poisson solves factor none
+    assert len(factored) == len(assembled) > 2
+    monkeypatch.setattr(potential, "picard_solve", picard_solve)
+    del assembled[:], factored[:]
     state, rep = qp.solve_quasi(cfg, base)
     sweeps = [s["outer_iters"] for s in rep.stages]
     assert (rep.status, rep.path) == ("Converged", "direct")
     assert sweeps == [s["outer_iters"] for s in ref_rep.stages]
     assert len(assembled) <= 2 < 1 + sum(sweeps)
+    assert len(factored) == len(assembled)
     assert np.max(np.abs(state.psi.values - ref.psi.values)) <= 1e-12
 
 
