@@ -36,20 +36,27 @@ _REACH = 3
 
 
 def apply_stencil(coef, f):
-    """Apply a 9-point stencil at interior nodes; frame nodes pass through."""
-    cc, ce, cw, cn, cs, cne, cnw, cse, csw = coef
+    """Apply a 9-point stencil (cc, ce, cw, cn, cs, cne, cnw, cse, csw) at
+    interior nodes, or the 5-point one of its first five arrays when coef
+    holds only those; frame nodes pass through."""
+    cc, ce, cw, cn, cs = coef[:5]
     out = f.copy()
-    out[1:-1, 1:-1] = (
+    inner = (
         cc[1:-1, 1:-1] * f[1:-1, 1:-1]
         + ce[1:-1, 1:-1] * f[1:-1, 2:]
         + cw[1:-1, 1:-1] * f[1:-1, :-2]
         + cn[1:-1, 1:-1] * f[2:, 1:-1]
         + cs[1:-1, 1:-1] * f[:-2, 1:-1]
-        + cne[1:-1, 1:-1] * f[2:, 2:]
-        + cnw[1:-1, 1:-1] * f[2:, :-2]
-        + cse[1:-1, 1:-1] * f[:-2, 2:]
-        + csw[1:-1, 1:-1] * f[:-2, :-2]
     )
+    if len(coef) == 9:
+        # in place: a sum into a new array would allocate one more array
+        # per call, where numpy's chained sum reuses its temporary
+        cne, cnw, cse, csw = coef[5:]
+        inner += cne[1:-1, 1:-1] * f[2:, 2:]
+        inner += cnw[1:-1, 1:-1] * f[2:, :-2]
+        inner += cse[1:-1, 1:-1] * f[:-2, 2:]
+        inner += csw[1:-1, 1:-1] * f[:-2, :-2]
+    out[1:-1, 1:-1] = inner
     return out
 
 
@@ -76,9 +83,10 @@ def apply_stencil(coef, f):
 # the caller interpolates there from nodes it has already solved, so a path
 # takes O(1) steps, not O(1 / h).  Without the cell rule, a clamped stencil
 # next to the frame can hold the start node itself.
-# All live nodes march together, one step each at a time; a node whose step
-# would leave the frame records its start point and leaves the march.  After
-# the march one batched root find runs over all crossed nodes: regula falsi
+# The start points go in blocks of _BLOCK.  All live nodes of a block march
+# together, one step each at a time; a node whose step would leave the frame
+# records its start point and leaves the march.  After the march one batched
+# root find runs over all crossed nodes of the block: regula falsi
 # with the Illinois modification, bracketed by [0, dt], for _EXIT_ITERS
 # iterations, each keeping lo inside the frame and hi outside.  The secant
 # runs on the signed distance outside the side that hi is farthest out of,
@@ -86,7 +94,9 @@ def apply_stencil(coef, f):
 # lo, where a secant on it stalls), and the point of sub-step lo is snapped
 # onto that side: the closest one (the one it ran along) may not be inflow.
 # A root find depends only on the node's own crossing step, so each node
-# sees the same arithmetic as when solved alone at the step it crossed.
+# sees the same arithmetic as when solved alone at the step it crossed, and
+# the block size changes no bit of the result; it bounds the march's
+# temporaries, a few hundred bytes per live node, to a few MB.
 #
 # Samples gather from one corner table per call, holding for each cell's
 # lower-left node p the corners p, p + 1, p + nx, p + nx + 1 of (sgn gx,
@@ -101,6 +111,8 @@ def apply_stencil(coef, f):
 # 1.2e-14 dt of 48 halvings' crossing, six only within 8.7e-13 dt on the
 # spiral
 _EXIT_ITERS = 8
+# start points marched and root-found at a time, see above
+_BLOCK = 4096
 
 
 def _corners(fields, x0, y0, hx, hy, nx, ny):
@@ -146,14 +158,38 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     status is TRACE_EXITED (hit on the frame), TRACE_FOOT (hit at the first
     step point _REACH cells from the start whose cell is 1 .. n - 3 on both
     axes), TRACE_STAGNATION or TRACE_MAXLEN (after ceil(max_len / dt)
-    steps).
+    steps).  The corner table is built once; the start points are marched
+    and root-found in blocks of _BLOCK, which bounds the temporaries and
+    leaves every result bit as one block gives it.
     """
     tab, geom = _corners(np.stack([sgn * gx, sgn * gy, gdiv]),
                          x0, y0, hx, hy, nx, ny)
+    reach = _REACH * geom[1].max()
+    # stag_tol only keeps the dt of a node that stagnates at step 0 finite
+    lip = np.sqrt(sum((np.abs(np.diff(f, axis=ax)) / hh).max(initial=0.0)
+                      ** 2 for f in (gx, gy) for ax, hh in ((1, hx), (0, hy))))
+    floor = max(lip * reach, stag_tol)
+    frame = (np.array([[x0], [y0]]), np.array([[x1], [y1]]))
+    n = xs.size
+    acc = np.zeros(n)
+    length = np.zeros(n)
+    hit = np.array([xs, ys], dtype=float)
+    status = np.full(n, TRACE_MAXLEN, np.int8)
+    for lo in range(0, n, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        _trace_block(tab, geom, frame, reach, floor, step, max_len, stag_tol,
+                     acc[blk], hit[:, blk], status[blk], length[blk])
+    return acc, hit[0], hit[1], status, length
+
+
+def _trace_block(tab, geom, frame, reach, floor, step, max_len, stag_tol,
+                 acc, hit, status, length):
+    """March and root-find one block of trace_all, whose start points hit
+    (2, m) holds: fills these views of its results in place.  ``floor`` is
+    the floor of the speed |b(p0)| in a node's r-step."""
     txy, tdiv = tab[:8], tab[8:]
     origin, h, top = geom[:3]
-    reach = _REACH * h.max()
-    frame_lo, frame_hi = np.array([[x0], [y0]]), np.array([[x1], [y1]])
+    frame_lo, frame_hi = frame
 
     def inside(q):
         return ((frame_lo <= q) & (q <= frame_hi)).all(axis=0)
@@ -162,20 +198,12 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
         # signed distances outside the four sides: 0 .. 3 for x0, y0, x1, y1
         return np.concatenate([frame_lo - q, q - frame_hi])
 
-    n = xs.size
-    acc = np.zeros(n)
-    length = np.zeros(n)
-    hit = np.array([xs, ys], dtype=float)
-    status = np.full(n, TRACE_MAXLEN, np.int8)
     # the march keeps only live nodes: ids, start points p0, points p, sums
     # a, r-steps dt, step budgets m, and the samples s = (sgn bx, sgn by,
     # div b) at p, which the next step reuses
-    ids, p0, p, a = np.arange(n), hit.copy(), hit.copy(), acc.copy()
+    ids, p0, p, a = np.arange(acc.size), hit.copy(), hit.copy(), acc.copy()
     s = _sample(tab, p, geom)
-    # stag_tol only keeps the dt of a node that stagnates at step 0 finite
-    lip = np.sqrt(sum((np.abs(np.diff(f, axis=ax)) / hh).max(initial=0.0)
-                      ** 2 for f in (gx, gy) for ax, hh in ((1, hx), (0, hy))))
-    dt = step / np.maximum(np.hypot(s[0], s[1]), max(lip * reach, stag_tol))
+    dt = step / np.maximum(np.hypot(s[0], s[1]), floor)
     m = np.ceil(max_len / dt)
     # per step: ids, start points, sums, k1, g0, dt, lengths, gap and side
     crossed = []
@@ -247,7 +275,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
         g1 = 1.0 + _sample(tdiv, pb, geom)[0]
         acc[ids] = a + 0.5 * lo * (g0 + g1)
         length[ids] = r + lo
+        (x0, y0), (x1, y1) = frame_lo[:, 0], frame_hi[:, 0]
         hit[0, ids] = np.where(side == 0, x0, np.where(side == 2, x1, xb))
         hit[1, ids] = np.where(side == 1, y0, np.where(side == 3, y1, yb))
         status[ids] = TRACE_EXITED
-    return acc, hit[0], hit[1], status, length

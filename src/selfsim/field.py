@@ -22,6 +22,7 @@ gives the exactness argument.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -368,42 +369,50 @@ def _parse_rows(lines, first_lineno: int, want: int) -> np.ndarray:
 
 
 def read_field(path):
-    """Parse an F2D file into a ScalarField or VectorField."""
+    """Parse an F2D file into a ScalarField or VectorField.
+
+    The header is the first line with text outside a "#" comment.  The open
+    file after it goes to one np.loadtxt call, which takes the body a line
+    at a time, so no list of the body's lines is held.  Only when loadtxt
+    fails or finds the wrong column count are the body's lines read again,
+    for _parse_rows to name the bad line (or to accept what float()
+    accepts).
+    """
     with open(path) as fh:
-        raw = fh.readlines()
-    header = None
-    for header_line, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if text:
-            header = text.split()
-            break
-    if header is None:
-        raise FormatError("missing F2D header", line=1)
-    if len(header) != 8 or header[0] != "F2D":
-        raise FormatError("header must be 'F2D nx ny x0 x1 y0 y1 kind'",
-                          line=header_line)
-    try:
-        nx, ny = int(header[1]), int(header[2])
-        x0, x1, y0, y1 = (float(t) for t in header[3:7])
-    except ValueError as exc:
-        raise FormatError(str(exc), line=header_line) from exc
-    kind = header[7]
-    if kind not in ("scalar", "vector"):
-        raise FormatError(f"unknown field kind {kind!r}", line=header_line)
-    grid = Grid2D(x0, x1, y0, y1, nx, ny)
-    want = 1 if kind == "scalar" else 2
-    body = raw[header_line:]
-    data = None
-    # one loadtxt call parses the body (it warns on a body without values);
-    # when it fails or finds the wrong column count, the line loop names the
-    # bad line or accepts what float() accepts
-    if any(line.split("#", 1)[0].strip() for line in body):
+        header = None
+        for header_line, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if text:
+                header = text.split()
+                break
+        if header is None:
+            raise FormatError("missing F2D header", line=1)
+        if len(header) != 8 or header[0] != "F2D":
+            raise FormatError("header must be 'F2D nx ny x0 x1 y0 y1 kind'",
+                              line=header_line)
         try:
-            data = np.loadtxt(body, comments="#", ndmin=2)
+            nx, ny = int(header[1]), int(header[2])
+            x0, x1, y0, y1 = (float(t) for t in header[3:7])
+        except ValueError as exc:
+            raise FormatError(str(exc), line=header_line) from exc
+        kind = header[7]
+        if kind not in ("scalar", "vector"):
+            raise FormatError(f"unknown field kind {kind!r}",
+                              line=header_line)
+        grid = Grid2D(x0, x1, y0, y1, nx, ny)
+        want = 1 if kind == "scalar" else 2
+        try:
+            with warnings.catch_warnings():
+                # a body without values is reported below, as too short
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, comments="#", ndmin=2)
         except ValueError:
-            pass
-    if data is None or data.shape[1] != want:
-        data = _parse_rows(body, header_line + 1, want)
+            data = None
+        if data is None or data.shape[1] != want:
+            fh.seek(0)
+            data = _parse_rows(fh.readlines()[header_line:], header_line + 1,
+                               want)
     if len(data) != nx * ny:
         raise DimensionMismatch(
             f"{len(data)} value lines for a {nx}x{ny} grid")

@@ -289,8 +289,9 @@ def _solve_poisson_dirichlet(grid: Grid2D, rhs: np.ndarray,
                              boundary: np.ndarray) -> np.ndarray:
     """Compact 5-point Laplacian with Dirichlet frame data."""
     coef = potential.stencil_coefficients(grid, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    # the four corner arrays of a stencil without cross term are zero
     laplacian = _SineLaplacian(grid, tuple(np.broadcast_to(c, grid.shape)
-                                           for c in coef), lambda_min=1.0)
+                                           for c in coef[:5]), lambda_min=1.0)
     return potential.solve_linear_dirichlet(
         laplacian, ScalarField(grid, rhs), ScalarField(grid, boundary)).values
 
@@ -308,10 +309,11 @@ def _dst(a: np.ndarray) -> np.ndarray:
 class _SineLaplacian(potential.FrozenSystem):
     """diff2_x + diff2_y as a Dirichlet stencil operator (margin 1).
 
-    apply and anorm use its 5-point stencil.  Its interior block is the
-    Kronecker sum of the compact diff2 of each axis with zero end values,
-    which the orthonormal DST-I of that axis diagonalizes (Buzbee, Golub &
-    Nielson, SIAM J. Numer. Anal. 7, 1970), with the eigenvalues
+    Its coef holds the five arrays of the 5-point stencil, which apply and
+    anorm use; matrix() needs nine and is never built.  Its interior block
+    is the Kronecker sum of the compact diff2 of each axis with zero end
+    values, which the orthonormal DST-I of that axis diagonalizes (Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), with the eigenvalues
     (2 cos(pi k / (n - 1)) - 2) / h^2, k = 1 .. n - 2, of a line of n nodes.
     So factor() is the transform solve itself: no LU, no cache.
     """

@@ -139,7 +139,9 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     or a length beyond max_len, leaves it uncovered.  Stencil entries with
     |weight| <= _TOL_WEIGHT are dropped from the sums, the coverage and the
     order.  A node is ready once no kept stencil node is a pending foot
-    node; each level of ready nodes is filled in one batch.  Returns the
+    node; each level of ready nodes is filled in one batch.  A foot's
+    stencil is kept as its base node, the lower-left one, and a level's rows
+    as base + offsets: no (m, 16) index or |w| array is held.  Returns the
     mask of nodes filled; the rest sit in or behind a dependency cycle.
     """
     nx = grid.nx
@@ -149,17 +151,18 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     cy = np.floor(ty).astype(np.int64)
     w = (_cubic_weights(ty - cy)[:, :, None]
          * _cubic_weights(tx - cx)[:, None, :]).reshape(-1, 16)
-    kept = np.abs(w) > _TOL_WEIGHT
+    kept = (w > _TOL_WEIGHT) | (w < -_TOL_WEIGHT)  # |w| > _TOL_WEIGHT
     w[~kept] = 0.0
     offsets = (np.arange(4)[:, None] * nx + np.arange(4)).ravel()
-    stencil = ((cy - 1) * nx + cx - 1)[:, None] + offsets
+    base = (cy - 1) * nx + cx - 1
     pending = np.zeros(omega.size, bool)
     pending[nodes] = True
-    indeg = np.count_nonzero(pending[stencil] & kept, axis=1)
+    indeg = np.zeros(nodes.size, np.int64)
+    for j, off in enumerate(offsets):
+        indeg += pending[base + off] & kept[:, j]
     # a node s is in the stencil of the feet whose stencil base is s minus
     # an offset: group the feet by base, feet[first[c]:first[c + 1]] (the
     # bases run nearly in node order, which the stable sort takes fastest)
-    base = stencil[:, 0]
     feet = np.argsort(base, kind="stable")
     first = np.concatenate(
         [[0], np.cumsum(np.bincount(base, minlength=omega.size))])
@@ -167,7 +170,8 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     slot = np.zeros(nodes.size, np.int64)
     ready = np.flatnonzero(indeg == 0)
     while ready.size:
-        st, wr, g = stencil[ready], w[ready], nodes[ready]
+        st = base[ready][:, None] + offsets
+        wr, g = w[ready], nodes[ready]
         t = length[ready] + (wr * total[st]).sum(axis=1)
         om = np.where(kept[ready], omega[st], 0.0)
         omega[g] = np.where(t <= max_len, (wr * om).sum(axis=1)
@@ -212,17 +216,15 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
         raise ConfigError("omega_b must live on the drift grid")
     step, max_len = _step_and_length(grid, step, max_len)
     inflow = inflow_boundary(b)
-    X, Y = grid.meshgrid()
-    trace_mask = ~inflow.mask  # inflow frame nodes keep their data verbatim
-    xs = X[trace_mask]
-    ys = Y[trace_mask]
+    # inflow frame nodes keep their data verbatim; the rest are traced
+    traced = np.flatnonzero(~inflow.mask)
     acc, hx_, hy_, status, length = _kernels.trace_all(
-        b.u, b.v, fld.divergence(b).values, xs, ys, -1.0, step, max_len,
-        _STAG_TOL, grid.x0, grid.x1, grid.y0, grid.y1, grid.hx, grid.hy,
-        grid.nx, grid.ny)
+        b.u, b.v, fld.divergence(b).values, grid.xi1[traced % grid.nx],
+        grid.xi2[traced // grid.nx], -1.0, step, max_len, _STAG_TOL,
+        grid.x0, grid.x1, grid.y0, grid.y1, grid.hx, grid.hy, grid.nx,
+        grid.ny)
     # per grid node omega and characteristic length; omega is NaN until
     # covered: inflow frame data, a hit on the inflow frame, or a foot
-    traced = np.flatnonzero(trace_mask)
     omega = np.where(inflow.mask, omega_b.values, np.nan).ravel()
     total = np.zeros(omega.size)
     total[traced] = length
@@ -245,9 +247,9 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     report = TransportReport(
         uncovered=int(np.count_nonzero(uncovered)),
         stagnated=stagnated,
-        truncated=int(xs.size - exited.size - interpolated - stagnated),
+        truncated=int(traced.size - exited.size - interpolated - stagnated),
         exited=int(exited.size),
-        traced=int(xs.size),
+        traced=int(traced.size),
         interpolated=interpolated,
     )
     if strict and report.uncovered:

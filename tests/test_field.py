@@ -1,6 +1,8 @@
 """Grid, difference-stencil and F2D-format unit tests."""
 
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +250,50 @@ def test_f2d_comments_and_blank_lines(tmp_path, monkeypatch):
                  + "\n\n# trailing comment\n")
     f = fld.read_field(p)
     assert f.values[0, 1] == 1.0 and f.values[2, 2] == 8.0
+
+
+def test_f2d_empty_body_is_too_short(tmp_path):
+    # a valid header over comments and blank lines only: the body has no
+    # value line, which loadtxt would warn about; no warning escapes
+    for kind in ("scalar", "vector"):
+        p = tmp_path / f"{kind}.f2d"
+        p.write_text(f"F2D 3 3 0 1 0 1 {kind}\n# no values\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch):
+                fld.read_field(p)
+
+
+def test_f2d_crlf_line_ends(tmp_path, grid):
+    rng = np.random.default_rng(4)
+    v = ss.VectorField(grid, rng.standard_normal(grid.shape),
+                       rng.standard_normal(grid.shape))
+    p = tmp_path / "v.f2d"
+    fld.write_field(v, p)
+    p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+    back = fld.read_field(p)
+    assert back.grid == grid
+    assert np.array_equal(back.u, v.u) and np.array_equal(back.v, v.v)
+
+
+def test_f2d_read_memory(tmp_path):
+    # the body goes to loadtxt as an open file, not as a list of line
+    # strings: reading a 129^2 vector file peaks at 1.31 times the bytes of
+    # its two arrays (7.9 times with the list of lines)
+    grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 129, 129)
+    rng = np.random.default_rng(5)
+    p = tmp_path / "U.f2d"
+    fld.write_field(ss.VectorField(grid, rng.standard_normal(grid.shape),
+                                   rng.standard_normal(grid.shape)), p)
+    fld.read_field(p)  # any first-call set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = fld.read_field(p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (f.u.nbytes + f.v.nbytes)
 
 
 def test_f2d_format_errors(tmp_path):

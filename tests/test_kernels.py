@@ -105,7 +105,8 @@ def _full_steps(dt, status, length):
 def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
     # the exit root find (_EXIT_ITERS + 1 RK2 steps) runs once for all
     # crossed nodes, not once per march step in which some node crosses:
-    # one RK2 call per march step of the longest path, plus the root find
+    # one RK2 call per march step of the longest path, plus the root find.
+    # These counts are per block; the 33^2 start points are one block
     calls = []
     rk2 = _kernels._rk2
 
@@ -114,7 +115,8 @@ def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
         return rk2(*args)
 
     monkeypatch.setattr(_kernels, "_rk2", counted)
-    _, _, dt, (_, _, _, status, length) = _trace_radial(33)
+    xs, _, dt, (_, _, _, status, length) = _trace_radial(33)
+    assert xs.size <= _kernels._BLOCK
     exited = status == _kernels.TRACE_EXITED
     assert exited.any() and (status[~exited] == _kernels.TRACE_FOOT).all()
     # an exited path also takes its crossing step
@@ -178,7 +180,8 @@ def test_tracer_takes_two_samples_per_march_step(monkeypatch):
     # it completes: at the half step and at the new point, the next step's
     # k1.  A foot node takes nothing more; an exited node samples the
     # midpoint of its crossing step and then _EXIT_ITERS + 2 in the root
-    # find: one per iteration, the final step and div b at the hit point
+    # find: one per iteration, the final step and div b at the hit point.
+    # The 33^2 start points are one block, whose march these counts follow
     points = []
     sample = _kernels._sample
 
@@ -188,6 +191,7 @@ def test_tracer_takes_two_samples_per_march_step(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_sample", counted)
     xs, _, dt, (_, _, _, status, length) = _trace_radial(33)
+    assert xs.size <= _kernels._BLOCK
     exited = status == _kernels.TRACE_EXITED
     full_steps = _full_steps(dt, status, length)
     assert (status[~exited] == _kernels.TRACE_FOOT).all()
@@ -198,27 +202,34 @@ def test_tracer_takes_two_samples_per_march_step(monkeypatch):
                            * np.count_nonzero(exited))
 
 
-@pytest.mark.parametrize("case", ["radial", "spiral", "quasi-patch",
-                                  "shear"])
+def _drift(case):
+    """The radial (33^2), spiral (17^2), shear (33^2) or quasi-patch
+    (33^2) drift.  The shear b = (y, 0) runs its top and bottom rows along
+    the frame, so their crossing steps start on a side (frame gap 0) and
+    leave through the next one at a corner"""
+    if case == "radial":
+        return _radial(33)
+    if case == "spiral":
+        grid = ss.Grid2D(-1, 1, -1, 1, 17, 17)
+        return ss.VectorField.from_function(grid, lambda x, y: -x - 0.4 * y,
+                                            lambda x, y: -y + 0.4 * x)
+    if case == "shear":
+        grid = ss.Grid2D(-1, 1, -1, 1, 33, 33)
+        return ss.VectorField.from_function(grid, lambda x, y: y,
+                                            lambda x, y: 0.0 * y)
+    # the first sweep's drift on the criterion-11 patch
+    return fld.gradient(quiescent_field(ss.Grid2D(0.1, 0.6, 0.1, 0.6,
+                                                  33, 33)))
+
+
+_DRIFTS = ["radial", "spiral", "quasi-patch", "shear"]
+
+
+@pytest.mark.parametrize("case", _DRIFTS)
 def test_exit_root_find_matches_a_bisection(case):
     # the Illinois root find lands where 48 halvings of the crossing
-    # sub-step do: the march is the same, so only the exits may differ.
-    # The shear b = (y, 0) runs its top and bottom rows along the frame, so
-    # their crossing steps start on a side (frame gap 0) and leave through
-    # the next one at a corner
-    if case == "radial":
-        b = _radial(33)
-    elif case == "spiral":
-        grid = ss.Grid2D(-1, 1, -1, 1, 17, 17)
-        b = ss.VectorField.from_function(grid, lambda x, y: -x - 0.4 * y,
-                                         lambda x, y: -y + 0.4 * x)
-    elif case == "shear":
-        grid = ss.Grid2D(-1, 1, -1, 1, 33, 33)
-        b = ss.VectorField.from_function(grid, lambda x, y: y,
-                                         lambda x, y: 0.0 * y)
-    else:  # the first sweep's drift on the criterion-11 patch
-        b = fld.gradient(quiescent_field(ss.Grid2D(0.1, 0.6, 0.1, 0.6,
-                                                   33, 33)))
+    # sub-step do: the march is the same, so only the exits may differ
+    b = _drift(case)
     args = _args(b, 20.0 * b.grid.diam)
     acc, hx, hy, status, length = _kernels.trace_all(*args)
     ref = scalar_tracer.trace_all(*args, bisect=True)
@@ -231,6 +242,22 @@ def test_exit_root_find_matches_a_bisection(case):
     assert (np.hypot(hx - ref[1], hy - ref[2])[exited] <= speed * tol).all()
     for a, r in zip((acc, hx, hy, length), ref[:3] + ref[4:]):
         assert np.array_equal(a[~exited], r[~exited])
+
+
+@pytest.mark.parametrize("case", _DRIFTS)
+def test_block_march_matches_one_block(case, monkeypatch):
+    # each node's march and root find are its own arithmetic, so blocks of
+    # 7 start points (a last, shorter block included) give every result
+    # bit for bit as one block does
+    b = _drift(case)
+    args = _args(b, 20.0 * b.grid.diam)
+    assert 7 < args[3].size <= _kernels._BLOCK and args[3].size % 7
+    whole = _kernels.trace_all(*args)
+    monkeypatch.setattr(_kernels, "_BLOCK", 7)
+    blocks = _kernels.trace_all(*args)
+    assert len(np.unique(whole[3])) >= 2
+    for a, r in zip(blocks, whole):
+        assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
 
 
 def test_slow_node_ends_after_its_step_budget():
