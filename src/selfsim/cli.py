@@ -380,8 +380,8 @@ def cmd_transport(args) -> int:
         raise ConfigError("transport expects a scalar stream potential")
     b = fld.gradient(psi)
     omega_b = _inflow_field(args.inflow, psi.grid)
-    omega, rep = vorticity.transport_omega(b, omega_b, step=args.step,
-                                           strict=args.strict)
+    omega, rep, _ = vorticity.transport_omega(b, omega_b, step=args.step,
+                                              strict=args.strict)
     base = args.out_dir
     os.makedirs(base, exist_ok=True)
     atomic_write_field(omega, os.path.join(base, "omega.f2d"))

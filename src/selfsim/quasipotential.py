@@ -19,7 +19,9 @@ solve of each sweep is the damped Newton solve of potential.picard_solve at
 eps = 0 with the forcing above, whose Jacobian is the linearized operator L
 (potential.linearization).  Since psi moves by O(delta) between sweeps, one
 factored Jacobian is carried from the base solve through every sweep and
-stage, and is refactored only where its steps stop contracting.
+stage, and is refactored only where its steps stop contracting.  The
+transport's fill schedule is carried the same way: transport_omega reuses
+it while it still orders the feet and rebuilds it where it does not.
 quasi_state is the one evaluation of the closures (F1, Q1, N1, c^2 floored
 at the problem's c2_floor) and of U: every sweep reads it, and so do the
 returned state and the report of solve_quasi.
@@ -244,7 +246,8 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
     anchor outside the grid raises ConfigError before any solve.  The base
     potential is potential.solve(base, schedule, params), whose path the
     report keeps; its last factored Jacobian starts the first psi solve,
-    and each psi solve's last one starts the next.  The report's top-level
+    and each psi solve's last one starts the next; each transport starts
+    from the fill schedule of the one before.  The report's top-level
     fields describe the returned state, quasi_state at the last converged
     (psi, zeta~): its c^2, the audit of its U against that c^2, and the
     residual of the psi equation, forcing included.
@@ -265,7 +268,7 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
         report.errors.extend(prep.errors)
     zt = zeta_b.copy()
     state = None
-    system = prep.system
+    system, fill = prep.system, None
     # delta of the last converged stage, and delta and psi of the one
     # before it; the base potential is the stage at delta = 0
     d_last, d_prev, psi_prev = 0.0, 0.0, psi
@@ -276,9 +279,9 @@ def solve_quasi(config: QuasiConfig, base: PotentialProblem,
             psi0 = ScalarField(grid, psi.values
                                + s * (psi.values - psi_prev.values))
         try:
-            psi_d, zt_d, stage, system = _solve_stage(
+            psi_d, zt_d, stage, system, fill = _solve_stage(
                 config, base, params, delta, psi0, zt, zeta_b, omega_b,
-                system)
+                system, fill)
         except (NonConvergence, SonicEncroachment, *_LINEAR_ERRORS) as exc:
             report.errors.append(f"delta={delta:g}: {exc}")
             if state is None:
@@ -333,14 +336,18 @@ def _solve_stage(config: QuasiConfig, base: PotentialProblem,
                  params: PicardParams, delta: float,
                  psi: ScalarField, zt: ScalarField,
                  zeta_b: ScalarField, omega_b: ScalarField,
-                 system: potential.FrozenSystem | None):
+                 system: potential.FrozenSystem | None,
+                 fill: np.ndarray | None):
     """The sweeps of one delta stage from (psi, zeta~); the psi solves start
-    on system, the factored Jacobian carried in.  Returns psi, zeta~, the
-    stage's report entry and the last psi solve's system."""
+    on system, the factored Jacobian carried in, and the transports on
+    fill, the fill schedule carried in.  Returns psi, zeta~, the stage's
+    report entry, the last psi solve's system and the last transport's
+    schedule."""
     grid = base.grid
     stage = {"delta": delta, "outer_iters": 0, "change": float("inf")}
     for it in range(1, config.outer_max_iters + 1):
-        omega_t, trep = vorticity.transport_omega(fld.gradient(psi), omega_b)
+        omega_t, trep, fill = vorticity.transport_omega(
+            fld.gradient(psi), omega_b, schedule=fill)
         zt_new = ScalarField(grid, _solve_poisson_dirichlet(
             grid, omega_t.values, zeta_b.values))
         state = quasi_state(config, base, delta, psi, zt_new)
@@ -358,7 +365,7 @@ def _solve_stage(config: QuasiConfig, base: PotentialProblem,
         stage.update(outer_iters=it, change=change, max_L2=L2max,
                      curl_defect=state.curl_defect, uncovered=trep.uncovered)
         if change <= config.outer_tol:
-            return psi, zt, stage, system
+            return psi, zt, stage, system, fill
     raise NonConvergence(
         f"outer loop: change {stage['change']:.3e} > {config.outer_tol:.3e} "
         f"after {config.outer_max_iters} sweeps", report=stage)

@@ -10,8 +10,14 @@ cells upstream (_kernels.trace_all), giving
 
 with omega(xi_end) the inflow data at a boundary hit, or the 4 x 4
 Lagrange-cubic interpolation at a foot of nodes already solved.  Foot nodes
-are filled in dependency order (Kahn's algorithm on the stencil graph), so
-the work is O(N) rather than O(N / h).  Nodes whose characteristic
+are filled in dependency order, so the work is O(N) rather than O(N / h):
+a schedule pass gives each foot node its level in Kahn's algorithm on the
+stencil graph (Kahn, CACM 5, 1962), and a value pass fills the levels in
+turn.  transport_omega returns the schedule, and a later call on the same
+grid (the next quasi sweep) passes it back; it is reused when one
+vectorized check finds that it still orders the new feet, and rebuilt
+otherwise.  Any valid level order reads the same operands in the same
+order, so omega is bitwise the same either way.  Nodes whose characteristic
 stagnates, exceeds the length budget, lands on a non-inflow boundary point,
 interpolates an uncovered node, or stays in a dependency cycle are
 *uncovered*: they receive zero and are counted in the report.
@@ -122,62 +128,76 @@ def _hit_is_inflow(b: VectorField, hx_, hy_):
 
 
 def _cubic_weights(a):
-    """Lagrange weights (m, 4) of the nodes -1, 0, 1, 2 at offsets a (m,)."""
+    """Lagrange weights (m, 4) of the nodes -1, 0, 1, 2 at offsets a (m,),
+    written a column at a time: stacking four (m,) columns held twice the
+    memory at the fill's peak."""
     ap, am, a2 = a + 1.0, a - 1.0, a - 2.0
-    return np.stack([-a * am * a2 / 6.0, ap * am * a2 / 2.0,
-                     -ap * a * a2 / 2.0, ap * a * am / 6.0], axis=1)
+    w = np.empty(a.shape + (4,))
+    w[:, 0] = -a * am * a2 / 6.0
+    w[:, 1] = ap * am * a2 / 2.0
+    w[:, 2] = -ap * a * a2 / 2.0
+    w[:, 3] = ap * a * am / 6.0
+    return w
 
 
-def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
-               max_len):
-    """Fill the foot nodes (flat indices ``nodes``) in dependency order.
+def _foot_stencils(fx, fy, grid: Grid2D):
+    """Per foot at (fx, fy): the flat index of the lower-left node of its
+    4 x 4 stencil (its base), and the (m, 4) Lagrange-cubic weights wy of
+    the stencil's rows and wx of its columns; entry 4 a + c of the stencil
+    is node base + a nx + c at weight wy[:, a] * wx[:, c]."""
+    t = (fx - grid.x0) / grid.hx
+    cx = np.floor(t).astype(np.int64)
+    wx = _cubic_weights(t - cx)
+    t = (fy - grid.y0) / grid.hy
+    cy = np.floor(t).astype(np.int64)
+    wy = _cubic_weights(t - cy)
+    return (cy - 1) * grid.nx + cx - 1, wy, wx
 
-    ``omega`` and ``total`` hold per grid node omega, NaN where uncovered,
-    and the characteristic length.  A foot node takes the 4 x 4
-    Lagrange-cubic interpolation of both at its foot (fx, fy), omega times
-    exp(-acc) and the length plus its segment's; a NaN at a stencil node,
-    or a length beyond max_len, leaves it uncovered.  Stencil entries with
-    |weight| <= _TOL_WEIGHT are dropped from the sums, the coverage and the
-    order.  A node is ready once no kept stencil node is a pending foot
-    node; each level of ready nodes is filled in one batch.  A foot's
-    stencil is kept as its base node, the lower-left one, and a level's rows
-    as base + offsets: no (m, 16) index or |w| array is held.  Returns the
-    mask of nodes filled; the rest sit in or behind a dependency cycle.
-    """
-    nx = grid.nx
-    tx = (fx - grid.x0) / grid.hx
-    ty = (fy - grid.y0) / grid.hy
-    cx = np.floor(tx).astype(np.int64)
-    cy = np.floor(ty).astype(np.int64)
-    w = (_cubic_weights(ty - cy)[:, :, None]
-         * _cubic_weights(tx - cx)[:, None, :]).reshape(-1, 16)
-    kept = (w > _TOL_WEIGHT) | (w < -_TOL_WEIGHT)  # |w| > _TOL_WEIGHT
-    w[~kept] = 0.0
-    offsets = (np.arange(4)[:, None] * nx + np.arange(4)).ravel()
-    base = (cy - 1) * nx + cx - 1
-    pending = np.zeros(omega.size, bool)
+
+def _offsets(nx):
+    """Flat offsets of the 16 stencil entries from the base node."""
+    return (np.arange(4)[:, None] * nx + np.arange(4)).ravel()
+
+
+def _kept_bits(wy, wx):
+    """Per foot, the 16-bit mask of its kept stencil entries: bit 4 a + c
+    where |wy[:, a] * wx[:, c]| > _TOL_WEIGHT."""
+    bits = np.zeros(len(wy), np.uint16)
+    for a in range(4):
+        for c in range(4):
+            w = wy[:, a] * wx[:, c]
+            bits |= ((w > _TOL_WEIGHT) | (w < -_TOL_WEIGHT)).astype(
+                np.uint16) << (4 * a + c)
+    return bits
+
+
+def _foot_levels(nodes, base, kept, size, nx):
+    """The schedule pass: Kahn levels of the foot nodes (flat indices
+    ``nodes``, stencil bases ``base``, kept masks ``kept``) as a per grid
+    node int32 array.  A foot node whose kept stencil holds no pending foot
+    node has level 0, any other one level 1 + the largest level among
+    them; every other node, and a foot node in or behind a dependency
+    cycle, has level -1."""
+    offsets = _offsets(nx)
+    pending = np.zeros(size, bool)
     pending[nodes] = True
     indeg = np.zeros(nodes.size, np.int64)
     for j, off in enumerate(offsets):
-        indeg += pending[base + off] & kept[:, j]
+        indeg += pending[base + off] & (kept >> j)
     # a node s is in the stencil of the feet whose stencil base is s minus
     # an offset: group the feet by base, feet[first[c]:first[c + 1]] (the
     # bases run nearly in node order, which the stable sort takes fastest)
     feet = np.argsort(base, kind="stable")
     first = np.concatenate(
-        [[0], np.cumsum(np.bincount(base, minlength=omega.size))])
-    filled = np.zeros(nodes.size, bool)
+        [[0], np.cumsum(np.bincount(base, minlength=size))])
+    level = np.full(size, -1, np.int32)
     slot = np.zeros(nodes.size, np.int64)
     ready = np.flatnonzero(indeg == 0)
+    depth = 0
     while ready.size:
-        st = base[ready][:, None] + offsets
-        wr, g = w[ready], nodes[ready]
-        t = length[ready] + (wr * total[st]).sum(axis=1)
-        om = np.where(kept[ready], omega[st], 0.0)
-        omega[g] = np.where(t <= max_len, (wr * om).sum(axis=1)
-                            * np.exp(-acc[ready]), np.nan)
-        total[g] = t
-        filled[ready] = True
+        g = nodes[ready]
+        level[g] = depth
+        depth += 1
         # g sits at stencil entry j of the feet whose base is g - offsets[j]
         cells = (g[:, None] - offsets).ravel()
         entry = np.tile(np.arange(16), g.size)
@@ -187,20 +207,87 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
         ends = np.cumsum(n_out)
         deps = feet[np.repeat(first[cells] - ends + n_out, n_out)
                     + np.arange(ends[-1])]
-        deps = deps[kept[deps, np.repeat(entry, n_out)]]
+        deps = deps[((kept[deps] >> np.repeat(entry, n_out)) & 1)
+                    .astype(bool)]
         np.subtract.at(indeg, deps, 1)
         # a node reaching zero in-degree appears once per edge: keep one
         ready = deps[indeg[deps] == 0]
         slot[ready] = np.arange(ready.size)
         ready = ready[slot[ready] == np.arange(ready.size)]
-    return filled
+    return level
+
+
+def _schedule_holds(schedule, nodes, base, kept, nx):
+    """Whether a carried schedule orders these feet: every foot node has a
+    level, and every kept stencil entry that is a foot node has a strictly
+    lower one.  One vectorized pass over the 16 entries."""
+    level = schedule[nodes]
+    if np.any(level < 0):
+        return False
+    pending = np.full(schedule.size, -1, np.int32)
+    pending[nodes] = level
+    for j, off in enumerate(_offsets(nx)):
+        if np.any((pending[base + off] >= level) & (kept >> j)):
+            return False
+    return True
+
+
+def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
+               max_len, schedule=None):
+    """Fill the foot nodes (flat indices ``nodes``) in dependency order.
+
+    ``omega`` and ``total`` hold per grid node omega, NaN where uncovered,
+    and the characteristic length.  A foot node takes the 4 x 4
+    Lagrange-cubic interpolation of both at its foot (fx, fy), omega times
+    exp(-acc) and the length plus its segment's; a NaN at a stencil node,
+    or a length beyond max_len, leaves it uncovered.  Stencil entries with
+    |weight| <= _TOL_WEIGHT are dropped from the sums, the coverage and the
+    order.
+
+    Two passes.  The schedule pass (_foot_levels) takes Kahn's levels from
+    a 16-bit kept mask per foot.  The value pass fills one level per batch,
+    forming its (k, 16) weights from the (m, 4) row and column factors, so
+    no (m, 16) array is held.  A carried ``schedule`` (the per-node levels
+    of an earlier fill) is used when _schedule_holds finds it valid for
+    these feet, and rebuilt otherwise; a foot node it left in a cycle has
+    no level, so it fails the check on any feet that still hold that node.
+    Filling in any valid level order reads the same operands in the same
+    order as Kahn's, so omega and total are bitwise the same.  Returns the
+    mask of nodes filled (the rest sit in or behind a dependency cycle) and
+    the schedule used.
+    """
+    base, wy, wx = _foot_stencils(fx, fy, grid)
+    bits = _kept_bits(wy, wx)
+    if (schedule is None or schedule.size != omega.size
+            or not _schedule_holds(schedule, nodes, base, bits, grid.nx)):
+        schedule = _foot_levels(nodes, base, bits, omega.size, grid.nx)
+    level = schedule[nodes]
+    order = np.argsort(level, kind="stable")
+    bounds = np.cumsum(np.bincount(level + 1))  # level -1 first
+    offsets = _offsets(grid.nx)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        r = order[lo:hi]
+        st = base[r][:, None] + offsets
+        w = (wy[r][:, :, None] * wx[r][:, None, :]).reshape(-1, 16)
+        kept = (w > _TOL_WEIGHT) | (w < -_TOL_WEIGHT)  # |w| > _TOL_WEIGHT
+        w[~kept] = 0.0
+        g = nodes[r]
+        t = length[r] + (w * total[st]).sum(axis=1)
+        om = np.where(kept, omega[st], 0.0)
+        omega[g] = np.where(t <= max_len, (w * om).sum(axis=1)
+                            * np.exp(-acc[r]), np.nan)
+        total[g] = t
+    return level >= 0, schedule
 
 
 def transport_omega(b: VectorField, omega_b: ScalarField,
                     step: float | None = None,
                     max_len: float | None = None,
-                    strict: bool = False
-                    ) -> tuple[ScalarField, TransportReport]:
+                    strict: bool = False,
+                    schedule: np.ndarray | None = None
+                    ) -> tuple[ScalarField, TransportReport, np.ndarray]:
     """Backward semi-Lagrangian solve of div(omega b) + omega = 0.
 
     omega_b carries the boundary data on the frame of the same grid; only
@@ -210,6 +297,10 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     steps to a foot _REACH = 3 cells upstream) and ``max_len`` bounds each
     whole characteristic in r.
     ``strict`` raises UncoveredNodes instead of zero-filling.
+    ``schedule`` is the fill schedule returned by an earlier call on the
+    same grid, which _fill_feet reuses where it still orders the feet
+    (bitwise the same omega either way).  Returns omega, the report and
+    the schedule used.
     """
     grid = b.grid
     if omega_b.grid != grid:
@@ -237,8 +328,9 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
                                            hx_[landed], hy_[landed])
                              * np.exp(-acc[landed]))
     foot = np.flatnonzero(status == _kernels.TRACE_FOOT)
-    filled = _fill_feet(omega, total, traced[foot], acc[foot], length[foot],
-                        hx_[foot], hy_[foot], grid, max_len)
+    filled, schedule = _fill_feet(omega, total, traced[foot], acc[foot],
+                                  length[foot], hx_[foot], hy_[foot], grid,
+                                  max_len, schedule)
     interpolated = int(np.count_nonzero(
         filled & (total[traced[foot]] <= max_len)))
     uncovered = np.isnan(omega)
@@ -255,7 +347,7 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     if strict and report.uncovered:
         raise UncoveredNodes(
             f"{report.uncovered} nodes not reached from the inflow set")
-    return ScalarField(grid, omega.reshape(grid.shape)), report
+    return ScalarField(grid, omega.reshape(grid.shape)), report, schedule
 
 
 def transport_residual(omega: ScalarField, b: VectorField) -> ScalarField:

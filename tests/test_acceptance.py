@@ -233,7 +233,7 @@ def test_criterion_09_vorticity_transport(capsys):
         X, Y = grid.meshgrid()
         R = np.hypot(X, Y)
         g = 1.0 + 0.5 * np.sin(4 * np.arctan2(Y, X))
-        omega, _ = vorticity.transport_omega(
+        omega, _, _ = vorticity.transport_omega(
             b, ss.ScalarField(grid, g / R), step=min(grid.hx, grid.hy) / 4)
         invariant_gap = float(np.max(np.abs(omega.values * R - g))
                               / np.max(np.abs(g)))
@@ -242,8 +242,8 @@ def test_criterion_09_vorticity_transport(capsys):
 
     inv65, res65, grid, b = run(65)
     _, res129, _, _ = run(129)
-    omega0, _ = vorticity.transport_omega(b, ss.ScalarField.zeros(grid),
-                                          step=grid.hx / 4)
+    omega0, _, _ = vorticity.transport_omega(b, ss.ScalarField.zeros(grid),
+                                             step=grid.hx / 4)
     zero_exact = bool(np.all(omega0.values == 0.0))
     ratio = res65 / res129
     ok = inv65 <= 1e-4 and zero_exact and 1.6 <= ratio <= 2.6

@@ -293,3 +293,25 @@ def test_poisson_dirichlet_rejects_non_finite_rhs(grid):
     rhs[5, 7] = np.nan
     with pytest.raises(LinearStagnation):
         hodge._solve_poisson_dirichlet(grid, rhs, np.zeros(grid.shape))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (15, 15), (64, 7), (65, 33),
+                                   (255, 255), (200, 31)])
+def test_dst_row_blocks_change_no_value(shape):
+    # the rows are transformed in blocks of 64; each row's transform is
+    # bitwise that of one rfft over all rows, the DST-I of its definition
+    # sum_k a_k sin(pi j k / (m + 1)) sqrt(2 / (m + 1)) to round-off, and
+    # the transform is its own inverse
+    rng = np.random.default_rng(shape[0])
+    a = rng.normal(size=shape)
+    m = shape[1]
+    ext = np.zeros((shape[0], m + 1))
+    ext[:, 1:] = a
+    one = np.fft.rfft(ext, 2 * m + 2).imag[:, 1:-1] * -np.sqrt(2 / (m + 1))
+    got = hodge._dst(a)
+    assert got.tobytes() == one.tobytes()
+    k = np.arange(1, m + 1)
+    S = np.sin(np.pi * np.outer(k, k) / (m + 1)) * np.sqrt(2 / (m + 1))
+    assert np.max(np.abs(got - a @ S)) <= 1e-13 * np.sqrt(m) * np.max(
+        np.abs(a))
+    assert np.max(np.abs(hodge._dst(got) - a)) <= 1e-13 * np.max(np.abs(a))

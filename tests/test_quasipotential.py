@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse.linalg
 
 import selfsim as ss
-from selfsim import field as fld, hodge, potential, quasipotential as qp
+from selfsim import (field as fld, hodge, potential, quasipotential as qp,
+                     vorticity)
 from selfsim.errors import ConfigError, LinearStagnation
 
 from conftest import quiescent_field
@@ -295,6 +296,42 @@ def _bench_quasi(law, targets):
     cfg = qp.QuasiConfig(delta_targets=targets, zeta_b=zeta_b,
                          anchor=(8, 8), outer_tol=1e-9)
     return qp.solve_quasi(cfg, base)
+
+
+def test_quasi_sweeps_reuse_the_fill_schedule(law, monkeypatch):
+    # each transport starts from the fill schedule of the one before: the
+    # 8 transports of solve-quasi-17 at seed 0 run the schedule pass at
+    # most twice (once, measured), the psi and zeta of a solve whose every
+    # transport builds its own schedule are bitwise the same, and the
+    # schedule stays out of the report
+    builds, transports = [], []
+    levels, transport = vorticity._foot_levels, vorticity.transport_omega
+
+    def counted_levels(*args):
+        builds.append(args[0].size)
+        return levels(*args)
+
+    def fresh_transport(*args, **kwargs):
+        transports.append(kwargs.get("schedule"))
+        kwargs["schedule"] = None
+        return transport(*args, **kwargs)
+
+    monkeypatch.setattr(vorticity, "_foot_levels", counted_levels)
+    state, rep = _bench_quasi(law, [1e-3, 1e-2])
+    assert [s["outer_iters"] for s in rep.stages] == [4, 4]
+    assert 1 <= len(builds) <= 2
+    assert all(set(s) == {"delta", "outer_iters", "change", "max_L2",
+                          "curl_defect", "uncovered"} for s in rep.stages)
+    assert not any("schedule" in k for k in vars(rep))
+    monkeypatch.setattr(vorticity, "transport_omega", fresh_transport)
+    builds.clear()
+    ref, _ = _bench_quasi(law, [1e-3, 1e-2])
+    assert len(transports) == len(builds) == 8
+    assert transports[0] is None and all(
+        t is not None for t in transports[1:])
+    for got, want in ((state.psi, ref.psi), (state.zeta, ref.zeta),
+                      (state.omega_tilde, ref.omega_tilde)):
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("targets, status, most, error", [

@@ -36,8 +36,8 @@ def test_inflow_boundary_radial():
 
 def test_transport_zero_data_is_exact():
     grid = radial_grid(17)
-    omega, rep = vorticity.transport_omega(radial_drift(grid),
-                                           ss.ScalarField.zeros(grid))
+    omega, rep, _ = vorticity.transport_omega(radial_drift(grid),
+                                              ss.ScalarField.zeros(grid))
     assert np.all(omega.values == 0.0)
     assert rep.uncovered == 0
 
@@ -48,8 +48,8 @@ def test_transport_radial_exact_solution():
     X, Y = grid.meshgrid()
     R = np.hypot(X, Y)
     omega_b = ss.ScalarField(grid, 1.0 / R)
-    omega, rep = vorticity.transport_omega(b, omega_b,
-                                           step=min(grid.hx, grid.hy) / 4)
+    omega, rep, _ = vorticity.transport_omega(b, omega_b,
+                                              step=min(grid.hx, grid.hy) / 4)
     # exact solution of div(omega b) + omega = 0 for b = -xi: omega = 1/|xi|
     assert rep.uncovered == 0
     assert np.max(np.abs(omega.values - 1.0 / R)) < 2e-3
@@ -62,7 +62,7 @@ def test_transport_inflow_nodes_keep_data():
     grid = radial_grid(17)
     X, Y = grid.meshgrid()
     omega_b = ss.ScalarField(grid, X + Y)
-    omega, _ = vorticity.transport_omega(radial_drift(grid), omega_b)
+    omega, _, _ = vorticity.transport_omega(radial_drift(grid), omega_b)
     assert np.array_equal(omega.values[-1, :], omega_b.values[-1, :])
     assert np.array_equal(omega.values[:, -1], omega_b.values[:, -1])
 
@@ -71,7 +71,7 @@ def test_transport_uncovered_strict():
     grid = ss.Grid2D(-1, 1, -1, 1, 17, 17)
     # rotational drift: interior characteristics never reach the boundary
     b = ss.VectorField.from_function(grid, lambda x, y: -y, lambda x, y: x)
-    omega, rep = vorticity.transport_omega(
+    omega, rep, _ = vorticity.transport_omega(
         b, ss.ScalarField.zeros(grid), max_len=2.0)
     assert rep.uncovered > 0 and rep.truncated > 0
     with pytest.raises(UncoveredNodes):
@@ -99,8 +99,8 @@ def test_transport_samples_per_node_stay_flat(monkeypatch):
     for n in (65, 129):
         grid = radial_grid(n)
         points.clear()
-        _, rep = vorticity.transport_omega(radial_drift(grid),
-                                           ss.ScalarField.zeros(grid))
+        _, rep, _ = vorticity.transport_omega(radial_drift(grid),
+                                              ss.ScalarField.zeros(grid))
         per_node.append(sum(points) / rep.traced)
     assert max(per_node) <= 32
     assert per_node[1] <= per_node[0]
@@ -116,7 +116,7 @@ def test_transport_resolves_every_node(case):
     else:  # the first sweep's drift on the criterion-11 patch
         grid = ss.Grid2D(0.1, 0.6, 0.1, 0.6, 65, 65)
         b = fld.gradient(quiescent_field(grid))
-    _, rep = vorticity.transport_omega(b, ss.ScalarField.zeros(grid))
+    _, rep, _ = vorticity.transport_omega(b, ss.ScalarField.zeros(grid))
     assert rep.uncovered == rep.truncated == rep.stagnated == 0
     assert rep.exited + rep.interpolated == rep.traced
     assert rep.interpolated > rep.exited > 0
@@ -131,14 +131,14 @@ def test_transport_counts_partition_traced_nodes():
     X, Y = grid.meshgrid()
     ones = ss.ScalarField(grid, np.ones(grid.shape))
     rot = ss.VectorField.from_function(grid, lambda x, y: -y, lambda x, y: x)
-    _, rep = vorticity.transport_omega(rot, ones, max_len=4.0)
+    _, rep, _ = vorticity.transport_omega(rot, ones, max_len=4.0)
     assert _statuses_sum(rep) == rep.traced
     assert rep.truncated > rep.traced // 2
     assert rep.uncovered == rep.truncated + rep.stagnated
     sink = ss.VectorField.from_function(grid, lambda x, y: -x,
                                         lambda x, y: -y)
     for max_len, truncated in ((2.0, 24), (None, 0)):
-        omega, rep = vorticity.transport_omega(sink, ones, max_len=max_len)
+        omega, rep, _ = vorticity.transport_omega(sink, ones, max_len=max_len)
         assert _statuses_sum(rep) == rep.traced
         assert (rep.stagnated, rep.truncated) == (1, truncated)
         assert rep.uncovered == 1 + truncated
@@ -157,7 +157,7 @@ def test_exit_past_max_len_is_truncated():
     b = ss.VectorField(grid, np.full(grid.shape, 1e-3), np.zeros(grid.shape))
     ones = ss.ScalarField(grid, np.ones(grid.shape))
     for max_len, exited in ((60.0, 0), (65.0, grid.ny)):
-        omega, rep = vorticity.transport_omega(b, ones, max_len=max_len)
+        omega, rep, _ = vorticity.transport_omega(b, ones, max_len=max_len)
         assert rep.exited == exited
         assert _statuses_sum(rep) == rep.traced
         assert rep.uncovered == rep.traced - exited
@@ -247,7 +247,7 @@ def test_transport_matches_a_loop_reference(case):
         max_len = 1.5 if case == "spiral-cut" else 20.0
     X, Y = grid.meshgrid()
     omega_b = ss.ScalarField(grid, 1.0 + 0.5 * np.sin(3 * X + Y))
-    omega, rep = vorticity.transport_omega(b, omega_b, max_len=max_len)
+    omega, rep, _ = vorticity.transport_omega(b, omega_b, max_len=max_len)
     ref = _loop_transport(b, omega_b, max_len)
     covered = np.zeros(grid.nx * grid.ny, bool)
     covered[list(ref)] = True
@@ -263,11 +263,204 @@ def test_transport_matches_a_loop_reference(case):
                        [ref[k] for k in keys], rtol=1e-13, atol=0.0)
 
 
+def _level_fill(omega, total, nodes, acc, length, fx, fy, grid, max_len,
+                schedule=None):
+    """The reference fill: Kahn's levels and the values in one loop, over
+    the (m, 16) weights and kept mask of all feet (the fill of transport
+    before its schedule and value passes were split).  Takes and returns
+    what _fill_feet does; its schedule is None."""
+    def cubic(a):
+        ap, am, a2 = a + 1.0, a - 1.0, a - 2.0
+        return np.stack([-a * am * a2 / 6.0, ap * am * a2 / 2.0,
+                         -ap * a * a2 / 2.0, ap * a * am / 6.0], axis=1)
+
+    nx = grid.nx
+    tx = (fx - grid.x0) / grid.hx
+    ty = (fy - grid.y0) / grid.hy
+    cx = np.floor(tx).astype(np.int64)
+    cy = np.floor(ty).astype(np.int64)
+    w = (cubic(ty - cy)[:, :, None] * cubic(tx - cx)[:, None, :]).reshape(
+        -1, 16)
+    kept = (w > 1e-12) | (w < -1e-12)
+    w[~kept] = 0.0
+    offsets = (np.arange(4)[:, None] * nx + np.arange(4)).ravel()
+    base = (cy - 1) * nx + cx - 1
+    pending = np.zeros(omega.size, bool)
+    pending[nodes] = True
+    indeg = np.zeros(nodes.size, np.int64)
+    for j, off in enumerate(offsets):
+        indeg += pending[base + off] & kept[:, j]
+    feet = np.argsort(base, kind="stable")
+    first = np.concatenate(
+        [[0], np.cumsum(np.bincount(base, minlength=omega.size))])
+    filled = np.zeros(nodes.size, bool)
+    slot = np.zeros(nodes.size, np.int64)
+    ready = np.flatnonzero(indeg == 0)
+    while ready.size:
+        st = base[ready][:, None] + offsets
+        wr, g = w[ready], nodes[ready]
+        t = length[ready] + (wr * total[st]).sum(axis=1)
+        om = np.where(kept[ready], omega[st], 0.0)
+        omega[g] = np.where(t <= max_len, (wr * om).sum(axis=1)
+                            * np.exp(-acc[ready]), np.nan)
+        total[g] = t
+        filled[ready] = True
+        cells = (g[:, None] - offsets).ravel()
+        entry = np.tile(np.arange(16), g.size)
+        valid = cells >= 0
+        cells, entry = cells[valid], entry[valid]
+        n_out = first[cells + 1] - first[cells]
+        ends = np.cumsum(n_out)
+        deps = feet[np.repeat(first[cells] - ends + n_out, n_out)
+                    + np.arange(ends[-1])]
+        deps = deps[kept[deps, np.repeat(entry, n_out)]]
+        np.subtract.at(indeg, deps, 1)
+        ready = deps[indeg[deps] == 0]
+        slot[ready] = np.arange(ready.size)
+        ready = ready[slot[ready] == np.arange(ready.size)]
+    return filled, None
+
+
+def _fill_case(case):
+    """(drift, data, max_len) of the fill cases: the 129^2 radial drift,
+    the first sweep's drift on the 17^2 criterion-11 patch, and the 17^2
+    drifts of test_transport_matches_a_loop_reference."""
+    if case == "radial":
+        grid = radial_grid(129)
+        b = radial_drift(grid)
+        max_len = None
+    elif case == "criterion-11":
+        grid = ss.Grid2D(0.1, 0.6, 0.1, 0.6, 17, 17)
+        b = fld.gradient(quiescent_field(grid))
+        max_len = None
+    else:
+        grid = ss.Grid2D(-1, 1, -1, 1, 17, 17)
+        if case == "shear":
+            b = ss.VectorField.from_function(grid, lambda x, y: y,
+                                             lambda x, y: 0.0 * y)
+            max_len = 20.0
+        elif case == "tilted":
+            b = ss.VectorField.from_function(grid, lambda x, y: y - x / 2,
+                                             lambda x, y: (y - x / 2) / 2)
+            max_len = 5.0
+        else:
+            b = ss.VectorField.from_function(grid, lambda x, y: -x - 0.4 * y,
+                                             lambda x, y: -y + 0.4 * x)
+            max_len = 1.5 if case == "spiral-cut" else 20.0
+    X, Y = grid.meshgrid()
+    omega_b = ss.ScalarField(grid, 1.0 + 0.5 * np.sin(3 * X + Y))
+    return b, omega_b, max_len
+
+
+def _spy_levels(monkeypatch):
+    """Count the schedule passes: the calls of vorticity._foot_levels."""
+    builds = []
+    levels = vorticity._foot_levels
+
+    def counted(*args):
+        builds.append(args[0].size)
+        return levels(*args)
+
+    monkeypatch.setattr(vorticity, "_foot_levels", counted)
+    return builds
+
+
+@pytest.mark.parametrize("case, cycles", [
+    ("radial", False), ("criterion-11", False), ("spiral", False),
+    ("spiral-cut", False), ("shear", False), ("tilted", True)])
+def test_fill_is_bitwise_the_level_fill(monkeypatch, case, cycles):
+    # the schedule and value passes fill every node from the same operands
+    # in the same order as the one-loop level fill, fresh and on a carried
+    # schedule; the tilted shear leaves the same nodes unfilled behind its
+    # cycles, and a schedule that left nodes in a cycle is rebuilt
+    b, omega_b, max_len = _fill_case(case)
+    with monkeypatch.context() as m:
+        m.setattr(vorticity, "_fill_feet", _level_fill)
+        ref, ref_rep, none = vorticity.transport_omega(b, omega_b,
+                                                       max_len=max_len)
+    assert none is None
+    builds = _spy_levels(monkeypatch)
+    omega, rep, schedule = vorticity.transport_omega(b, omega_b,
+                                                     max_len=max_len)
+    assert len(builds) == 1
+    again, again_rep, kept = vorticity.transport_omega(
+        b, omega_b, max_len=max_len, schedule=schedule)
+    assert len(builds) == 1 + cycles
+    assert (kept is schedule) != cycles
+    assert np.array_equal(kept, schedule)
+    assert ref.values.tobytes() == omega.values.tobytes()
+    assert ref.values.tobytes() == again.values.tobytes()
+    assert vars(ref_rep) == vars(rep) == vars(again_rep)
+    assert set(vars(rep)) == {"uncovered", "stagnated", "truncated",
+                              "exited", "traced", "interpolated"}
+    if cycles:
+        assert rep.uncovered > rep.stagnated + rep.truncated > 0
+
+
+def _feet(monkeypatch, b, omega_b):
+    """The foot nodes and foot points (nodes, fx, fy) of a transport."""
+    calls = []
+    fill = vorticity._fill_feet
+
+    def spy(*args):
+        calls.append((args[2], args[5], args[6]))
+        return fill(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(vorticity, "_fill_feet", spy)
+        vorticity.transport_omega(b, omega_b)
+    return calls[0]
+
+
+@pytest.mark.parametrize("change", ["foot set", "new first foot",
+                                    "level order"])
+def test_a_carried_schedule_that_does_not_hold_is_rebuilt(monkeypatch,
+                                                          change):
+    # a schedule carried to other feet: the spiral's schedule on the sink's
+    # feet, where the sink has feet that the spiral's fill did not level;
+    # the sink's own schedule without a level for one foot of level 0, one
+    # with no foot in its stencil; or the sink's own schedule with its
+    # deepest foot moved one level up, onto the level of a foot in its
+    # stencil.  The check rejects it, the schedule pass runs again, and
+    # omega is bitwise a fresh fill's
+    grid = ss.Grid2D(-1, 1, -1, 1, 33, 33)
+    X, Y = grid.meshgrid()
+    omega_b = ss.ScalarField(grid, 1.0 + 0.5 * np.sin(3 * X + Y))
+    sink = radial_drift(grid)
+    fresh, fresh_rep, schedule = vorticity.transport_omega(sink, omega_b)
+    nodes, fx, fy = _feet(monkeypatch, sink, omega_b)
+    base, wy, wx = vorticity._foot_stencils(fx, fy, grid)
+    kept = vorticity._kept_bits(wy, wx)
+    assert vorticity._schedule_holds(schedule, nodes, base, kept, grid.nx)
+    if change == "foot set":
+        spiral = ss.VectorField.from_function(
+            grid, lambda x, y: -x - 0.4 * y, lambda x, y: -y + 0.4 * x)
+        carried = vorticity.transport_omega(spiral, omega_b)[2]
+        assert np.any(carried[nodes] < 0)
+    elif change == "new first foot":
+        carried = schedule.copy()
+        carried[nodes[np.argmin(schedule[nodes])]] = -1
+    else:
+        carried = schedule.copy()
+        carried[nodes[np.argmax(schedule[nodes])]] -= 1
+        assert np.all(carried[nodes] >= 0)
+    assert not vorticity._schedule_holds(carried, nodes, base, kept,
+                                         grid.nx)
+    builds = _spy_levels(monkeypatch)
+    got, rep, rebuilt = vorticity.transport_omega(sink, omega_b,
+                                                  schedule=carried)
+    assert len(builds) == 1
+    assert np.array_equal(rebuilt, schedule)
+    assert got.values.tobytes() == fresh.values.tobytes()
+    assert vars(rep) == vars(fresh_rep)
+
+
 def test_transport_memory_per_traced_node():
     # the tracemalloc peak of a 129^2 transport on the radial drift, per
-    # traced node: 344 B measured (568 B when the whole set marched at once,
-    # with an (m, 16) int64 stencil and |w| array in the fill).  The bound
-    # leaves 16 % over the measurement
+    # traced node: 281 B measured (344 B with the (m, 16) weights and kept
+    # mask in the fill, 568 B when the whole set marched at once, with an
+    # (m, 16) int64 stencil and |w| array in the fill).  The bound leaves
+    # 17 % over the measurement
     grid = radial_grid(129)
     b = radial_drift(grid)
     omega_b = ss.ScalarField(grid, np.ones(grid.shape))
@@ -275,12 +468,12 @@ def test_transport_memory_per_traced_node():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _, rep = vorticity.transport_omega(b, omega_b)
+        _, rep, _ = vorticity.transport_omega(b, omega_b)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert rep.traced == 129 * 129 - 2 * 129 + 1
-    assert peak <= 400 * rep.traced
+    assert peak <= 330 * rep.traced
 
 
 def test_transport_validation():
@@ -325,7 +518,7 @@ def test_round_off_weights_do_not_spread_uncovered_nodes(case, most):
     else:  # the first sweep's drift on the criterion-11 patch
         grid = ss.Grid2D(0.1, 0.6, 0.1, 0.6, 65, 65)
         b = fld.gradient(quiescent_field(grid))
-    _, rep = vorticity.transport_omega(
+    _, rep, _ = vorticity.transport_omega(
         b, ss.ScalarField(grid, np.ones(grid.shape)))
     assert rep.uncovered <= most
     assert _statuses_sum(rep) == rep.traced
@@ -352,8 +545,8 @@ def test_per_node_step_halves_the_samples(monkeypatch, lo, n, gap, samples):
     X, Y = grid.meshgrid()
     R = np.hypot(X, Y)
     g = 1.0 + 0.5 * np.sin(4 * np.arctan2(Y, X))
-    omega, rep = vorticity.transport_omega(radial_drift(grid),
-                                           ss.ScalarField(grid, g / R))
+    omega, rep, _ = vorticity.transport_omega(radial_drift(grid),
+                                              ss.ScalarField(grid, g / R))
     assert rep.uncovered == 0
     assert sum(points) / rep.traced <= 0.5 * samples
     assert np.max(np.abs(omega.values * R - g)) / np.max(g) <= 1.1 * gap
@@ -375,7 +568,7 @@ def test_transport_next_to_a_stagnation_point(shift):
     X, Y = grid.meshgrid()
     R = np.hypot(X, Y)
     g = 1.0 + 0.5 * np.sin(4 * np.arctan2(Y, X))
-    omega, rep = vorticity.transport_omega(radial_drift(grid),
-                                           ss.ScalarField(grid, g / R))
+    omega, rep, _ = vorticity.transport_omega(radial_drift(grid),
+                                              ss.ScalarField(grid, g / R))
     assert rep.uncovered == 0
     assert np.max(np.abs(omega.values * R - g) / g) <= 0.03
