@@ -98,13 +98,14 @@ def apply_stencil(coef, f):
 # the block size changes no bit of the result; it bounds the march's
 # temporaries, a few hundred bytes per live node, to a few MB.
 #
-# Samples gather from one corner table per call, holding for each cell's
-# lower-left node p the corners p, p + 1, p + nx, p + nx + 1 of (sgn gx,
-# sgn gy, div b).  The sign sits in the table: negation is exact and commutes
-# with the bilinear formula's products and sums, so a sample equals sgn * b
-# bit for bit (an exactly cancelled zero may differ in sign only).  Cell
-# indices truncate and clamp at 0, which gives floor's index, so the tracer
-# matches its scalar reference (tests/scalar_tracer.py) bit for bit.
+# Samples read the stack of the three fields (sgn gx, sgn gy, div b), the
+# only copy of them a call holds: one take of a (4, m) flat index gathers
+# the corners p, p + 1, p + nx, p + nx + 1 of each point's cell, p its
+# lower-left node.  The sign sits in the stack: negation is exact and
+# commutes with the bilinear formula's products and sums, so a sample equals
+# sgn * b bit for bit (an exactly cancelled zero may differ in sign only).
+# Cell indices truncate and clamp at 0, which gives floor's index, so the
+# tracer matches its scalar reference (tests/scalar_tracer.py) bit for bit.
 
 # Illinois iterations of the exit root find: on the radial, spiral,
 # quasi-patch and shear drifts of tests/test_kernels.py eight land within
@@ -116,27 +117,30 @@ _BLOCK = 4096
 
 
 def _corners(fields, x0, y0, hx, hy, nx, ny):
-    """Corner table (4k, base nodes) of stacked fields (k, ny, nx): row
-    4q + c holds field q at corner c of each cell; and its grid."""
-    flat = fields.reshape(len(fields), -1)
-    w = flat.shape[1] - nx - 1
-    tab = np.stack([flat[:, o:o + w] for o in (0, 1, nx, nx + 1)], axis=1)
+    """The (k, nodes) view of stacked fields (k, ny, nx) that _sample reads,
+    and its grid: origin, spacing, largest cell index, and the flat offsets
+    (4, 1) of a cell's corners from its lower-left node."""
     geom = (np.array([[x0], [y0]]), np.array([[hx], [hy]]),
-            np.array([[nx - 2], [ny - 2]]), nx)
-    return tab.reshape(-1, w), geom
+            np.array([[nx - 2], [ny - 2]]),
+            np.array([[0], [1], [nx], [nx + 1]]))
+    return fields.reshape(len(fields), -1), geom
 
 
 def _sample(tab, pts, geom):
-    """Bilinear samples (k, m) at points pts (2, m) of a corner table."""
-    lo, h, top, nx = geom
+    """Bilinear samples (k, m) of the fields tab (k, nodes) at points
+    pts (2, m): one take of a (4, m) flat index gathers the corners
+    p, p + 1, p + nx, p + nx + 1 of each point's cell, p its lower-left
+    node."""
+    lo, h, top, corner = geom
     t = (pts - lo) / h
     c = t.astype(np.int64)
     np.maximum(c, 0, out=c)
     np.minimum(c, top, out=c)
     a = t - c
     b = 1.0 - a
-    f = tab.take(c[1] * nx + c[0], axis=1)
-    f = f.reshape(len(tab) // 4, 2, 2, -1)  # field, row, column, point
+    # corner[2] holds nx: p = c[1] nx + c[0]
+    f = tab.take(c[1] * corner[2] + c[0] + corner, axis=1)
+    f = f.reshape(len(tab), 2, 2, -1)  # field, row, column, point
     g = b[0] * f[:, :, 0] + a[0] * f[:, :, 1]
     return b[1] * g[:, 0] + a[1] * g[:, 1]
 
@@ -158,9 +162,11 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
     status is TRACE_EXITED (hit on the frame), TRACE_FOOT (hit at the first
     step point _REACH cells from the start whose cell is 1 .. n - 3 on both
     axes), TRACE_STAGNATION or TRACE_MAXLEN (after ceil(max_len / dt)
-    steps).  The corner table is built once; the start points are marched
-    and root-found in blocks of _BLOCK, which bounds the temporaries and
-    leaves every result bit as one block gives it.
+    steps).  Besides its inputs and results, a call holds the (3, nodes)
+    stack of the signed fields that it samples and the temporaries of one
+    block: the start points are marched and root-found in blocks of
+    _BLOCK, which bounds them and leaves every result bit as one block
+    gives it.
     """
     tab, geom = _corners(np.stack([sgn * gx, sgn * gy, gdiv]),
                          x0, y0, hx, hy, nx, ny)
@@ -187,7 +193,7 @@ def _trace_block(tab, geom, frame, reach, floor, step, max_len, stag_tol,
     """March and root-find one block of trace_all, whose start points hit
     (2, m) holds: fills these views of its results in place.  ``floor`` is
     the floor of the speed |b(p0)| in a node's r-step."""
-    txy, tdiv = tab[:8], tab[8:]
+    txy, tdiv = tab[:2], tab[2:]
     origin, h, top = geom[:3]
     frame_lo, frame_hi = frame
 

@@ -142,16 +142,17 @@ def _cubic_weights(a):
 
 def _foot_stencils(fx, fy, grid: Grid2D):
     """Per foot at (fx, fy): the flat index of the lower-left node of its
-    4 x 4 stencil (its base), and the (m, 4) Lagrange-cubic weights wy of
-    the stencil's rows and wx of its columns; entry 4 a + c of the stencil
-    is node base + a nx + c at weight wy[:, a] * wx[:, c]."""
+    4 x 4 stencil (its base), and its offsets ay and ax (m,) in its cell
+    along y and x.  Entry 4 a + c of the stencil is node base + a nx + c at
+    weight wy[:, a] * wx[:, c], with wy and wx the _cubic_weights of ay and
+    ax, which the fill forms a block of feet at a time."""
     t = (fx - grid.x0) / grid.hx
     cx = np.floor(t).astype(np.int64)
-    wx = _cubic_weights(t - cx)
+    ax = t - cx
     t = (fy - grid.y0) / grid.hy
     cy = np.floor(t).astype(np.int64)
-    wy = _cubic_weights(t - cy)
-    return (cy - 1) * grid.nx + cx - 1, wy, wx
+    ay = t - cy
+    return (cy - 1) * grid.nx + cx - 1, ay, ax
 
 
 def _offsets(nx):
@@ -159,15 +160,21 @@ def _offsets(nx):
     return (np.arange(4)[:, None] * nx + np.arange(4)).ravel()
 
 
-def _kept_bits(wy, wx):
+def _kept_bits(ay, ax):
     """Per foot, the 16-bit mask of its kept stencil entries: bit 4 a + c
-    where |wy[:, a] * wx[:, c]| > _TOL_WEIGHT."""
-    bits = np.zeros(len(wy), np.uint16)
-    for a in range(4):
-        for c in range(4):
-            w = wy[:, a] * wx[:, c]
-            bits |= ((w > _TOL_WEIGHT) | (w < -_TOL_WEIGHT)).astype(
-                np.uint16) << (4 * a + c)
+    where |wy[:, a] * wx[:, c]| > _TOL_WEIGHT, wy and wx the
+    _cubic_weights of the cell offsets ay and ax, formed a block of
+    _kernels._BLOCK feet at a time."""
+    bits = np.zeros(len(ay), np.uint16)
+    for lo in range(0, len(ay), _kernels._BLOCK):
+        blk = slice(lo, lo + _kernels._BLOCK)
+        wy, wx = _cubic_weights(ay[blk]), _cubic_weights(ax[blk])
+        out = bits[blk]
+        for a in range(4):
+            for c in range(4):
+                w = wy[:, a] * wx[:, c]
+                out |= ((w > _TOL_WEIGHT) | (w < -_TOL_WEIGHT)).astype(
+                    np.uint16) << (4 * a + c)
     return bits
 
 
@@ -245,9 +252,13 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     order.
 
     Two passes.  The schedule pass (_foot_levels) takes Kahn's levels from
-    a 16-bit kept mask per foot.  The value pass fills one level per batch,
-    forming its (k, 16) weights from the (m, 4) row and column factors, so
-    no (m, 16) array is held.  A carried ``schedule`` (the per-node levels
+    a 16-bit kept mask per foot.  The value pass fills one level per batch.
+    It walks the level-ordered feet in chunks of whole levels, each up to
+    _kernels._BLOCK feet (a larger level is a chunk alone), forms a chunk's
+    (k, 4) row and column factors from the feet's cell offsets once, and
+    slices them per level into that level's (k, 16) weights.  So the fill
+    keeps per foot only its base node and two offsets, and no (m, 4) or
+    (m, 16) array is held.  A carried ``schedule`` (the per-node levels
     of an earlier fill) is used when _schedule_holds finds it valid for
     these feet, and rebuilt otherwise; a foot node it left in a cycle has
     no level, so it fails the check on any feet that still hold that node.
@@ -256,29 +267,39 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     mask of nodes filled (the rest sit in or behind a dependency cycle) and
     the schedule used.
     """
-    base, wy, wx = _foot_stencils(fx, fy, grid)
-    bits = _kept_bits(wy, wx)
+    base, ay, ax = _foot_stencils(fx, fy, grid)
+    bits = _kept_bits(ay, ax)
     if (schedule is None or schedule.size != omega.size
             or not _schedule_holds(schedule, nodes, base, bits, grid.nx)):
         schedule = _foot_levels(nodes, base, bits, omega.size, grid.nx)
     level = schedule[nodes]
     order = np.argsort(level, kind="stable")
-    bounds = np.cumsum(np.bincount(level + 1))  # level -1 first
+    # where each level ends in ``order``, level -1 (not filled) first
+    ends = np.cumsum(np.bincount(level + 1, minlength=1))
     offsets = _offsets(grid.nx)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo == hi:
-            continue
-        r = order[lo:hi]
-        st = base[r][:, None] + offsets
-        w = (wy[r][:, :, None] * wx[r][:, None, :]).reshape(-1, 16)
-        kept = (w > _TOL_WEIGHT) | (w < -_TOL_WEIGHT)  # |w| > _TOL_WEIGHT
-        w[~kept] = 0.0
-        g = nodes[r]
-        t = length[r] + (w * total[st]).sum(axis=1)
-        om = np.where(kept, omega[st], 0.0)
-        omega[g] = np.where(t <= max_len, (w * om).sum(axis=1)
-                            * np.exp(-acc[r]), np.nan)
-        total[g] = t
+    i = 0
+    while ends[i] < ends[-1]:
+        # a chunk of whole levels, up to _BLOCK feet or one larger level:
+        # its weight factors are formed once and sliced per level
+        j = max(i + 1, np.searchsorted(ends, ends[i] + _kernels._BLOCK,
+                                       "right") - 1)
+        chunk = order[ends[i]:ends[j]]
+        wy, wx = _cubic_weights(ay[chunk]), _cubic_weights(ax[chunk])
+        for lo, hi in zip(ends[i:j] - ends[i], ends[i + 1:j + 1] - ends[i]):
+            if lo == hi:
+                continue
+            r = chunk[lo:hi]
+            st = base[r][:, None] + offsets
+            w = (wy[lo:hi, :, None] * wx[lo:hi, None, :]).reshape(-1, 16)
+            kept = (w > _TOL_WEIGHT) | (w < -_TOL_WEIGHT)  # |w| > _TOL_WEIGHT
+            w[~kept] = 0.0
+            g = nodes[r]
+            t = length[r] + (w * total[st]).sum(axis=1)
+            om = np.where(kept, omega[st], 0.0)
+            omega[g] = np.where(t <= max_len, (w * om).sum(axis=1)
+                                * np.exp(-acc[r]), np.nan)
+            total[g] = t
+        i = j
     return level >= 0, schedule
 
 
@@ -328,11 +349,13 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
                                            hx_[landed], hy_[landed])
                              * np.exp(-acc[landed]))
     foot = np.flatnonzero(status == _kernels.TRACE_FOOT)
-    filled, schedule = _fill_feet(omega, total, traced[foot], acc[foot],
-                                  length[foot], hx_[foot], hy_[foot], grid,
-                                  max_len, schedule)
-    interpolated = int(np.count_nonzero(
-        filled & (total[traced[foot]] <= max_len)))
+    nodes = traced[foot]
+    # the feet's values replace the per traced node arrays, which the fill
+    # then no longer holds
+    acc, length, hx_, hy_ = (v[foot] for v in (acc, length, hx_, hy_))
+    filled, schedule = _fill_feet(omega, total, nodes, acc, length, hx_, hy_,
+                                  grid, max_len, schedule)
+    interpolated = int(np.count_nonzero(filled & (total[nodes] <= max_len)))
     uncovered = np.isnan(omega)
     omega[uncovered] = 0.0
     stagnated = int(np.count_nonzero(status == _kernels.TRACE_STAGNATION))

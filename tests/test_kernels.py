@@ -1,6 +1,7 @@
 """Batched numpy tracer against its scalar reference."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,15 +31,18 @@ def _node_dt(args):
     return args[6] / np.maximum(np.hypot(s[0], s[1]), args[8])
 
 
-@pytest.mark.parametrize("case", ["radial", "spiral", "rotation",
-                                  "nonsquare", "forward", "shear"])
-def test_numpy_tracer_matches_scalar_kernel(case):
-    # the scalar reference, run as plain Python, on every node of a 9^2 grid
-    # (11^2 for the rotation, 13 x 7 for nonsquare); nonsquare has nx != ny
-    # and hx != hy, where a wrong corner index shows, forward traces along
-    # +b, where a wrongly folded sign shows, and the shear b = (y, 0)
-    # stagnates on y = 0 and runs along the top and bottom sides, whose
-    # paths leave through the next side at a corner
+_TRACER_CASES = ["radial", "spiral", "rotation", "nonsquare", "forward",
+                 "shear"]
+
+
+def _tracer_case(case):
+    """(drift, max_len, sgn, status counts) of the scalar-reference cases:
+    a 9^2 grid (11^2 for the rotation, 13 x 7 for nonsquare); nonsquare
+    has nx != ny and hx != hy, where a wrong corner index shows, forward
+    traces along +b, where a wrongly folded sign shows, and the shear
+    b = (y, 0) stagnates on y = 0 and runs along the top and bottom sides,
+    whose paths leave through the next side at a corner.  The counts are
+    of exited, stagnated, max-length and foot paths"""
     sgn = -1.0
     if case == "radial":
         grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 9, 9)
@@ -68,12 +72,74 @@ def test_numpy_tracer_matches_scalar_kernel(case):
         max_len, counts = 1.0, [20, 1, 52, 8]
         if case == "forward":
             counts, sgn = [40, 1, 36, 4], 1.0
+    return b, max_len, sgn, counts
+
+
+@pytest.mark.parametrize("case", _TRACER_CASES)
+def test_numpy_tracer_matches_scalar_kernel(case):
+    # the scalar reference, run as plain Python, on every node of the grid
+    b, max_len, sgn, counts = _tracer_case(case)
     args = _args(b, max_len, sgn)
     fast, ref = _kernels.trace_all(*args), scalar_tracer.trace_all(*args)
-    # exited, stagnated, max-length and foot paths
     assert np.bincount(ref[3], minlength=4).tolist() == counts
     for a, r in zip(fast, ref):
         assert np.array_equal(a, r)
+
+
+def _corner_sample(fields, pts, x0, y0, hx, hy, nx, ny):
+    """The sampler of the tracer before it read the fields themselves:
+    bilinear samples (k, m) of fields (k, ny, nx) at pts (2, m), gathered
+    by one take of each point's lower-left node from a corner table
+    (4k, base nodes), whose row 4 q + c holds field q at corner c (p,
+    p + 1, p + nx, p + nx + 1) of each cell.  The bitwise reference of
+    _kernels._sample"""
+    flat = fields.reshape(len(fields), -1)
+    w = flat.shape[1] - nx - 1
+    tab = np.stack([flat[:, o:o + w] for o in (0, 1, nx, nx + 1)],
+                   axis=1).reshape(-1, w)
+    t = (pts - np.array([[x0], [y0]])) / np.array([[hx], [hy]])
+    c = t.astype(np.int64)
+    np.maximum(c, 0, out=c)
+    np.minimum(c, np.array([[nx - 2], [ny - 2]]), out=c)
+    a = t - c
+    b = 1.0 - a
+    f = tab.take(c[1] * nx + c[0], axis=1).reshape(len(fields), 2, 2, -1)
+    g = b[0] * f[:, :, 0] + a[0] * f[:, :, 1]
+    return b[1] * g[:, 0] + a[1] * g[:, 1]
+
+
+@pytest.mark.parametrize("case", _TRACER_CASES)
+def test_sample_is_bitwise_the_corner_table(case, monkeypatch):
+    # every sample of a trace, and the drift at its exits' hit points as
+    # vorticity._hit_is_inflow reads it, has the bits of the corner-table
+    # sampler on the same fields; the fields the tracer samples are
+    # (sgn gx, sgn gy, div b), the sign folded in
+    b, max_len, sgn, _ = _tracer_case(case)
+    g = b.grid
+    calls = []
+    sample = _kernels._sample
+
+    def spy(tab, pts, geom):
+        out = sample(tab, pts, geom)
+        calls.append((tab, pts.copy(), out))
+        return out
+
+    monkeypatch.setattr(_kernels, "_sample", spy)
+    args = _args(b, max_len, sgn)
+    _, hx, hy, status, _ = _kernels.trace_all(*args)
+    signed = np.stack([sgn * b.u, sgn * b.v, args[2]]).reshape(3, -1)
+    assert calls[0][0].tobytes() == signed.tobytes()
+    exited = status == _kernels.TRACE_EXITED
+    assert exited.any()
+    traced = len(calls)
+    vorticity._hit_is_inflow(b, hx[exited], hy[exited])
+    assert len(calls) == traced + 1
+    assert calls[-1][0].tobytes() == np.stack([b.u, b.v]).reshape(
+        2, -1).tobytes()
+    for tab, pts, out in calls:
+        ref = _corner_sample(tab.reshape(len(tab), g.ny, g.nx), pts, g.x0,
+                             g.y0, g.hx, g.hy, g.nx, g.ny)
+        assert out.tobytes() == ref.tobytes()
 
 
 def _radial(n, lo=0.25):
@@ -258,6 +324,25 @@ def test_block_march_matches_one_block(case, monkeypatch):
     assert len(np.unique(whole[3])) >= 2
     for a, r in zip(blocks, whole):
         assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+
+
+def test_trace_memory_per_node():
+    # the tracemalloc peak of trace_all from every node of the 129^2 radial
+    # drift, per start point: 164 B measured (235 B with a corner table of
+    # the three fields, 12 rows of the grid's size, beside their stack).
+    # The bound leaves 17 % over the measurement
+    b = _radial(129)
+    args = _args(b, 20.0 * b.grid.diam)
+    _kernels.trace_all(*args)  # any first-call set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _kernels.trace_all(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert args[3].size == 129 * 129
+    assert peak <= 192 * args[3].size
 
 
 def test_slow_node_ends_after_its_step_budget():

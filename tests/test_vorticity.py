@@ -397,6 +397,65 @@ def test_fill_is_bitwise_the_level_fill(monkeypatch, case, cycles):
         assert rep.uncovered > rep.stagnated + rep.truncated > 0
 
 
+def _traced_lengths(monkeypatch, b, omega_b, max_len, schedule=None):
+    """A transport's omega, report and schedule, the per grid node
+    characteristic lengths that its fill completes, and the feet in each
+    chunk of its value pass."""
+    totals, sizes, marks = [], [], []
+    fill, cubic = vorticity._fill_feet, vorticity._cubic_weights
+    kept_bits = vorticity._kept_bits
+
+    def spy_fill(*args):
+        out = fill(*args)
+        totals.append(args[1])
+        return out
+
+    def spy_cubic(a):
+        sizes.append(a.size)
+        return cubic(a)
+
+    def spy_bits(*args):
+        out = kept_bits(*args)
+        marks.append(len(sizes))  # the value pass's calls come next
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(vorticity, "_fill_feet", spy_fill)
+        m.setattr(vorticity, "_cubic_weights", spy_cubic)
+        m.setattr(vorticity, "_kept_bits", spy_bits)
+        omega, rep, schedule = vorticity.transport_omega(
+            b, omega_b, max_len=max_len, schedule=schedule)
+    # two calls a chunk: the row factors, then the column factors
+    return omega, rep, schedule, totals[0], sizes[marks[0]::2]
+
+
+@pytest.mark.parametrize("case, several", [
+    ("radial", True), ("criterion-11", True), ("spiral", False),
+    ("spiral-cut", False), ("shear", False), ("tilted", False)])
+def test_value_pass_chunks_change_no_bit(monkeypatch, case, several):
+    # the value pass forms the weight factors of whole levels at a time, up
+    # to _kernels._BLOCK feet or one larger level.  With blocks of 7 (the
+    # tracer and the kept masks take them too) omega and the lengths are
+    # byte-identical to one chunk, fresh and on a carried schedule.  A
+    # level over 7 feet is a chunk alone; in two cases a chunk also holds
+    # several small levels
+    b, omega_b, max_len = _fill_case(case)
+    monkeypatch.setattr(_kernels, "_BLOCK", 1 << 20)
+    ref, ref_rep, schedule, ref_total, one = _traced_lengths(
+        monkeypatch, b, omega_b, max_len)
+    assert len(one) == 1
+    levels = np.unique(schedule[schedule >= 0]).size
+    monkeypatch.setattr(_kernels, "_BLOCK", 7)
+    for carried in (None, schedule):
+        omega, rep, _, total, chunks = _traced_lengths(
+            monkeypatch, b, omega_b, max_len, carried)
+        assert omega.values.tobytes() == ref.values.tobytes()
+        assert total.tobytes() == ref_total.tobytes()
+        assert vars(rep) == vars(ref_rep)
+        assert sum(chunks) == one[0] and max(chunks) > 7
+        assert (len(chunks) < levels) == several
+
+
 def _feet(monkeypatch, b, omega_b):
     """The foot nodes and foot points (nodes, fx, fy) of a transport."""
     calls = []
@@ -429,8 +488,8 @@ def test_a_carried_schedule_that_does_not_hold_is_rebuilt(monkeypatch,
     sink = radial_drift(grid)
     fresh, fresh_rep, schedule = vorticity.transport_omega(sink, omega_b)
     nodes, fx, fy = _feet(monkeypatch, sink, omega_b)
-    base, wy, wx = vorticity._foot_stencils(fx, fy, grid)
-    kept = vorticity._kept_bits(wy, wx)
+    base, ay, ax = vorticity._foot_stencils(fx, fy, grid)
+    kept = vorticity._kept_bits(ay, ax)
     assert vorticity._schedule_holds(schedule, nodes, base, kept, grid.nx)
     if change == "foot set":
         spiral = ss.VectorField.from_function(
@@ -457,10 +516,11 @@ def test_a_carried_schedule_that_does_not_hold_is_rebuilt(monkeypatch,
 
 def test_transport_memory_per_traced_node():
     # the tracemalloc peak of a 129^2 transport on the radial drift, per
-    # traced node: 281 B measured (344 B with the (m, 16) weights and kept
-    # mask in the fill, 568 B when the whole set marched at once, with an
-    # (m, 16) int64 stencil and |w| array in the fill).  The bound leaves
-    # 17 % over the measurement
+    # traced node: 208 B measured (281 B with the tracer's corner table and
+    # the fill's (m, 4) weight factors, 344 B with the (m, 16) weights and
+    # kept mask in the fill, 568 B when the whole set marched at once, with
+    # an (m, 16) int64 stencil and |w| array in the fill).  The bound
+    # leaves 17 % over the measurement
     grid = radial_grid(129)
     b = radial_drift(grid)
     omega_b = ss.ScalarField(grid, np.ones(grid.shape))
@@ -473,7 +533,7 @@ def test_transport_memory_per_traced_node():
     finally:
         tracemalloc.stop()
     assert rep.traced == 129 * 129 - 2 * 129 + 1
-    assert peak <= 330 * rep.traced
+    assert peak <= 244 * rep.traced
 
 
 def test_transport_validation():
