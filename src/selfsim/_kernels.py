@@ -96,14 +96,23 @@ def apply_stencil(coef, f):
 # A root find depends only on the node's own crossing step, so each node
 # sees the same arithmetic as when solved alone at the step it crossed, and
 # the block size changes no bit of the result; it bounds the march's
-# temporaries, a few hundred bytes per live node, to a few MB.
+# temporaries, a few hundred bytes per live node, to 1.3 MB at 4,096 on
+# the 129^2 radial sink.  Freed at each block's end, they can exceed
+# glibc's self-tuned trim threshold (twice the largest mapped block freed
+# so far, 0.8 MB after the 400 kB field stack alone), and then the heap
+# top is trimmed and faulted in again block after block.
 #
 # Samples read the stack of the three fields (sgn gx, sgn gy, div b), the
-# only copy of them a call holds: one take of a (4, m) flat index gathers
-# the corners p, p + 1, p + nx, p + nx + 1 of each point's cell, p its
-# lower-left node.  The sign sits in the stack: negation is exact and
-# commutes with the bilinear formula's products and sums, so a sample equals
-# sgn * b bit for bit (an exactly cancelled zero may differ in sign only).
+# only copy of them a call holds, one row of each point's cell at a time:
+# takes at p and p + 1, then at p + nx and p + nx + 1, p the lower-left
+# node.  Keep each temporary of a sample or a march step under 128 KiB at
+# _BLOCK points (a (3, m) gather is 96 KiB): glibc serves a request of
+# 128 KiB or more that no free chunk fits (its default mmap threshold) by
+# a fresh mmap and unmaps it on free, so its pages fault afresh on every
+# call; a (4, m) int64 index of the corners was exactly 128 KiB.  The
+# sign sits in the stack: negation is exact and commutes with the bilinear
+# formula's products and sums, so a sample equals sgn * b bit for bit (an
+# exactly cancelled zero may differ in sign only).
 # Cell indices truncate and clamp at 0, which gives floor's index, so the
 # tracer matches its scalar reference (tests/scalar_tracer.py) bit for bit.
 
@@ -118,31 +127,30 @@ _BLOCK = 4096
 
 def _corners(fields, x0, y0, hx, hy, nx, ny):
     """The (k, nodes) view of stacked fields (k, ny, nx) that _sample reads,
-    and its grid: origin, spacing, largest cell index, and the flat offsets
-    (4, 1) of a cell's corners from its lower-left node."""
+    and its grid: origin, spacing, largest cell index and the row length
+    nx."""
     geom = (np.array([[x0], [y0]]), np.array([[hx], [hy]]),
-            np.array([[nx - 2], [ny - 2]]),
-            np.array([[0], [1], [nx], [nx + 1]]))
+            np.array([[nx - 2], [ny - 2]]), nx)
     return fields.reshape(len(fields), -1), geom
 
 
 def _sample(tab, pts, geom):
     """Bilinear samples (k, m) of the fields tab (k, nodes) at points
-    pts (2, m): one take of a (4, m) flat index gathers the corners
-    p, p + 1, p + nx, p + nx + 1 of each point's cell, p its lower-left
-    node."""
-    lo, h, top, corner = geom
+    pts (2, m), one cell row at a time: the lower row from takes at p and
+    p + 1, p each point's lower-left node, then the upper row at p + nx and
+    p + nx + 1.  No temporary exceeds k m floats (see the tracer comment)."""
+    lo, h, top, nx = geom
     t = (pts - lo) / h
     c = t.astype(np.int64)
     np.maximum(c, 0, out=c)
     np.minimum(c, top, out=c)
     a = t - c
     b = 1.0 - a
-    # corner[2] holds nx: p = c[1] nx + c[0]
-    f = tab.take(c[1] * corner[2] + c[0] + corner, axis=1)
-    f = f.reshape(len(tab), 2, 2, -1)  # field, row, column, point
-    g = b[0] * f[:, :, 0] + a[0] * f[:, :, 1]
-    return b[1] * g[:, 0] + a[1] * g[:, 1]
+    p = c[1] * nx + c[0]
+    g0 = b[0] * tab.take(p, axis=1) + a[0] * tab.take(p + 1, axis=1)
+    p += nx
+    g1 = b[0] * tab.take(p, axis=1) + a[0] * tab.take(p + 1, axis=1)
+    return b[1] * g0 + a[1] * g1
 
 
 def _rk2(tab, p, k1, dt, geom):

@@ -13,7 +13,6 @@ axis (_SineLaplacian).  Neither builds a sparse matrix.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,6 +116,23 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _NU = np.array([-1.0, 1.0])
 
 
+def _inv(M: np.ndarray) -> np.ndarray:
+    """Inverse of a small row diagonally dominant matrix by Gauss-Jordan
+    elimination without pivoting, dividing each row by its pivot; the 2 x 2
+    D_FF of a line and the 4 x 4 corner block are both, and both are
+    diagonal on lines of 4 or more nodes, where the rows come out as 1 / d
+    exactly.  np.linalg.inv would touch numpy's own OpenBLAS only for
+    these."""
+    n = len(M)
+    A = np.hstack([M, np.eye(n)])
+    for i in range(n):
+        A[i] /= A[i, i]
+        for r in range(n):
+            if r != i:
+                A[r] -= A[r, i] * A[i]
+    return A[:, n:]
+
+
 def _line_modes(A: np.ndarray):
     """Eigenpairs A = V diag(mu) V^-1 of the line operator of _Line.
 
@@ -179,25 +195,25 @@ class _Line:
     zero: int
 
     @staticmethod
-    @functools.lru_cache(maxsize=2)
     def unit(n: int) -> "_Line":
-        """The line at h = 1; D and D^2 by field.diff1, with no product."""
+        """The line at h = 1; D and D^2 by field.diff1, with no product.
+        Nothing caches it: _NeumannSolver builds each line length once."""
         D = fld.diff1(np.eye(n), 1.0, axis=0)
         D2 = fld.diff1(D, 1.0, axis=0)
         F, I = [0, n - 1], slice(1, n - 1)
         D_FF, D_FI = D[F][:, F], D[F, I]
-        Finv = np.linalg.inv(D_FF)
+        Finv = _inv(D_FF)
         P = _mm(D2[I][:, F], Finv)
         mu, V, Vinv = _line_modes(D2[I, I] - _mm(P, D_FI))
         return _Line(D_FF, D_FI, Finv, _mm(Finv, D_FI), P, mu, V, Vinv,
                      int(np.argmax(mu)))
 
-    @staticmethod
-    def build(n: int, h: float) -> "_Line":
-        """D scales as 1/h, so A as 1/h^2, and V not at all."""
-        u = _Line.unit(n)
-        return replace(u, D_FF=u.D_FF / h, D_FI=u.D_FI / h, Finv=u.Finv * h,
-                       P=u.P / h, mu=u.mu / (h * h))
+    def scaled(self, h: float) -> "_Line":
+        """The line at spacing h: D scales as 1/h, so A as 1/h^2, and V not
+        at all."""
+        return replace(self, D_FF=self.D_FF / h, D_FI=self.D_FI / h,
+                       Finv=self.Finv * h, P=self.P / h,
+                       mu=self.mu / (h * h))
 
 
 class _NeumannSolver:
@@ -213,9 +229,11 @@ class _NeumannSolver:
     """
 
     def __init__(self, grid: Grid2D):
-        # a square grid diagonalizes one line: _Line.unit is cached
-        x = self.x = _Line.build(grid.nx, grid.hx)
-        y = self.y = _Line.build(grid.ny, grid.hy)
+        # a square grid diagonalizes one unit line and scales it per axis
+        ux = _Line.unit(grid.nx)
+        uy = ux if grid.ny == grid.nx else _Line.unit(grid.ny)
+        x = self.x = ux.scaled(grid.hx)
+        y = self.y = uy.scaled(grid.hy)
         self.w = 1.0 / (2 * (grid.nx + grid.ny) - 4)  # the frame's w_b
         # inner rows: K psi_I = f + lambda c, with K the Kronecker sum
         self.c = self.w * (_mm(x.P, _NU[:, None]).T + _mm(y.P, _NU[:, None]))
@@ -227,7 +245,7 @@ class _NeumannSolver:
         nux, nuy = _boundary_normals(grid)
         self.corner_nux = nux[np.ix_([0, -1], [0, -1])]
         self.corner_nuy = nuy[np.ix_([0, -1], [0, -1])]
-        self.corner_inv = np.linalg.inv(
+        self.corner_inv = _inv(
             self.corner_nux.reshape(4, 1) * np.kron(np.eye(2), x.D_FF)
             + self.corner_nuy.reshape(4, 1) * np.kron(y.D_FF, np.eye(2)))
 

@@ -132,6 +132,49 @@ def test_decompose_solves_without_sparse_lu(monkeypatch, n):
     assert 1 <= len(solves) <= 4
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (4, 5), (16, 16), (17, 17)])
+def test_decompose_calls_no_numpy_linalg(monkeypatch, shape):
+    # the line and corner blocks are inverted by hodge._inv, so decompose
+    # touches none of numpy's own LAPACK.  The reference is decompose with
+    # np.linalg.inv in _inv's place, as both inverses were taken before:
+    # on lines of 4 or more nodes both blocks are diagonal and psi keeps
+    # its bits; 3-node lines have off-diagonal entries, where the
+    # elimination may round otherwise
+    g = ss.Grid2D(0.0, 1.0, -0.5, 0.1, *shape)
+    rng = np.random.default_rng(0)
+    U = ss.VectorField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
+    with monkeypatch.context() as m:
+        m.setattr(hodge, "_inv", np.linalg.inv)
+        ref = hodge.decompose(U).psi.values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hodge called np.linalg")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    psi = hodge.decompose(U).psi.values
+    if min(shape) >= 4:
+        assert psi.tobytes() == ref.tobytes()
+    else:
+        assert np.max(np.abs(psi - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # nothing is cached: a second solver on the grid is built afresh and
+    # holds the bits of the first
+    assert not hasattr(hodge._Line.unit, "cache_info")
+    a, b = hodge._NeumannSolver(g), hodge._NeumannSolver(g)
+    for name in ("x", "y"):
+        la, lb = getattr(a, name), getattr(b, name)
+        assert la is not lb
+        for f in la.__dataclass_fields__:
+            assert np.asarray(getattr(la, f)).tobytes() == np.asarray(
+                getattr(lb, f)).tobytes()
+    for f in ("c", "c0", "denom", "corner_inv"):
+        assert np.asarray(getattr(a, f)).tobytes() == np.asarray(
+            getattr(b, f)).tobytes()
+    R = rng.normal(size=g.shape)
+    for u, v in zip(a.solve(R, 0.0), b.solve(R, 0.0)):
+        assert np.asarray(u).tobytes() == np.asarray(v).tobytes()
+
+
 def _line_operator(n):
     """Dense A = (D^2)_II - (D^2)_IF D_FF^-1 D_FI of the 1-D Neumann line."""
     D = _diff1_matrix(n, 1.0).toarray()

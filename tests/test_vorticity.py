@@ -516,7 +516,8 @@ def test_a_carried_schedule_that_does_not_hold_is_rebuilt(monkeypatch,
 
 def test_transport_memory_per_traced_node():
     # the tracemalloc peak of a 129^2 transport on the radial drift, per
-    # traced node: 208 B measured (281 B with the tracer's corner table and
+    # traced node: 180 B measured (208 B with each tracer sample's corners
+    # in one (k, 4, m) gather, 281 B with the tracer's corner table and
     # the fill's (m, 4) weight factors, 344 B with the (m, 16) weights and
     # kept mask in the fill, 568 B when the whole set marched at once, with
     # an (m, 16) int64 stencil and |w| array in the fill).  The bound
@@ -533,7 +534,7 @@ def test_transport_memory_per_traced_node():
     finally:
         tracemalloc.stop()
     assert rep.traced == 129 * 129 - 2 * 129 + 1
-    assert peak <= 244 * rep.traced
+    assert peak <= 211 * rep.traced
 
 
 def test_transport_validation():
