@@ -1,9 +1,10 @@
 """Hot numeric kernels, in numpy: the 9-point stencil and the tracer.
 
 ``apply_stencil`` applies the frozen-coefficient operator at interior
-nodes.  ``trace_all`` integrates characteristics of a bilinear drift from
-many start points at once (semi-Lagrangian vorticity transport), each until
-it reaches a foot point _REACH cells upstream or leaves the frame.  Both
+nodes.  ``trace_all`` integrates characteristics of a bilinear drift
+upstream from many grid nodes at once (semi-Lagrangian vorticity
+transport), each until it reaches a foot point _REACH cells upstream or
+leaves the frame, and reports the frame side that each exit crosses.  Both
 kernels are deterministic.
 """
 
@@ -27,6 +28,9 @@ TRACE_EXITED = 0
 TRACE_STAGNATION = 1
 TRACE_MAXLEN = 2
 TRACE_FOOT = 3
+
+# |b| below which a characteristic stagnates
+_STAG_TOL = 1e-14
 
 # a path stops at a foot point this many cells (of the larger spacing) from
 # its start: the 4 x 4 cubic stencil of the foot's cell lies within 2 cells
@@ -63,18 +67,18 @@ def apply_stencil(coef, f):
 # ---------------------------------------------------------------------------
 # characteristic tracing (semi-Lagrangian transport)
 #
-# Integrates d(xi)/dr = sgn * b(xi) with midpoint RK2 (bilinear interpolation
-# makes the drift b = (gx, gy) only C0 across cell edges, so a higher order
-# gains nothing) and the trapezoid quadrature of (1 + div b) along the path;
-# the sample at a step's new point is the next step's k1, so a step takes two
-# samples.  Each node takes its own r-step dt = step / |b(p0)|, so ``step`` is
+# Integrates d(xi)/dr = -b(xi), upstream, with midpoint RK2 (bilinear
+# interpolation makes the drift b = (gx, gy) only C0 across cell edges, so a
+# higher order gains nothing) and the trapezoid quadrature of (1 + div b)
+# along the path; the sample at a step's new point is the next step's k1, so
+# a step takes two samples.  Each node takes its own r-step dt = step / |b(p0)|, so ``step`` is
 # the spatial length of a step at the start point and a slow node crosses its
 # _REACH cells in as few steps as a fast one (semi-Lagrangian practice takes
 # a trajectory's step from its local wind).  The speed is floored at
 # lip * reach, lip a Lipschitz bound of the bilinear drift: a slower node
 # may lie within its reach of a stagnation point, where |b| changes on the
 # scale of a step, and the floor keeps dt * lip <= step / reach.  A path
-# ends on stagnation of |b| (at step 0 when |b(p0)| < stag_tol), at path
+# ends on stagnation of |b| (at step 0 when |b(p0)| < _STAG_TOL), at path
 # length max_len, i.e. after ceil(max_len / dt) steps, at a foot point, or
 # when a step leaves the frame.
 # A step's new point is a foot (TRACE_FOOT) when it lies at least
@@ -92,7 +96,9 @@ def apply_stencil(coef, f):
 # runs on the signed distance outside the side that hi is farthest out of,
 # the side the path crosses (on a path along a side the frame gap is 0 at
 # lo, where a secant on it stalls), and the point of sub-step lo is snapped
-# onto that side: the closest one (the one it ran along) may not be inflow.
+# onto that side, which the call reports: the closest one (the one it ran
+# along) may not be inflow.  Of sides equally far out, as at an exact
+# corner, the first in the order x0, y0, x1, y1 is the one crossed.
 # A root find depends only on the node's own crossing step, so each node
 # sees the same arithmetic as when solved alone at the step it crossed, and
 # the block size changes no bit of the result; it bounds the march's
@@ -102,7 +108,7 @@ def apply_stencil(coef, f):
 # so far, 0.8 MB after the 400 kB field stack alone), and then the heap
 # top is trimmed and faulted in again block after block.
 #
-# Samples read the stack of the three fields (sgn gx, sgn gy, div b), the
+# Samples read the stack of the three fields (-gx, -gy, div b), the
 # only copy of them a call holds, one row of each point's cell at a time:
 # takes at p and p + 1, then at p + nx and p + nx + 1, p the lower-left
 # node.  Keep each temporary of a sample or a march step under 128 KiB at
@@ -110,9 +116,9 @@ def apply_stencil(coef, f):
 # 128 KiB or more that no free chunk fits (its default mmap threshold) by
 # a fresh mmap and unmaps it on free, so its pages fault afresh on every
 # call; a (4, m) int64 index of the corners was exactly 128 KiB.  The
-# sign sits in the stack: negation is exact and commutes with the bilinear
-# formula's products and sums, so a sample equals sgn * b bit for bit (an
-# exactly cancelled zero may differ in sign only).
+# upstream sign sits in the stack: negation is exact and commutes with the
+# bilinear formula's products and sums, so a sample equals -b bit for bit
+# (an exactly cancelled zero may differ in sign only).
 # Cell indices truncate and clamp at 0, which gives floor's index, so the
 # tracer matches its scalar reference (tests/scalar_tracer.py) bit for bit.
 
@@ -125,12 +131,12 @@ _EXIT_ITERS = 8
 _BLOCK = 4096
 
 
-def _corners(fields, x0, y0, hx, hy, nx, ny):
-    """The (k, nodes) view of stacked fields (k, ny, nx) that _sample reads,
-    and its grid: origin, spacing, largest cell index and the row length
-    nx."""
-    geom = (np.array([[x0], [y0]]), np.array([[hx], [hy]]),
-            np.array([[nx - 2], [ny - 2]]), nx)
+def _corners(fields, grid):
+    """The (k, nodes) view of stacked fields (k, ny, nx) on ``grid`` that
+    _sample reads, and its geometry: origin, spacing, largest cell index
+    and the row length nx."""
+    geom = (np.array([[grid.x0], [grid.y0]]), np.array([[grid.hx], [grid.hy]]),
+            np.array([[grid.nx - 2], [grid.ny - 2]]), grid.nx)
     return fields.reshape(len(fields), -1), geom
 
 
@@ -154,56 +160,62 @@ def _sample(tab, pts, geom):
 
 
 def _rk2(tab, p, k1, dt, geom):
-    """Midpoint RK2 step of length dt (m,) from p (2, m); k1 = sgn * b(p)."""
+    """Midpoint RK2 step of length dt (m,) from p (2, m); k1 = -b(p)."""
     return p + dt * _sample(tab, p + 0.5 * dt * k1, geom)
 
 
-def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
-              x0, x1, y0, y1, hx, hy, nx, ny):
-    """Trace characteristics from every start point; see the comment above.
+def trace_all(gx, gy, gdiv, nodes, step, max_len, grid):
+    """Trace characteristics upstream, along -b for the drift b = (gx, gy)
+    with div b = gdiv on ``grid``, from the grid nodes of flat indices
+    ``nodes``; see the comment above.
 
     ``step`` is the spatial length of a node's RK2 step at its start point:
     the node's r-step is dt = step / |b(p0)|, with |b(p0)| floored near a
     stagnation point (see above).  Returns (accumulated integral, hit x,
-    hit y, status, path length) per start point; the length is the node's
-    march steps times its dt, plus the sub-step of an exited path.  The
-    status is TRACE_EXITED (hit on the frame), TRACE_FOOT (hit at the first
-    step point _REACH cells from the start whose cell is 1 .. n - 3 on both
-    axes), TRACE_STAGNATION or TRACE_MAXLEN (after ceil(max_len / dt)
-    steps).  Besides its inputs and results, a call holds the (3, nodes)
-    stack of the signed fields that it samples and the temporaries of one
-    block: the start points are marched and root-found in blocks of
-    _BLOCK, which bounds them and leaves every result bit as one block
-    gives it.
+    hit y, status, path length, side) per start node; the length is the
+    node's march steps times its dt, plus the sub-step of an exited path.
+    The status is TRACE_EXITED (hit on the frame), TRACE_FOOT (hit at the
+    first step point _REACH cells from the start whose cell is 1 .. n - 3
+    on both axes), TRACE_STAGNATION or TRACE_MAXLEN (after ceil(max_len /
+    dt) steps).  The side (int8) of an exited path is the frame side that
+    it crosses and that its hit is snapped onto, 0 .. 3 for x = x0, y = y0,
+    x = x1, y = y1; at an exact corner it is the first of the two in that
+    order.  Any other path has side -1.  Besides its inputs and results, a
+    call holds the (3, nodes) stack of the sampled fields (-gx, -gy, gdiv)
+    and the temporaries of one block: the start nodes are marched and
+    root-found in blocks of _BLOCK, which bounds them and leaves every
+    result bit as one block gives it.
     """
-    tab, geom = _corners(np.stack([sgn * gx, sgn * gy, gdiv]),
-                         x0, y0, hx, hy, nx, ny)
+    tab, geom = _corners(np.stack([-gx, -gy, gdiv]), grid)
     reach = _REACH * geom[1].max()
-    # stag_tol only keeps the dt of a node that stagnates at step 0 finite
+    # _STAG_TOL only keeps the dt of a node that stagnates at step 0 finite
     lip = np.sqrt(sum((np.abs(np.diff(f, axis=ax)) / hh).max(initial=0.0)
-                      ** 2 for f in (gx, gy) for ax, hh in ((1, hx), (0, hy))))
-    floor = max(lip * reach, stag_tol)
-    frame = (np.array([[x0], [y0]]), np.array([[x1], [y1]]))
-    n = xs.size
+                      ** 2 for f in (gx, gy)
+                      for ax, hh in ((1, grid.hx), (0, grid.hy))))
+    floor = max(lip * reach, _STAG_TOL)
+    n = nodes.size
     acc = np.zeros(n)
     length = np.zeros(n)
-    hit = np.array([xs, ys], dtype=float)
+    hit = np.array([grid.xi1[nodes % grid.nx], grid.xi2[nodes // grid.nx]])
     status = np.full(n, TRACE_MAXLEN, np.int8)
+    side = np.full(n, -1, np.int8)
+    frame_hi = np.array([[grid.x1], [grid.y1]])
     for lo in range(0, n, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        _trace_block(tab, geom, frame, reach, floor, step, max_len, stag_tol,
-                     acc[blk], hit[:, blk], status[blk], length[blk])
-    return acc, hit[0], hit[1], status, length
+        _trace_block(tab, geom, frame_hi, reach, floor, step, max_len,
+                     acc[blk], hit[:, blk], status[blk], length[blk],
+                     side[blk])
+    return acc, hit[0], hit[1], status, length, side
 
 
-def _trace_block(tab, geom, frame, reach, floor, step, max_len, stag_tol,
-                 acc, hit, status, length):
+def _trace_block(tab, geom, frame_hi, reach, floor, step, max_len,
+                 acc, hit, status, length, exit_side):
     """March and root-find one block of trace_all, whose start points hit
-    (2, m) holds: fills these views of its results in place.  ``floor`` is
-    the floor of the speed |b(p0)| in a node's r-step."""
+    (2, m) holds: fills these views of its results in place.  The frame
+    runs from the origin geom[0] to frame_hi (2, 1); ``floor`` is the floor
+    of the speed |b(p0)| in a node's r-step."""
     txy, tdiv = tab[:2], tab[2:]
-    origin, h, top = geom[:3]
-    frame_lo, frame_hi = frame
+    frame_lo, h, top = geom[:3]
 
     def inside(q):
         return ((frame_lo <= q) & (q <= frame_hi)).all(axis=0)
@@ -213,8 +225,8 @@ def _trace_block(tab, geom, frame, reach, floor, step, max_len, stag_tol,
         return np.concatenate([frame_lo - q, q - frame_hi])
 
     # the march keeps only live nodes: ids, start points p0, points p, sums
-    # a, r-steps dt, step budgets m, and the samples s = (sgn bx, sgn by,
-    # div b) at p, which the next step reuses
+    # a, r-steps dt, step budgets m, and the samples s = (-bx, -by, div b)
+    # at p, which the next step reuses
     ids, p0, p, a = np.arange(acc.size), hit.copy(), hit.copy(), acc.copy()
     s = _sample(tab, p, geom)
     dt = step / np.maximum(np.hypot(s[0], s[1]), floor)
@@ -224,7 +236,7 @@ def _trace_block(tab, geom, frame, reach, floor, step, max_len, stag_tol,
     steps = 0
     while ids.size:
         end = m == steps
-        stop = end | (np.hypot(s[0], s[1]) < stag_tol)
+        stop = end | (np.hypot(s[0], s[1]) < _STAG_TOL)
         k1 = s[:2]
         g0 = 1.0 + s[2]
         pn = _rk2(txy, p, k1, dt, geom)
@@ -248,7 +260,7 @@ def _trace_block(tab, geom, frame, reach, floor, step, max_len, stag_tol,
         p = pn
         steps += 1
         # points are inside the frame, so truncation is floor
-        c = ((p - origin) / h).astype(np.int64)
+        c = ((p - frame_lo) / h).astype(np.int64)
         foot = ((np.hypot(p[0] - p0[0], p[1] - p0[1]) >= reach)
                 & ((1 <= c) & (c < top)).all(axis=0))
         if foot.any():
@@ -293,3 +305,4 @@ def _trace_block(tab, geom, frame, reach, floor, step, max_len, stag_tol,
         hit[0, ids] = np.where(side == 0, x0, np.where(side == 2, x1, xb))
         hit[1, ids] = np.where(side == 1, y0, np.where(side == 3, y1, yb))
         status[ids] = TRACE_EXITED
+        exit_side[ids] = side

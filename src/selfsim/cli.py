@@ -228,10 +228,14 @@ def quasi_from_config(cfg: dict, grid: Grid2D) -> quasipotential.QuasiConfig:
     )
 
 
-def _out_path(cfg: dict, key: str, default: str) -> str:
+@_reads_config
+def _out_paths(cfg: dict) -> tuple[str, str, str]:
+    """The output directory and the phi and report paths in it, read
+    before a solve so that a mistyped value costs no solve."""
     out = cfg.get("output", {})
-    base = out.get("dir", ".")
-    return os.path.join(base, out.get(key, default))
+    base = os.fspath(out.get("dir", "."))
+    return (base, os.path.join(base, out.get("phi_path", "phi.f2d")),
+            os.path.join(base, out.get("report_path", "report.json")))
 
 
 def _report_payload(report_dict: dict) -> str:
@@ -245,13 +249,12 @@ def _report_payload(report_dict: dict) -> str:
 def cmd_solve_potential(args) -> int:
     cfg = load_config(args.config, strict=args.strict)
     problem, params, schedule = _solve_inputs(cfg)
+    _, phi_path, report_path = _out_paths(cfg)
     try:
         phi, report = potential.solve(problem, schedule, params)
     except NonConvergence as exc:
         print(f"solve-potential: {exc}", file=sys.stderr)
         return 1
-    phi_path = _out_path(cfg, "phi_path", "phi.f2d")
-    report_path = _out_path(cfg, "report_path", "report.json")
     out_dir = os.path.dirname(os.path.abspath(phi_path)) or "."
     atomic_write_field(phi, phi_path)
     atomic_write_field(report.c2, os.path.join(out_dir, "c2.f2d"))
@@ -269,19 +272,17 @@ def cmd_solve_quasi(args) -> int:
     cfg = load_config(args.config, strict=args.strict)
     problem, params, schedule = _solve_inputs(cfg)
     qcfg = quasi_from_config(cfg, problem.grid)
+    base, _, report_path = _out_paths(cfg)
     try:
         state, report = quasipotential.solve_quasi(qcfg, problem, params,
                                                    schedule)
     except (NonConvergence, SonicEncroachment) as exc:
         print(f"solve-quasi: {exc}", file=sys.stderr)
         return 1
-    out = cfg.get("output", {})
-    base = out.get("dir", ".")
     for name, f in (("psi", state.psi), ("zeta", state.zeta),
                     ("omega_tilde", state.omega_tilde), ("c2", state.c2),
                     ("N1", state.N1), ("F1", state.F1)):
         atomic_write_field(f, os.path.join(base, f"{name}.f2d"))
-    report_path = _out_path(cfg, "report_path", "report.json")
     atomic_write_text(report_path, _report_payload(report.to_dict()))
     print(f"solve-quasi: {report.status} (delta={state.delta:g}, "
           f"stages={len(report.stages)}); report: {report_path}")

@@ -34,8 +34,6 @@ from .errors import ConfigError, UncoveredNodes, check_positive
 from .field import Grid2D, ScalarField, VectorField
 from .hodge import _boundary_normals
 
-# |b| below which a characteristic stagnates
-_STAG_TOL = 1e-14
 # a frame point is inflow where b.nu < -_TOL_INFLOW (nu the outward normal)
 _TOL_INFLOW = 1e-12
 # a foot's stencil entry with |weight| <= _TOL_WEIGHT is dropped: a foot on a
@@ -89,42 +87,20 @@ def _step_and_length(grid: Grid2D, step, max_len) -> tuple:
     return step, max_len
 
 
-def _interp_frame(values: np.ndarray, grid: Grid2D, hx_, hy_):
-    """Linear interpolation of frame data at boundary hit points.
-
-    Hit points are snapped exactly onto one of the four sides by the tracer;
-    interpolation runs along that side between adjacent frame nodes.  A
-    point on two sides takes the first of left, right, bottom, top; a point
-    on none gets NaN.
-    """
-    out = np.full(hx_.shape, np.nan)
-    todo = np.ones(hx_.shape, bool)
-    for on, line, t, t0, h, n in (
-            (hx_ == grid.x0, values[:, 0], hy_, grid.y0, grid.hy, grid.ny),
-            (hx_ == grid.x1, values[:, -1], hy_, grid.y0, grid.hy, grid.ny),
-            (hy_ == grid.y0, values[0, :], hx_, grid.x0, grid.hx, grid.nx),
-            (hy_ == grid.y1, values[-1, :], hx_, grid.x0, grid.hx, grid.nx)):
-        on &= todo
-        todo &= ~on
-        s = (t[on] - t0) / h
-        i = np.minimum(np.maximum(np.floor(s).astype(np.int64), 0), n - 2)
-        a = s - i
-        out[on] = (1.0 - a) * line[i] + a * line[i + 1]
-    return out
-
-
-def _hit_is_inflow(b: VectorField, hx_, hy_):
-    """b.nu < -_TOL_INFLOW at snapped hit points (side normal, not corner)."""
-    g = b.grid
-    tab, geom = _kernels._corners(np.stack([b.u, b.v]),
-                                  g.x0, g.y0, g.hx, g.hy, g.nx, g.ny)
-    bu, bv = _kernels._sample(tab, np.array([hx_, hy_]), geom)
-    speed = np.full(hx_.shape, np.inf)
-    speed = np.where(hx_ == g.x0, np.minimum(speed, -bu), speed)
-    speed = np.where(hx_ == g.x1, np.minimum(speed, bu), speed)
-    speed = np.where(hy_ == g.y0, np.minimum(speed, -bv), speed)
-    speed = np.where(hy_ == g.y1, np.minimum(speed, bv), speed)
-    return speed < -_TOL_INFLOW
+def _on_side(lines, grid: Grid2D, side, hx_, hy_):
+    """Linear interpolation at exit points (hx_, hy_) along the frame side
+    that each one crossed, ``side`` 0 .. 3 as _kernels.trace_all reports
+    it (x = x0, y = y0, x = x1, y = y1).  ``lines`` holds the node values of
+    the four sides in that order, ny, nx, ny and nx values, each from the
+    lower-left end."""
+    along_y = side % 2 == 0
+    t = np.where(along_y, (hy_ - grid.y0) / grid.hy,
+                 (hx_ - grid.x0) / grid.hx)
+    i = np.floor(t).astype(np.int64)
+    i = np.minimum(np.maximum(i, 0), np.where(along_y, grid.ny, grid.nx) - 2)
+    a = t - i
+    i += np.cumsum([0, grid.ny, grid.nx, grid.ny])[side]
+    return (1.0 - a) * lines[i] + a * lines[i + 1]
 
 
 def _cubic_weights(a):
@@ -312,11 +288,14 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     """Backward semi-Lagrangian solve of div(omega b) + omega = 0.
 
     omega_b carries the boundary data on the frame of the same grid; only
-    inflow frame values are consulted.  ``step`` is the spatial length of
-    each node's RK2 step (its r-step is step / |b| at the node, shorter
-    next to a stagnation point; default 3/4 of the larger cell side, four
-    steps to a foot _REACH = 3 cells upstream) and ``max_len`` bounds each
-    whole characteristic in r.
+    inflow frame values are consulted.  A path that exits the frame takes
+    its inflow test (b.nu < -_TOL_INFLOW, nu the outward normal) and its
+    data from the side that _kernels.trace_all reports it crossed, both
+    interpolated linearly along that side.  ``step`` is the spatial
+    length of each node's RK2 step (its r-step is step / |b| at the node,
+    shorter next to a stagnation point; default 3/4 of the larger cell
+    side, four steps to a foot _REACH = 3 cells upstream) and ``max_len``
+    bounds each whole characteristic in r.
     ``strict`` raises UncoveredNodes instead of zero-filling.
     ``schedule`` is the fill schedule returned by an earlier call on the
     same grid, which _fill_feet reuses where it still orders the feet
@@ -330,24 +309,26 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     inflow = inflow_boundary(b)
     # inflow frame nodes keep their data verbatim; the rest are traced
     traced = np.flatnonzero(~inflow.mask)
-    acc, hx_, hy_, status, length = _kernels.trace_all(
-        b.u, b.v, fld.divergence(b).values, grid.xi1[traced % grid.nx],
-        grid.xi2[traced // grid.nx], -1.0, step, max_len, _STAG_TOL,
-        grid.x0, grid.x1, grid.y0, grid.y1, grid.hx, grid.hy, grid.nx,
-        grid.ny)
+    acc, hx_, hy_, status, length, side = _kernels.trace_all(
+        b.u, b.v, fld.divergence(b).values, traced, step, max_len, grid)
     # per grid node omega and characteristic length; omega is NaN until
     # covered: inflow frame data, a hit on the inflow frame, or a foot
     omega = np.where(inflow.mask, omega_b.values, np.nan).ravel()
     total = np.zeros(omega.size)
     total[traced] = length
     # an exit past max_len (the last r-step may overrun it) is truncated,
-    # as a foot is in _fill_feet
+    # as a foot is in _fill_feet; an exit lands where b.nu < -_TOL_INFLOW,
+    # nu the outward normal of the side it crossed
     exited = np.flatnonzero((status == _kernels.TRACE_EXITED)
                             & (length <= max_len))
-    landed = exited[_hit_is_inflow(b, hx_[exited], hy_[exited])]
-    omega[traced[landed]] = (_interp_frame(omega_b.values, grid,
-                                           hx_[landed], hy_[landed])
-                             * np.exp(-acc[landed]))
+    speed = np.concatenate([-b.u[:, 0], -b.v[0], b.u[:, -1], b.v[-1]])
+    landed = exited[_on_side(speed, grid, side[exited], hx_[exited],
+                             hy_[exited]) < -_TOL_INFLOW]
+    w = omega_b.values
+    omega[traced[landed]] = (
+        _on_side(np.concatenate([w[:, 0], w[0], w[:, -1], w[-1]]), grid,
+                 side[landed], hx_[landed], hy_[landed])
+        * np.exp(-acc[landed]))
     foot = np.flatnonzero(status == _kernels.TRACE_FOOT)
     nodes = traced[foot]
     # the feet's values replace the per traced node arrays, which the fill

@@ -1,17 +1,17 @@
 """Scalar reference of ``selfsim._kernels.trace_all``: one node at a time.
 
-Plain Python loops over the same per-node midpoint-RK2 step,
+Plain Python loops over the same per-node midpoint-RK2 step upstream,
 bilinear-interpolation, foot-point and Illinois exit arithmetic as the
-batched numpy tracer, which must match it bit for bit
-(tests/test_kernels.py).  With ``bisect=True`` the exit is found by 48
-halvings of the crossing sub-step instead, the reference for the root
-find's accuracy.
+batched numpy tracer, which must match it bit for bit, the side each exit
+crosses included (tests/test_kernels.py).  With ``bisect=True`` the exit
+is found by 48 halvings of the crossing sub-step instead, the reference
+for the root find's accuracy.
 """
 
 import numpy as np
 
-from selfsim._kernels import (_EXIT_ITERS, _REACH, TRACE_EXITED, TRACE_FOOT,
-                               TRACE_MAXLEN, TRACE_STAGNATION)
+from selfsim._kernels import (_EXIT_ITERS, _REACH, _STAG_TOL, TRACE_EXITED,
+                               TRACE_FOOT, TRACE_MAXLEN, TRACE_STAGNATION)
 
 
 def _bilinear(field, x, y, x0, y0, hx, hy, nx, ny):
@@ -37,13 +37,14 @@ def _bilinear(field, x, y, x0, y0, hx, hy, nx, ny):
         (1.0 - ax) * f10 + ax * f11)
 
 
-def _rk2_step(gx, gy, x, y, dt, sgn, x0, y0, hx, hy, nx, ny):
-    k1x = sgn * _bilinear(gx, x, y, x0, y0, hx, hy, nx, ny)
-    k1y = sgn * _bilinear(gy, x, y, x0, y0, hx, hy, nx, ny)
-    k2x = sgn * _bilinear(gx, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y,
-                          x0, y0, hx, hy, nx, ny)
-    k2y = sgn * _bilinear(gy, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y,
-                          x0, y0, hx, hy, nx, ny)
+def _rk2_step(gx, gy, x, y, dt, x0, y0, hx, hy, nx, ny):
+    """Midpoint RK2 step of length dt along -b."""
+    k1x = -_bilinear(gx, x, y, x0, y0, hx, hy, nx, ny)
+    k1y = -_bilinear(gy, x, y, x0, y0, hx, hy, nx, ny)
+    k2x = -_bilinear(gx, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y,
+                     x0, y0, hx, hy, nx, ny)
+    k2y = -_bilinear(gy, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y,
+                     x0, y0, hx, hy, nx, ny)
     return x + dt * k2x, y + dt * k2y
 
 
@@ -68,22 +69,26 @@ def _lipschitz(gx, gy, hx, hy):
     return np.sqrt(total)
 
 
-def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
-              x0, x1, y0, y1, hx, hy, nx, ny, bisect=False):
+def trace_all(gx, gy, gdiv, nodes, step, max_len, grid, bisect=False):
+    x0, x1, y0, y1 = grid.x0, grid.x1, grid.y0, grid.y1
+    hx, hy, nx, ny = grid.hx, grid.hy, grid.nx, grid.ny
+    xs = grid.xi1[nodes % nx]
+    ys = grid.xi2[nodes // nx]
     n = xs.size
     acc = np.zeros(n)
     hitx = np.empty(n)
     hity = np.empty(n)
     status = np.empty(n, np.int8)
     length = np.empty(n)
+    exit_side = np.full(n, -1, np.int8)
     reach = _REACH * max(hx, hy)
-    grid = (x0, y0, hx, hy, nx, ny)
-    floor = max(_lipschitz(gx, gy, hx, hy) * reach, stag_tol)
+    geom = (x0, y0, hx, hy, nx, ny)
+    floor = max(_lipschitz(gx, gy, hx, hy) * reach, _STAG_TOL)
     for k in range(n):
         x = xs[k]
         y = ys[k]
-        bx = _bilinear(gx, x, y, *grid)
-        by = _bilinear(gy, x, y, *grid)
+        bx = _bilinear(gx, x, y, *geom)
+        by = _bilinear(gy, x, y, *geom)
         dt = step / max(np.hypot(bx, by), floor)
         m = np.ceil(max_len / dt)
         r = 0.0
@@ -91,15 +96,15 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
         st = TRACE_MAXLEN
         steps = 0
         while steps < m:
-            bx = _bilinear(gx, x, y, *grid)
-            by = _bilinear(gy, x, y, *grid)
-            if np.hypot(bx, by) < stag_tol:
+            bx = _bilinear(gx, x, y, *geom)
+            by = _bilinear(gy, x, y, *geom)
+            if np.hypot(bx, by) < _STAG_TOL:
                 st = TRACE_STAGNATION
                 break
-            g0 = 1.0 + _bilinear(gdiv, x, y, *grid)
-            xn, yn = _rk2_step(gx, gy, x, y, dt, sgn, *grid)
+            g0 = 1.0 + _bilinear(gdiv, x, y, *geom)
+            xn, yn = _rk2_step(gx, gy, x, y, dt, *geom)
             if x0 <= xn <= x1 and y0 <= yn <= y1:
-                g1 = 1.0 + _bilinear(gdiv, xn, yn, *grid)
+                g1 = 1.0 + _bilinear(gdiv, xn, yn, *geom)
                 a += 0.5 * dt * (g0 + g1)
                 x = xn
                 y = yn
@@ -118,7 +123,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
             if bisect:
                 for _ in range(48):
                     mid = 0.5 * (lo + hi)
-                    xm, ym = _rk2_step(gx, gy, x, y, mid, sgn, *grid)
+                    xm, ym = _rk2_step(gx, gy, x, y, mid, *geom)
                     g, gside = _gap(_dist(xm, ym, x0, x1, y0, y1))
                     if g > 0.0:
                         hi = mid
@@ -132,7 +137,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
                 moved = 0
                 for _ in range(_EXIT_ITERS):
                     t = lo - flo * (hi - lo) / (fhi - flo)
-                    xm, ym = _rk2_step(gx, gy, x, y, t, sgn, *grid)
+                    xm, ym = _rk2_step(gx, gy, x, y, t, *geom)
                     d = _dist(xm, ym, x0, x1, y0, y1)
                     g, gside = _gap(d)
                     if g > 0.0:
@@ -151,8 +156,8 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
                         dlo = d
                         flo = d[side]
                         moved = -1
-            xn, yn = _rk2_step(gx, gy, x, y, lo, sgn, *grid)
-            g1 = 1.0 + _bilinear(gdiv, xn, yn, *grid)
+            xn, yn = _rk2_step(gx, gy, x, y, lo, *geom)
+            g1 = 1.0 + _bilinear(gdiv, xn, yn, *geom)
             a += 0.5 * lo * (g0 + g1)
             r = steps * dt + lo
             # snap onto the side that the step crosses
@@ -167,6 +172,7 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
             x = xn
             y = yn
             st = TRACE_EXITED
+            exit_side[k] = side
             break
         else:
             r = steps * dt
@@ -175,4 +181,4 @@ def trace_all(gx, gy, gdiv, xs, ys, sgn, step, max_len, stag_tol,
         hity[k] = y
         status[k] = st
         length[k] = r
-    return acc, hitx, hity, status, length
+    return acc, hitx, hity, status, length, exit_side

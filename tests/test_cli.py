@@ -506,10 +506,31 @@ def test_decompose_input_errors_exit_2(tmp_path, capsys, monkeypatch,
     {"grid": {**_QUASI_GRID, "ny": 17.5}},
     {"solver": {"max_iters": 2.7}},
     {"quasi": {"outer_max_iters": 1.5}},
+    # the output paths are read before the solve
+    {"output": {"dir": 5}},
+    {"output": {"report_path": ["r.json"]}},
+    {"output": 5},
 ])
-def test_mistyped_config_value_exits_2(tmp_path, capsys, overrides):
+def test_mistyped_config_value_exits_2(tmp_path, capsys, monkeypatch,
+                                       overrides):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran on a malformed config")
+
+    monkeypatch.setattr(quasipotential, "solve_quasi", no_solve)
     path = small_config(tmp_path, **{"grid": _QUASI_GRID, **overrides})
     assert cli.main(["solve-quasi", "--config", str(path)]) == 2
+    assert "malformed config value" in capsys.readouterr().err
+
+
+def test_mistyped_output_value_exits_2_before_solve_potential(
+        tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran on a malformed config")
+
+    monkeypatch.setattr(potential, "solve", no_solve)
+    path = small_config(tmp_path, output={"dir": str(tmp_path),
+                                          "phi_path": 7})
+    assert cli.main(["solve-potential", "--config", str(path)]) == 2
     assert "malformed config value" in capsys.readouterr().err
 
 

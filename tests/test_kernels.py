@@ -16,22 +16,25 @@ import scalar_tracer
 from conftest import quiescent_field
 
 
-def _args(b, max_len, sgn=-1.0):
+def _args(b, max_len):
     """trace_all arguments for every node of b's grid at the default step."""
     g = b.grid
-    X, Y = g.meshgrid()
     step = vorticity._step_and_length(g, None, max_len)[0]
-    return (b.u, b.v, fld.divergence(b).values, X.ravel(), Y.ravel(), sgn,
-            step, max_len, 1e-14, g.x0, g.x1, g.y0, g.y1, g.hx, g.hy, g.nx,
-            g.ny)
+    return (b.u, b.v, fld.divergence(b).values, np.arange(g.nx * g.ny),
+            step, max_len, g)
+
+
+def _start_points(args):
+    """The start points (2, m) of trace_all's start nodes."""
+    nodes, g = args[3], args[6]
+    return np.array([g.xi1[nodes % g.nx], g.xi2[nodes // g.nx]])
 
 
 def _node_dt(args):
     """Each start point's r-step, step / |b(p0)|, in the tracer's bits."""
-    tab, geom = _kernels._corners(args[5] * np.stack(args[:2]), args[9],
-                                  args[11], *args[13:])
-    s = _kernels._sample(tab, np.array(args[3:5]), geom)
-    return args[6] / np.maximum(np.hypot(s[0], s[1]), args[8])
+    tab, geom = _kernels._corners(-np.stack(args[:2]), args[6])
+    s = _kernels._sample(tab, _start_points(args), geom)
+    return args[4] / np.maximum(np.hypot(s[0], s[1]), _kernels._STAG_TOL)
 
 
 _TRACER_CASES = ["radial", "spiral", "rotation", "nonsquare", "forward",
@@ -39,14 +42,13 @@ _TRACER_CASES = ["radial", "spiral", "rotation", "nonsquare", "forward",
 
 
 def _tracer_case(case):
-    """(drift, max_len, sgn, status counts) of the scalar-reference cases:
-    a 9^2 grid (11^2 for the rotation, 13 x 7 for nonsquare); nonsquare
-    has nx != ny and hx != hy, where a wrong corner index shows, forward
-    traces along +b, where a wrongly folded sign shows, and the shear
+    """(drift, max_len, status counts) of the scalar-reference cases: a
+    9^2 grid (11^2 for the rotation, 13 x 7 for nonsquare); nonsquare has
+    nx != ny and hx != hy, where a wrong corner index shows, forward traces
+    the spiral along +b, passed as the drift -b, and the shear
     b = (y, 0) stagnates on y = 0 and runs along the top and bottom sides,
     whose paths leave through the next side at a corner.  The counts are
     of exited, stagnated, max-length and foot paths"""
-    sgn = -1.0
     if case == "radial":
         grid = ss.Grid2D(0.25, 0.75, 0.25, 0.75, 9, 9)
         b = ss.VectorField.from_function(grid, lambda x, y: -x,
@@ -74,19 +76,33 @@ def _tracer_case(case):
                                          lambda x, y: x + 0.15 * y)
         max_len, counts = 1.0, [20, 1, 52, 8]
         if case == "forward":
-            counts, sgn = [40, 1, 36, 4], 1.0
-    return b, max_len, sgn, counts
+            b = ss.VectorField(grid, -b.u, -b.v)
+            counts = [40, 1, 36, 4]
+    return b, max_len, counts
 
 
 @pytest.mark.parametrize("case", _TRACER_CASES)
 def test_numpy_tracer_matches_scalar_kernel(case):
-    # the scalar reference, run as plain Python, on every node of the grid
-    b, max_len, sgn, counts = _tracer_case(case)
-    args = _args(b, max_len, sgn)
+    # the scalar reference, run as plain Python, on every node of the grid;
+    # an exit lies on the side it reports, at that side's bound exactly,
+    # with its other coordinate in the frame, and any other path has side -1
+    b, max_len, counts = _tracer_case(case)
+    args = _args(b, max_len)
     fast, ref = _kernels.trace_all(*args), scalar_tracer.trace_all(*args)
     assert np.bincount(ref[3], minlength=4).tolist() == counts
     for a, r in zip(fast, ref):
         assert np.array_equal(a, r)
+    _, hx, hy, status, _, side = fast
+    g = b.grid
+    exited = status == _kernels.TRACE_EXITED
+    assert side.dtype == np.int8 and (side[~exited] == -1).all()
+    for k, (on, bound, other, lo, hi) in enumerate((
+            (hx, g.x0, hy, g.y0, g.y1), (hy, g.y0, hx, g.x0, g.x1),
+            (hx, g.x1, hy, g.y0, g.y1), (hy, g.y1, hx, g.x0, g.x1))):
+        at = exited & (side == k)
+        assert (on[at] == bound).all()
+        assert ((lo <= other[at]) & (other[at] <= hi)).all()
+    assert np.isin(side[exited], range(4)).all()
 
 
 def _corner_sample(fields, pts, x0, y0, hx, hy, nx, ny):
@@ -113,11 +129,10 @@ def _corner_sample(fields, pts, x0, y0, hx, hy, nx, ny):
 
 @pytest.mark.parametrize("case", _TRACER_CASES)
 def test_sample_is_bitwise_the_corner_table(case, monkeypatch):
-    # every sample of a trace, and the drift at its exits' hit points as
-    # vorticity._hit_is_inflow reads it, has the bits of the corner-table
-    # sampler on the same fields; the fields the tracer samples are
-    # (sgn gx, sgn gy, div b), the sign folded in
-    b, max_len, sgn, _ = _tracer_case(case)
+    # every sample of a trace has the bits of the corner-table sampler on
+    # the same fields; the fields the tracer samples are (-gx, -gy, div b),
+    # the upstream sign folded in
+    b, max_len, _ = _tracer_case(case)
     g = b.grid
     calls = []
     sample = _kernels._sample
@@ -128,17 +143,11 @@ def test_sample_is_bitwise_the_corner_table(case, monkeypatch):
         return out
 
     monkeypatch.setattr(_kernels, "_sample", spy)
-    args = _args(b, max_len, sgn)
-    _, hx, hy, status, _ = _kernels.trace_all(*args)
-    signed = np.stack([sgn * b.u, sgn * b.v, args[2]]).reshape(3, -1)
+    args = _args(b, max_len)
+    status = _kernels.trace_all(*args)[3]
+    signed = np.stack([-b.u, -b.v, args[2]]).reshape(3, -1)
     assert calls[0][0].tobytes() == signed.tobytes()
-    exited = status == _kernels.TRACE_EXITED
-    assert exited.any()
-    traced = len(calls)
-    vorticity._hit_is_inflow(b, hx[exited], hy[exited])
-    assert len(calls) == traced + 1
-    assert calls[-1][0].tobytes() == np.stack([b.u, b.v]).reshape(
-        2, -1).tobytes()
+    assert (status == _kernels.TRACE_EXITED).any()
     for tab, pts, out in calls:
         ref = _corner_sample(tab.reshape(len(tab), g.ny, g.nx), pts, g.x0,
                              g.y0, g.hx, g.hy, g.nx, g.ny)
@@ -155,12 +164,13 @@ def _radial(n, lo=0.25):
 def _trace_radial(n, step=None):
     """Backward trace of b = -xi from every node of an n^2 grid on
     [0.25, 0.75]^2 at ``step`` (None: the default step); returns the start
-    points, each node's r-step and the trace_all result."""
+    points' x and y, each node's r-step and the trace_all result."""
     b = _radial(n)
     args = _args(b, 20.0 * b.grid.diam)
     if step is not None:
-        args = args[:6] + (step,) + args[7:]
-    return args[3], args[4], _node_dt(args), _kernels.trace_all(*args)
+        args = args[:4] + (step,) + args[5:]
+    xs, ys = _start_points(args)
+    return xs, ys, _node_dt(args), _kernels.trace_all(*args)
 
 
 def _full_steps(dt, status, length):
@@ -184,7 +194,7 @@ def test_numpy_tracer_bisects_once_per_trace(monkeypatch):
         return rk2(*args)
 
     monkeypatch.setattr(_kernels, "_rk2", counted)
-    xs, _, dt, (_, _, _, status, length) = _trace_radial(33)
+    xs, _, dt, (_, _, _, status, length, _) = _trace_radial(33)
     assert xs.size <= _kernels._BLOCK
     exited = status == _kernels.TRACE_EXITED
     assert exited.any() and (status[~exited] == _kernels.TRACE_FOOT).all()
@@ -206,7 +216,7 @@ def _radial_errors(cells):
     errs = []
     for n in (33, 65):
         h = 0.5 / (n - 1)
-        xs, ys, _, (acc, hx, hy, status, length) = _trace_radial(
+        xs, ys, _, (acc, hx, hy, status, length, _) = _trace_radial(
             n, None if cells is None else cells * h)
         exited = status == _kernels.TRACE_EXITED
         foot = status == _kernels.TRACE_FOOT
@@ -259,7 +269,7 @@ def test_tracer_takes_two_samples_per_march_step(monkeypatch):
         return sample(tab, pts, geom)
 
     monkeypatch.setattr(_kernels, "_sample", counted)
-    xs, _, dt, (_, _, _, status, length) = _trace_radial(33)
+    xs, _, dt, (_, _, _, status, length, _) = _trace_radial(33)
     assert xs.size <= _kernels._BLOCK
     exited = status == _kernels.TRACE_EXITED
     full_steps = _full_steps(dt, status, length)
@@ -300,7 +310,7 @@ def test_exit_root_find_matches_a_bisection(case):
     # sub-step do: the march is the same, so only the exits may differ
     b = _drift(case)
     args = _args(b, 20.0 * b.grid.diam)
-    acc, hx, hy, status, length = _kernels.trace_all(*args)
+    acc, hx, hy, status, length, _ = _kernels.trace_all(*args)
     ref = scalar_tracer.trace_all(*args, bisect=True)
     assert np.array_equal(status, ref[3])
     exited = status == _kernels.TRACE_EXITED
@@ -309,7 +319,7 @@ def test_exit_root_find_matches_a_bisection(case):
     assert (np.abs(length - ref[4])[exited] <= tol).all()
     speed = np.hypot(b.u, b.v).max()
     assert (np.hypot(hx - ref[1], hy - ref[2])[exited] <= speed * tol).all()
-    for a, r in zip((acc, hx, hy, length), ref[:3] + ref[4:]):
+    for a, r in zip((acc, hx, hy, length), ref[:3] + ref[4:5]):
         assert np.array_equal(a[~exited], r[~exited])
 
 
@@ -331,10 +341,11 @@ def test_block_march_matches_one_block(case, monkeypatch):
 
 def test_trace_memory_per_node():
     # the tracemalloc peak of trace_all from every node of the 129^2 radial
-    # drift, per start point: 137 B measured (164 B with each sample's
-    # corners in one (k, 4, m) gather, 235 B with a corner table of the
-    # three fields, 12 rows of the grid's size, beside their stack).  The
-    # bound leaves 17 % over the measurement
+    # drift, per start node: 138 B measured (137 B before the int8 exit
+    # side was returned, 164 B with each sample's corners in one (k, 4, m)
+    # gather, 235 B with a corner table of the three fields, 12 rows of the
+    # grid's size, beside their stack).  The bound leaves 16 % over the
+    # measurement
     b = _radial(129)
     args = _args(b, 20.0 * b.grid.diam)
     _kernels.trace_all(*args)  # any first-call set-up
@@ -398,11 +409,11 @@ def test_slow_node_ends_after_its_step_budget():
     b = ss.VectorField(grid, np.full(grid.shape, 1e-3), np.zeros(grid.shape))
     step = 0.75 * grid.hx
     max_len = 2.5 * step / 1e-3
-    args = (b.u, b.v, fld.divergence(b).values, np.array([0.5]),
-            np.array([0.5]), -1.0, step, max_len, 1e-14, grid.x0, grid.x1,
-            grid.y0, grid.y1, grid.hx, grid.hy, grid.nx, grid.ny)
+    # from the centre node (0.5, 0.5)
+    args = (b.u, b.v, fld.divergence(b).values, np.array([8 * 17 + 8]),
+            step, max_len, grid)
     dt = _node_dt(args)
-    _, hx, hy, status, length = _kernels.trace_all(*args)
+    _, hx, hy, status, length, _ = _kernels.trace_all(*args)
     assert status[0] == _kernels.TRACE_MAXLEN
     assert np.ceil(max_len / dt[0]) == 3
     assert length[0] == 3 * dt[0]
@@ -411,12 +422,11 @@ def test_slow_node_ends_after_its_step_budget():
 
 
 def test_benchmark_hooks_keep_their_names():
-    # the benchmark patches trace_all and counts its start points as args[3],
+    # the benchmark patches trace_all and counts its start nodes as args[3],
     # and reads the backend from HAVE_NUMBA and use_numba();
     # test_numpy_tracer_bisects_once_per_trace patches _rk2
     assert list(inspect.signature(_kernels.trace_all).parameters) == [
-        "gx", "gy", "gdiv", "xs", "ys", "sgn", "step", "max_len", "stag_tol",
-        "x0", "x1", "y0", "y1", "hx", "hy", "nx", "ny"]
+        "gx", "gy", "gdiv", "nodes", "step", "max_len", "grid"]
     assert callable(_kernels._rk2)
     assert isinstance(_kernels.HAVE_NUMBA, bool)
     assert isinstance(_kernels.use_numba(), bool)
