@@ -102,11 +102,18 @@ def apply_stencil(coef, f):
 # A root find depends only on the node's own crossing step, so each node
 # sees the same arithmetic as when solved alone at the step it crossed, and
 # the block size changes no bit of the result; it bounds the march's
-# temporaries, a few hundred bytes per live node, to 1.3 MB at 4,096 on
-# the 129^2 radial sink.  Freed at each block's end, they can exceed
-# glibc's self-tuned trim threshold (twice the largest mapped block freed
-# so far, 0.8 MB after the 400 kB field stack alone), and then the heap
-# top is trimmed and faulted in again block after block.
+# temporaries.  At 4,096 on the 129^2 radial sink they peak 0.63 MB above
+# the block's entry: the live state (ids, points, sums, r-steps and
+# samples, 64 B a node) and one sample's arrays.  Freed at each block's
+# end, they stay under glibc's self-tuned trim threshold (twice the
+# largest mapped block freed so far, 0.8 MB after the 400 kB field stack
+# alone), so the heap top is not trimmed and faulted in again block after
+# block.  What keeps them there: a sample's and a step's arithmetic runs
+# in place; the old point and sample are dropped before the resample; a
+# node's start point is read back from hit and its step budget formed
+# afresh, not held; and the midpoint of a step is freed inside its
+# sample.  A broadcasting ufunc on fewer than 8,192 elements takes a
+# 64 KiB buffer of numpy's own, which these figures include.
 #
 # Samples read the stack of the three fields (-gx, -gy, div b), the
 # only copy of them a call holds, one row of each point's cell at a time:
@@ -144,24 +151,55 @@ def _sample(tab, pts, geom):
     """Bilinear samples (k, m) of the fields tab (k, nodes) at points
     pts (2, m), one cell row at a time: the lower row from takes at p and
     p + 1, p each point's lower-left node, then the upper row at p + nx and
-    p + nx + 1.  No temporary exceeds k m floats (see the tracer comment)."""
+    p + nx + 1.  The arithmetic runs in place, so at most three (k, m)
+    arrays, the cell offsets a (2, m), b0 = 1 - a0 and the index p are held
+    at once, and b1 = 1 - a1 overwrites a1 last (see the tracer comment).
+    IEEE products and sums commute, so the bits are those of
+    b1 (b0 T00 + a0 T01) + a1 (b0 T10 + a0 T11), Tij the takes."""
     lo, h, top, nx = geom
-    t = (pts - lo) / h
-    c = t.astype(np.int64)
+    a = pts - lo
+    # a midpoint that _rk2 passes as a temporary is freed here (CPython
+    # moves a call's arguments into the callee's frame since 3.11)
+    del pts
+    a /= h
+    c = a.astype(np.int64)
     np.maximum(c, 0, out=c)
     np.minimum(c, top, out=c)
-    a = t - c
-    b = 1.0 - a
-    p = c[1] * nx + c[0]
-    g0 = b[0] * tab.take(p, axis=1) + a[0] * tab.take(p + 1, axis=1)
-    p += nx
-    g1 = b[0] * tab.take(p, axis=1) + a[0] * tab.take(p + 1, axis=1)
-    return b[1] * g0 + a[1] * g1
+    a -= c
+    p = c[1] * nx
+    p += c[0]
+    del c
+    b0 = 1.0 - a[0]
+    g = tab.take(p, axis=1)
+    g *= b0
+    p += 1
+    t = tab.take(p, axis=1)
+    t *= a[0]
+    g += t
+    del t
+    p += nx - 1
+    t = tab.take(p, axis=1)
+    t *= b0
+    del b0
+    p += 1
+    u = tab.take(p, axis=1)
+    del p
+    u *= a[0]
+    t += u
+    del u
+    t *= a[1]
+    np.subtract(1.0, a[1], out=a[1])
+    g *= a[1]
+    g += t
+    return g
 
 
 def _rk2(tab, p, k1, dt, geom):
     """Midpoint RK2 step of length dt (m,) from p (2, m); k1 = -b(p)."""
-    return p + dt * _sample(tab, p + 0.5 * dt * k1, geom)
+    k = _sample(tab, p + 0.5 * dt * k1, geom)
+    k *= dt
+    k += p
+    return k
 
 
 def trace_all(gx, gy, gdiv, nodes, step, max_len, grid):
@@ -186,22 +224,34 @@ def trace_all(gx, gy, gdiv, nodes, step, max_len, grid):
     root-found in blocks of _BLOCK, which bounds them and leaves every
     result bit as one block gives it.
     """
-    tab, geom = _corners(np.stack([-gx, -gy, gdiv]), grid)
-    reach = _REACH * geom[1].max()
+    reach = _REACH * max(grid.hx, grid.hy)
     # _STAG_TOL only keeps the dt of a node that stagnates at step 0 finite
     lip = np.sqrt(sum((np.abs(np.diff(f, axis=ax)) / hh).max(initial=0.0)
                       ** 2 for f in (gx, gy)
                       for ax, hh in ((1, grid.hx), (0, grid.hy))))
     floor = max(lip * reach, _STAG_TOL)
+    # the results first, then the stack of the sampled fields, built in
+    # place, then each block's start points: the heap then keeps what the
+    # caller keeps (the results) below what the call frees on return (the
+    # stack and a block's temporaries), and a bare loop of calls faults
+    # less (see test_kernels.py)
     n = nodes.size
     acc = np.zeros(n)
     length = np.zeros(n)
-    hit = np.array([grid.xi1[nodes % grid.nx], grid.xi2[nodes // grid.nx]])
+    hit = np.empty((2, n))
     status = np.full(n, TRACE_MAXLEN, np.int8)
     side = np.full(n, -1, np.int8)
+    fields = np.empty((3,) + gx.shape)
+    np.negative(gx, out=fields[0])
+    np.negative(gy, out=fields[1])
+    fields[2] = gdiv
+    tab, geom = _corners(fields, grid)
     frame_hi = np.array([[grid.x1], [grid.y1]])
     for lo in range(0, n, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
+        start = nodes[blk]
+        hit[0, blk] = grid.xi1.take(start % grid.nx)
+        hit[1, blk] = grid.xi2.take(start // grid.nx)
         _trace_block(tab, geom, frame_hi, reach, floor, step, max_len,
                      acc[blk], hit[:, blk], status[blk], length[blk],
                      side[blk])
@@ -224,22 +274,24 @@ def _trace_block(tab, geom, frame_hi, reach, floor, step, max_len,
         # signed distances outside the four sides: 0 .. 3 for x0, y0, x1, y1
         return np.concatenate([frame_lo - q, q - frame_hi])
 
-    # the march keeps only live nodes: ids, start points p0, points p, sums
-    # a, r-steps dt, step budgets m, and the samples s = (-bx, -by, div b)
-    # at p, which the next step reuses
-    ids, p0, p, a = np.arange(acc.size), hit.copy(), hit.copy(), acc.copy()
+    # the march keeps only live nodes: ids, points p, sums a, r-steps dt
+    # and the samples s = (-bx, -by, div b) at p, which the next step
+    # reuses.  A live node's start point is its own entry of hit, which
+    # only a node leaving the march overwrites
+    ids, p, a = np.arange(acc.size), hit.copy(), acc.copy()
     s = _sample(tab, p, geom)
     dt = step / np.maximum(np.hypot(s[0], s[1]), floor)
-    m = np.ceil(max_len / dt)
     # per step: ids, start points, sums, k1, g0, dt, lengths, gap and side
     crossed = []
     steps = 0
     while ids.size:
-        end = m == steps
+        # a node's last step is ceil(max_len / dt), reached when
+        # max_len / dt <= steps; formed afresh, not held
+        end = max_len / dt <= steps
         stop = end | (np.hypot(s[0], s[1]) < _STAG_TOL)
-        k1 = s[:2]
+        pn = _rk2(txy, p, s[:2], dt, geom)
+        # formed after the step, so it is not held through the step's sample
         g0 = 1.0 + s[2]
-        pn = _rk2(txy, p, k1, dt, geom)
         ok = inside(pn)
         keep = ok & ~stop
         if not keep.all():
@@ -250,27 +302,36 @@ def _trace_block(tab, geom, frame_hi, reach, floor, step, max_len,
                                          TRACE_STAGNATION)
             out = ~ok & ~stop
             d = dist(pn[:, out])
-            crossed.append((ids[out], p[:, out], a[out], k1[:, out], g0[out],
+            crossed.append((ids[out], p[:, out], a[out], s[:2, out], g0[out],
                             dt[out], steps * dt[out], d.max(axis=0),
                             d.argmax(axis=0)))
-            ids, p0, pn, a, g0, dt, m = (ids[keep], p0[:, keep], pn[:, keep],
-                                         a[keep], g0[keep], dt[keep], m[keep])
+            ids, pn, a, g0, dt = (ids[keep], pn[:, keep], a[keep], g0[keep],
+                                  dt[keep])
+        # the old point, sample and masks are dead: drop them before the
+        # resample
+        del p, s, end, stop, ok, keep
         s = _sample(tab, pn, geom)
-        a = a + 0.5 * dt * (g0 + (1.0 + s[2]))
+        g1 = 1.0 + s[2]
+        g1 += g0
+        g1 *= 0.5 * dt
+        a += g1
+        del g0, g1
         p = pn
         steps += 1
         # points are inside the frame, so truncation is floor
         c = ((p - frame_lo) / h).astype(np.int64)
+        p0 = hit[:, ids]
         foot = ((np.hypot(p[0] - p0[0], p[1] - p0[1]) >= reach)
                 & ((1 <= c) & (c < top)).all(axis=0))
+        del c, p0
         if foot.any():
             hit[:, ids[foot]] = p[:, foot]
             acc[ids[foot]] = a[foot]
             length[ids[foot]] = steps * dt[foot]
             status[ids[foot]] = TRACE_FOOT
             live = ~foot
-            ids, p0, p, a, s, dt, m = (ids[live], p0[:, live], p[:, live],
-                                       a[live], s[:, live], dt[live], m[live])
+            ids, p, a, s, dt = (ids[live], p[:, live], a[live], s[:, live],
+                                dt[live])
     if crossed:
         # one batched root find of the crossing sub-step on the signed
         # distance f = d[side] outside the side that hi is farthest out of

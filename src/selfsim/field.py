@@ -22,6 +22,8 @@ gives the exactness argument.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -40,8 +42,19 @@ class Grid2D:
     ny: int
 
     def __post_init__(self):
+        for name in ("x0", "x1", "y0", "y1"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"grid bound {name} must be finite, got "
+                                  f"{getattr(self, name)!r}")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise DomainError("grid bounds must satisfy x1 > x0 and y1 > y0")
+        if not (math.isfinite(self.x1 - self.x0)
+                and math.isfinite(self.y1 - self.y0)):
+            raise DomainError("grid extent x1 - x0, y1 - y0 must be finite")
+        for name in ("nx", "ny"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DomainError(f"grid node count {name} must be an "
+                                  f"integer, got {getattr(self, name)!r}")
         if self.nx < 3 or self.ny < 3:
             raise DomainError("grid needs at least 3 nodes per axis")
 

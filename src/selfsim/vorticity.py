@@ -121,12 +121,13 @@ def _foot_stencils(fx, fy, grid: Grid2D):
     4 x 4 stencil (its base), and its offsets ay and ax (m,) in its cell
     along y and x.  Entry 4 a + c of the stencil is node base + a nx + c at
     weight wy[:, a] * wx[:, c], with wy and wx the _cubic_weights of ay and
-    ax, which the fill forms a block of feet at a time."""
+    ax, which the fill forms a block of feet at a time.  The bases are
+    int32, like the foot nodes' indices."""
     t = (fx - grid.x0) / grid.hx
-    cx = np.floor(t).astype(np.int64)
+    cx = np.floor(t).astype(np.int32)
     ax = t - cx
     t = (fy - grid.y0) / grid.hy
-    cy = np.floor(t).astype(np.int64)
+    cy = np.floor(t).astype(np.int32)
     ay = t - cy
     return (cy - 1) * grid.nx + cx - 1, ay, ax
 
@@ -166,7 +167,7 @@ def _foot_levels(nodes, base, kept, size, nx):
     pending[nodes] = True
     indeg = np.zeros(nodes.size, np.int64)
     for j, off in enumerate(offsets):
-        indeg += pending[base + off] & (kept >> j)
+        indeg += pending.take(base + off) & (kept >> j)
     # a node s is in the stencil of the feet whose stencil base is s minus
     # an offset: group the feet by base, feet[first[c]:first[c + 1]] (the
     # bases run nearly in node order, which the stable sort takes fastest)
@@ -178,7 +179,8 @@ def _foot_levels(nodes, base, kept, size, nx):
     ready = np.flatnonzero(indeg == 0)
     depth = 0
     while ready.size:
-        g = nodes[ready]
+        # widened: a store is fast on intp indices only (see _fill_feet)
+        g = nodes.take(ready).astype(np.intp)
         level[g] = depth
         depth += 1
         # g sits at stencil entry j of the feet whose base is g - offsets[j]
@@ -204,24 +206,25 @@ def _schedule_holds(schedule, nodes, base, kept, nx):
     """Whether a carried schedule orders these feet: every foot node has a
     level, and every kept stencil entry that is a foot node has a strictly
     lower one.  One vectorized pass over the 16 entries."""
-    level = schedule[nodes]
+    level = schedule.take(nodes)
     if np.any(level < 0):
         return False
     pending = np.full(schedule.size, -1, np.int32)
     pending[nodes] = level
     for j, off in enumerate(_offsets(nx)):
-        if np.any((pending[base + off] >= level) & (kept >> j)):
+        if np.any((pending.take(base + off) >= level) & (kept >> j)):
             return False
     return True
 
 
-def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
-               max_len, schedule=None):
+def _fill_feet(omega, total, nodes, acc, length, base, ay, ax,
+               grid: Grid2D, max_len, schedule=None):
     """Fill the foot nodes (flat indices ``nodes``) in dependency order.
 
     ``omega`` and ``total`` hold per grid node omega, NaN where uncovered,
     and the characteristic length.  A foot node takes the 4 x 4
-    Lagrange-cubic interpolation of both at its foot (fx, fy), omega times
+    Lagrange-cubic interpolation of both at its foot, whose stencil base
+    and cell offsets (base, ay, ax) _foot_stencils gives, omega times
     exp(-acc) and the length plus its segment's; a NaN at a stencil node,
     or a length beyond max_len, leaves it uncovered.  Stencil entries with
     |weight| <= _TOL_WEIGHT are dropped from the sums, the coverage and the
@@ -233,8 +236,14 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     _kernels._BLOCK feet (a larger level is a chunk alone), forms a chunk's
     (k, 4) row and column factors from the feet's cell offsets once, and
     slices them per level into that level's (k, 16) weights.  So the fill
-    keeps per foot only its base node and two offsets, and no (m, 4) or
-    (m, 16) array is held.  A carried ``schedule`` (the per-node levels
+    keeps per foot only its node, base node and level order (int32) and
+    two offsets, and no (m, 4) or (m, 16) array is held; the kept masks
+    are dropped once the schedule is settled.  An int32 index is read with
+    take, which keeps numpy's fast path, and widened to intp where it
+    indexes a store, since fancy assignment is fast on intp indices only.
+    The schedule pass keeps its sort, slots and bucket starts in intp: their
+    values index stores and count np.repeat and np.cumsum, fast on intp
+    only.  A carried ``schedule`` (the per-node levels
     of an earlier fill) is used when _schedule_holds finds it valid for
     these feet, and rebuilt otherwise; a foot node it left in a cycle has
     no level, so it fails the check on any feet that still hold that node.
@@ -243,15 +252,17 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
     mask of nodes filled (the rest sit in or behind a dependency cycle) and
     the schedule used.
     """
-    base, ay, ax = _foot_stencils(fx, fy, grid)
     bits = _kept_bits(ay, ax)
     if (schedule is None or schedule.size != omega.size
             or not _schedule_holds(schedule, nodes, base, bits, grid.nx)):
         schedule = _foot_levels(nodes, base, bits, omega.size, grid.nx)
-    level = schedule[nodes]
-    order = np.argsort(level, kind="stable")
+    del bits
+    level = schedule.take(nodes)
+    order = np.argsort(level, kind="stable").astype(np.int32)
     # where each level ends in ``order``, level -1 (not filled) first
     ends = np.cumsum(np.bincount(level + 1, minlength=1))
+    filled = level >= 0
+    del level
     offsets = _offsets(grid.nx)
     i = 0
     while ends[i] < ends[-1]:
@@ -260,23 +271,24 @@ def _fill_feet(omega, total, nodes, acc, length, fx, fy, grid: Grid2D,
         j = max(i + 1, np.searchsorted(ends, ends[i] + _kernels._BLOCK,
                                        "right") - 1)
         chunk = order[ends[i]:ends[j]]
-        wy, wx = _cubic_weights(ay[chunk]), _cubic_weights(ax[chunk])
+        wy, wx = _cubic_weights(ay.take(chunk)), _cubic_weights(ax.take(chunk))
         for lo, hi in zip(ends[i:j] - ends[i], ends[i + 1:j + 1] - ends[i]):
             if lo == hi:
                 continue
             r = chunk[lo:hi]
-            st = base[r][:, None] + offsets
+            st = base.take(r)[:, None] + offsets
             w = (wy[lo:hi, :, None] * wx[lo:hi, None, :]).reshape(-1, 16)
             kept = (w > _TOL_WEIGHT) | (w < -_TOL_WEIGHT)  # |w| > _TOL_WEIGHT
             w[~kept] = 0.0
-            g = nodes[r]
-            t = length[r] + (w * total[st]).sum(axis=1)
+            # widened: a store is fast on intp indices only
+            g = nodes.take(r).astype(np.intp)
+            t = length.take(r) + (w * total[st]).sum(axis=1)
             om = np.where(kept, omega[st], 0.0)
             omega[g] = np.where(t <= max_len, (w * om).sum(axis=1)
-                                * np.exp(-acc[r]), np.nan)
+                                * np.exp(-acc.take(r)), np.nan)
             total[g] = t
         i = j
-    return level >= 0, schedule
+    return filled, schedule
 
 
 def transport_omega(b: VectorField, omega_b: ScalarField,
@@ -300,7 +312,11 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     ``schedule`` is the fill schedule returned by an earlier call on the
     same grid, which _fill_feet reuses where it still orders the feet
     (bitwise the same omega either way).  Returns omega, the report and
-    the schedule used.
+    the schedule used.  Before the fill, which sets the transport's memory
+    peak on large grids, everything it does not read is released: the
+    per traced node arrays (indices, statuses, sides, hits), the exit
+    bookkeeping and the inflow set; the feet keep their values and their
+    stencils from _foot_stencils.
     """
     grid = b.grid
     if omega_b.grid != grid:
@@ -308,7 +324,7 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
     step, max_len = _step_and_length(grid, step, max_len)
     inflow = inflow_boundary(b)
     # inflow frame nodes keep their data verbatim; the rest are traced
-    traced = np.flatnonzero(~inflow.mask)
+    traced = np.flatnonzero(~inflow.mask).astype(np.int32)
     acc, hx_, hy_, status, length, side = _kernels.trace_all(
         b.u, b.v, fld.divergence(b).values, traced, step, max_len, grid)
     # per grid node omega and characteristic length; omega is NaN until
@@ -331,21 +347,29 @@ def transport_omega(b: VectorField, omega_b: ScalarField,
         * np.exp(-acc[landed]))
     foot = np.flatnonzero(status == _kernels.TRACE_FOOT)
     nodes = traced[foot]
-    # the feet's values replace the per traced node arrays, which the fill
-    # then no longer holds
-    acc, length, hx_, hy_ = (v[foot] for v in (acc, length, hx_, hy_))
-    filled, schedule = _fill_feet(omega, total, nodes, acc, length, hx_, hy_,
-                                  grid, max_len, schedule)
+    stagnated = int(np.count_nonzero(status == _kernels.TRACE_STAGNATION))
+    n_traced, n_exited = int(traced.size), int(exited.size)
+    # the feet's values and stencils replace the per traced node arrays,
+    # and what the fill does not read is released before it runs, each
+    # array as soon as it is spent
+    del inflow, traced, status, side, exited, landed, speed
+    acc = acc[foot]
+    length = length[foot]
+    fx, fy = hx_[foot], hy_[foot]
+    del foot, hx_, hy_
+    base, ay, ax = _foot_stencils(fx, fy, grid)
+    del fx, fy
+    filled, schedule = _fill_feet(omega, total, nodes, acc, length, base, ay,
+                                  ax, grid, max_len, schedule)
     interpolated = int(np.count_nonzero(filled & (total[nodes] <= max_len)))
     uncovered = np.isnan(omega)
     omega[uncovered] = 0.0
-    stagnated = int(np.count_nonzero(status == _kernels.TRACE_STAGNATION))
     report = TransportReport(
         uncovered=int(np.count_nonzero(uncovered)),
         stagnated=stagnated,
-        truncated=int(traced.size - exited.size - interpolated - stagnated),
-        exited=int(exited.size),
-        traced=int(traced.size),
+        truncated=n_traced - n_exited - interpolated - stagnated,
+        exited=n_exited,
+        traced=n_traced,
         interpolated=interpolated,
     )
     if strict and report.uncovered:

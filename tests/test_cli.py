@@ -466,6 +466,30 @@ def test_transport_bad_step_exits_2(tmp_path, capsys, step):
     assert not (tmp_path / "omega.f2d").exists()
 
 
+@pytest.mark.parametrize("command", ["decompose", "transport"])
+def test_non_finite_grid_bound_exits_2_before_solving(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # an F2D header bound of 1e400 parses as inf; before, decompose exited
+    # 4 (a stagnated Neumann solve) and transport 2 (an infinite step)
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve set up for an infinite grid bound")
+
+    monkeypatch.setattr(hodge, "_NeumannSolver", no_solve)
+    monkeypatch.setattr(vorticity, "transport_omega", no_solve)
+    kind, row = ("vector", "0 1\n") if command == "decompose" else (
+        "scalar", "1\n")
+    path = tmp_path / "in.f2d"
+    path.write_text(f"F2D 5 5 0 1e400 0 1 {kind}\n" + row * 25)
+    if command == "decompose":
+        argv = ["decompose", "--u", str(path)]
+    else:
+        (tmp_path / "inflow.json").write_text(json.dumps({"left": 1.0}))
+        argv = ["transport", "--psi", str(path), "--inflow",
+                str(tmp_path / "inflow.json")]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "grid bound x1 must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lin_tol, bad", [
     ("0", None), ("-1", None), ("nan", None),
     ("1e-11", np.inf), ("1e-11", np.nan),

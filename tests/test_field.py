@@ -35,6 +35,30 @@ def test_grid_validation():
         ss.Grid2D(0.0, 1.0, 0.0, 1.0, 2, 5)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((0.0, np.inf, 0.0, 1.0, 5, 5), "x1"),
+    ((-np.inf, 1.0, 0.0, 1.0, 5, 5), "x0"),
+    ((0.0, 1.0, np.nan, 1.0, 5, 5), "y0"),
+    ((0.0, 1.0, 0.0, float("1e400"), 5, 5), "y1"),
+    ((-1e308, 1e308, 0.0, 1.0, 5, 5), "extent"),
+    ((0.0, 1.0, 0.0, 1.0, 3, 3.5), "ny"),
+    ((0.0, 1.0, 0.0, 1.0, 5.0, 5), "nx"),
+])
+def test_grid_refuses_non_finite_bounds_and_non_integer_counts(args, name):
+    # the error names the field; numpy integer counts are integers
+    with pytest.raises(DomainError, match=name):
+        ss.Grid2D(*args)
+    assert ss.Grid2D(0.0, 1.0, 0.0, 1.0, np.int64(5), 5).hx == 0.25
+
+
+def test_read_field_refuses_an_infinite_header_bound(tmp_path):
+    # "1e400" parses as inf: the header is refused before the body is read
+    path = tmp_path / "U.f2d"
+    path.write_text("F2D 5 5 0 1e400 0 1 vector\n" + "0 0\n" * 25)
+    with pytest.raises(DomainError, match="x1 must be finite"):
+        fld.read_field(path)
+
+
 def test_field_shape_checks(grid):
     with pytest.raises(DimensionMismatch):
         ss.ScalarField(grid, np.zeros((3, 3)))

@@ -1,6 +1,10 @@
 """Quasi-potential machinery unit tests: perturbation forms, closures,
 linearized operator, coupled solver reduction and rotational diagnostics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -332,6 +336,44 @@ def test_quasi_sweeps_reuse_the_fill_schedule(law, monkeypatch):
     for got, want in ((state.psi, ref.psi), (state.zeta, ref.zeta),
                       (state.omega_tilde, ref.omega_tilde)):
         assert got.values.tobytes() == want.values.tobytes()
+
+
+_BLAS_THREADS = """
+import time
+import selfsim as ss
+from selfsim import hodge
+import test_quasipotential as tq
+# numpy's and scipy's OpenBLAS each start a thread that spins for about
+# 0.1 s after the library loads; let that end first
+time.sleep(0.5)
+grid = ss.Grid2D(-0.5, 0.5, -0.5, 0.5, 129, 129)
+U = ss.VectorField.from_function(grid, lambda x, y: -y + x * x,
+                                 lambda x, y: x + x * y)
+law = ss.GasLaw(a=1.0, gamma=2.0)
+cpu, own = time.process_time(), time.thread_time()
+hodge.decompose(U)
+tq._bench_quasi(law, [1e-3, 1e-2])
+print(1e3 * (time.process_time() - cpu - (time.thread_time() - own)))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="per-thread CPU clocks")
+def test_no_operation_wakes_a_blas_thread():
+    # the CPU time of every thread but the caller's over a 129^2 decompose
+    # and the 17^2 quasi solve of the benchmark: 0.00 ms measured, where
+    # one BLAS product of two 129^2 matrices reads 10-60 ms.  So hodge's
+    # _mm and _inv and potential.norm2 stay off BLAS, and the benchmark's
+    # cpu_s counts no BLAS thread of selfsim's own.  The thread settings
+    # are the library defaults
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("OPENBLAS_", "OMP_", "MKL_"))}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(ss.__path__[0]),
+                                         here])
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=env,
+                         cwd=here, capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 5.0
 
 
 @pytest.mark.parametrize("targets, status, most, error", [

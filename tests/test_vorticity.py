@@ -295,8 +295,8 @@ def test_transport_matches_a_loop_reference(case):
                        [ref[k] for k in keys], rtol=1e-13, atol=0.0)
 
 
-def _level_fill(omega, total, nodes, acc, length, fx, fy, grid, max_len,
-                schedule=None):
+def _level_fill(omega, total, nodes, acc, length, base, ay, ax, grid,
+                max_len, schedule=None):
     """The reference fill: Kahn's levels and the values in one loop, over
     the (m, 16) weights and kept mask of all feet (the fill of transport
     before its schedule and value passes were split).  Takes and returns
@@ -307,16 +307,10 @@ def _level_fill(omega, total, nodes, acc, length, fx, fy, grid, max_len,
                          -ap * a * a2 / 2.0, ap * a * am / 6.0], axis=1)
 
     nx = grid.nx
-    tx = (fx - grid.x0) / grid.hx
-    ty = (fy - grid.y0) / grid.hy
-    cx = np.floor(tx).astype(np.int64)
-    cy = np.floor(ty).astype(np.int64)
-    w = (cubic(ty - cy)[:, :, None] * cubic(tx - cx)[:, None, :]).reshape(
-        -1, 16)
+    w = (cubic(ay)[:, :, None] * cubic(ax)[:, None, :]).reshape(-1, 16)
     kept = (w > 1e-12) | (w < -1e-12)
     w[~kept] = 0.0
     offsets = (np.arange(4)[:, None] * nx + np.arange(4)).ravel()
-    base = (cy - 1) * nx + cx - 1
     pending = np.zeros(omega.size, bool)
     pending[nodes] = True
     indeg = np.zeros(nodes.size, np.int64)
@@ -489,12 +483,13 @@ def test_value_pass_chunks_change_no_bit(monkeypatch, case, several):
 
 
 def _feet(monkeypatch, b, omega_b):
-    """The foot nodes and foot points (nodes, fx, fy) of a transport."""
+    """The foot nodes and their stencils (nodes, base, ay, ax) of a
+    transport."""
     calls = []
     fill = vorticity._fill_feet
 
     def spy(*args):
-        calls.append((args[2], args[5], args[6]))
+        calls.append((args[2], args[5], args[6], args[7]))
         return fill(*args)
 
     with monkeypatch.context() as m:
@@ -519,8 +514,7 @@ def test_a_carried_schedule_that_does_not_hold_is_rebuilt(monkeypatch,
     omega_b = ss.ScalarField(grid, 1.0 + 0.5 * np.sin(3 * X + Y))
     sink = radial_drift(grid)
     fresh, fresh_rep, schedule = vorticity.transport_omega(sink, omega_b)
-    nodes, fx, fy = _feet(monkeypatch, sink, omega_b)
-    base, ay, ax = vorticity._foot_stencils(fx, fy, grid)
+    nodes, base, ay, ax = _feet(monkeypatch, sink, omega_b)
     kept = vorticity._kept_bits(ay, ax)
     assert vorticity._schedule_holds(schedule, nodes, base, kept, grid.nx)
     if change == "foot set":
@@ -546,16 +540,10 @@ def test_a_carried_schedule_that_does_not_hold_is_rebuilt(monkeypatch,
     assert vars(rep) == vars(fresh_rep)
 
 
-def test_transport_memory_per_traced_node():
-    # the tracemalloc peak of a 129^2 transport on the radial drift, per
-    # traced node: 172 B measured (180 B when the caller passed the traced
-    # nodes' coordinates to the tracer, 208 B with each tracer sample's
-    # corners in one (k, 4, m) gather, 281 B with the tracer's corner table
-    # and the fill's (m, 4) weight factors, 344 B with the (m, 16) weights
-    # and kept mask in the fill, 568 B when the whole set marched at once,
-    # with an (m, 16) int64 stencil and |w| array in the fill).  The bound
-    # leaves 17 % over the measurement
-    grid = radial_grid(129)
+def _transport_peak(n):
+    """The tracemalloc peak of an n^2 transport on the radial drift, per
+    traced node."""
+    grid = radial_grid(n)
     b = radial_drift(grid)
     omega_b = ss.ScalarField(grid, np.ones(grid.shape))
     vorticity.transport_omega(b, omega_b)  # any first-call set-up
@@ -566,8 +554,29 @@ def test_transport_memory_per_traced_node():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert rep.traced == 129 * 129 - 2 * 129 + 1
-    assert peak <= 201 * rep.traced
+    assert rep.traced == n * n - 2 * n + 1
+    return peak / rep.traced
+
+
+def test_transport_memory_per_traced_node():
+    # at 129^2 the peak sits in the trace: 118.6 B measured (172 B while
+    # the tracer's block temporaries reached 1.33 MB and the per traced
+    # node arrays were held through the fill, 180 B when the caller passed
+    # the traced nodes' coordinates to the tracer, 208 B with each tracer
+    # sample's corners in one (k, 4, m) gather, 281 B with the tracer's
+    # corner table and the fill's (m, 4) weight factors, 344 B with the
+    # (m, 16) weights and kept mask in the fill, 568 B when the whole set
+    # marched at once, with an (m, 16) int64 stencil and |w| array in the
+    # fill).  The bound leaves 16 % over the measurement
+    assert _transport_peak(129) <= 138
+
+
+def test_transport_fill_memory_per_traced_node():
+    # at 257^2 the peak sits in the fill's schedule pass: 102.1 B measured
+    # (152.9 B with the per traced node arrays and the foot points held
+    # through the fill and int64 foot nodes, bases and level order).  The
+    # bound leaves 16 % over the measurement
+    assert _transport_peak(257) <= 118
 
 
 def test_transport_validation():
